@@ -44,7 +44,7 @@ def main() -> int:
     )
     clock(
         "batched kernel, F and all f",
-        lambda: sum(t for t, _, _ in evaluate_counts(graphs)),
+        lambda: sum(t for t, _, _, _ in evaluate_counts(graphs)),
     )
     return 0
 

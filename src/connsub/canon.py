@@ -157,20 +157,30 @@ def canonical_key(g: Graph, colors: tuple[int, ...] | None = None) -> bytes:
     return canonical_labeling(g, colors)[0]
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labeled copy of ``g``."""
-    _, order, _ = canonical_labeling(g)
-    pos = [0] * g.n
+def positions(order: tuple[int, ...]) -> list[int]:
+    """Inverse of a labeling order: ``pos[order[i]] == i``, so old vertex
+    ``v`` gets canonical label ``pos[v]``."""
+    pos = [0] * len(order)
     for i, v in enumerate(order):
         pos[v] = i
-    return g.relabel(pos)
+    return pos
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """The canonically labeled copy of ``g``."""
+    return g.relabel(positions(canonical_labeling(g)[1]))
 
 
 def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:
     """Orbits of the automorphism group, from the generators discovered
     during canonical labeling (sufficient to generate the group)."""
-    _, _, gens = canonical_labeling(g)
-    parent = list(range(g.n))
+    return generator_orbits(g.n, canonical_labeling(g)[2])
+
+
+def generator_orbits(n: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Orbits on ``0..n-1`` of the group generated by the permutations
+    ``gens``, each orbit sorted, in order of their smallest vertex."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -179,11 +189,11 @@ def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:
         return x
 
     for a in gens:
-        for v in range(g.n):
+        for v in range(n):
             ra, rv = find(a[v]), find(v)
             if ra != rv:
                 parent[ra] = rv
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
+    for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return sorted(tuple(sorted(vs)) for vs in groups.values())

@@ -102,17 +102,24 @@ def _cmd_family(args: argparse.Namespace) -> int:
         ]
         sys.stdout.write(export_dot(g, highlights))
     if args.check:
-        computed = decompose.count_via_decomposition(g)
-        ok = computed == predicted
-        print(f"check: predicted={predicted} computed={computed} {'PASS' if ok else 'FAIL'}")
-        for tag in families.special_tags(fs.name):
-            got = census.subgraph_number(g, families.special_vertex(fs, tag))
-            want = families.closed_form_f(fs, tag)
-            tag_ok = got == want
-            ok = ok and tag_ok
-            print(f"check f[{tag}]: predicted={want} computed={got} {'PASS' if tag_ok else 'FAIL'}")
-        return 0 if ok else 1
+        try:
+            return _check_family(fs, g, predicted)
+        except census.CensusLimitError as exc:
+            raise _UsageError(f"--check cannot count {args.spec}: {exc}") from exc
     return 0
+
+
+def _check_family(fs: families.FamilySpec, g: Graph, predicted: int) -> int:
+    computed = decompose.count_via_decomposition(g)
+    ok = computed == predicted
+    print(f"check: predicted={predicted} computed={computed} {'PASS' if ok else 'FAIL'}")
+    for tag in families.special_tags(fs.name):
+        got = census.subgraph_number(g, families.special_vertex(fs, tag))
+        want = families.closed_form_f(fs, tag)
+        tag_ok = got == want
+        ok = ok and tag_ok
+        print(f"check f[{tag}]: predicted={want} computed={got} {'PASS' if tag_ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def _cmd_search(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import census
-from .graph import Block, Graph, block_cut_tree, cut_vertices
+from .graph import Block, Graph, bits, block_cut_tree, cut_vertices
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def split_at(g: Graph, w: int) -> SplitAtCutVertex:
         comp = _component(g, start, remaining)
         remaining &= ~comp
         verts = comp | (1 << w)
-        sub, old = g.subgraph_on(_bits(verts))
+        sub, old = g.subgraph_on(bits(verts))
         parts.append(SplitPart(sub, old, old.index(w)))
     return SplitAtCutVertex(w, tuple(parts))
 
@@ -69,17 +69,6 @@ def _component(g: Graph, start: int, allowed: int) -> int:
         frontier = nxt & allowed & ~reached
         reached |= frontier
     return reached
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
 
 
 def merge_count(F1: int, F2: int, f1w: int, f2w: int) -> int:
@@ -199,7 +188,7 @@ def _branch_at(g: Graph, block: Block, w: int) -> SplitPart:
             m ^= low
         frontier = nxt & allowed & ~reach
         reach |= frontier
-    sub, old = g.subgraph_on(_bits(reach))
+    sub, old = g.subgraph_on(bits(reach))
     return SplitPart(sub, old, old.index(w))
 
 

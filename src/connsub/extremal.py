@@ -6,11 +6,13 @@ representative per isomorphism class, evaluates exact counts for all of
 them, and reports the full minimizer set.
 
 Counting in the search loop runs through a batched version of the census
-subset table with machine integers: every value involved is bounded by
-2^m < 2^63 for the m <= 45 edges possible at the n <= 10 cap, so int64
-arithmetic is exact here.  Equality with the census and decomposition
-routes is asserted exhaustively in the test suite, and each reported
-minimizer is re-checked through the decomposition path.
+subset table with machine integers.  Every count the kernel forms, table
+entries and their partial sums F and f(v) alike, is at most
+sum_S 2^{e(S)} <= 2^{n+m}, so int64 arithmetic is exact whenever
+n + m <= 62; the kernel checks that bound on every batch and refuses
+a batch that breaks it.  Equality with the census and decomposition routes
+is asserted exhaustively in the test suite, and each reported minimizer is
+re-checked through the decomposition path.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import decompose
 from .generate import classes_with_cut_vertices, connected_classes
-from .graph import Girth, Graph, cut_vertices, girth
+from .graph import Girth, Graph, bits, girth
 from .graphio import serialize_graph6
 
 GENERATION_CAP = 10
@@ -113,55 +115,89 @@ def _schedule(n: int):
     return entries
 
 
-@lru_cache(maxsize=None)
-def _vertex_masks(n: int):
-    size = 1 << n
-    return [np.asarray([S for S in range(size) if S >> v & 1]) for v in range(n)]
+# int64 stays exact while every count is below 2^63 (see the module docstring)
+_EXACT_MAX_N_PLUS_M = 62
+# a table has 2^n rows and _schedule(n) about 3^n / 2 index entries
+_TABLE_MAX_N = 12
 
 
-def subset_tables(graphs: Sequence[Graph]) -> np.ndarray:
-    """Census subset tables for a batch of same-order graphs, int64-exact."""
+def _tables(graphs: Sequence[Graph]) -> np.ndarray:
+    """Census subset tables stored subset-major, as ``[subset, graph]``."""
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("batch must share a vertex count")
-    if n > GENERATION_CAP:
-        raise ValueError("batched tables support n <= 10 only")
+    if n > _TABLE_MAX_N:
+        raise ValueError(f"batched tables support n <= {_TABLE_MAX_N} only")
+    worst = max(g.m for g in graphs) + n
+    if worst > _EXACT_MAX_N_PLUS_M:
+        raise ValueError(
+            f"int64 tables need n + m <= {_EXACT_MAX_N_PLUS_M}, batch has {worst}"
+        )
     cnt = len(graphs)
     size = 1 << n
-    adj = np.asarray([g.adj for g in graphs], dtype=np.int64)
-    ecnt = np.zeros((cnt, size), dtype=np.int64)
+    adj = np.asarray([g.adj for g in graphs], dtype=np.int64).T
+    ecnt = np.zeros((size, cnt), dtype=np.int64)
     for S in range(1, size):
         low = S & -S
         rest = S ^ low
         if rest:
             v = low.bit_length() - 1
-            ecnt[:, S] = ecnt[:, rest] + np.bitwise_count(adj[:, v] & rest)
+            ecnt[S] = ecnt[rest] + np.bitwise_count(adj[v] & rest)
     npow = np.left_shift(np.int64(1), ecnt)
-    table = np.zeros((cnt, size), dtype=np.int64)
+    table = np.zeros((size, cnt), dtype=np.int64)
     for v in range(n):
-        table[:, 1 << v] = 1
+        table[1 << v] = 1
     for S, ts, rs in _schedule(n):
-        acc = np.einsum("ij,ij->i", table[:, ts], npow[:, rs])
-        table[:, S] = npow[:, S] - acc
+        table[S] = npow[S] - np.einsum("ij,ij->j", table[ts], npow[rs])
     return table
 
 
-def evaluate_counts(graphs: Sequence[Graph]) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(F, min_v f, argmin vertices) for each graph, exact."""
-    out: list[tuple[int, int, tuple[int, ...]]] = []
+def subset_tables(graphs: Sequence[Graph]) -> np.ndarray:
+    """Census subset tables for a batch of same-order graphs, int64-exact,
+    one ``[graph, subset]`` row per graph."""
+    return _tables(graphs).T
+
+
+def evaluate_counts(
+    graphs: Sequence[Graph],
+) -> list[tuple[int, int, tuple[int, ...], int]]:
+    """(F, min_v f, argmin vertices, cut-vertex count) for each connected
+    graph, exact.
+
+    ``table[S]`` counts the connected spanning subgraphs of G[S], so it is
+    positive exactly when G[S] is connected; for n >= 2, v is a cut vertex
+    of a connected G exactly when ``table[V - v]`` is zero.
+    """
+    out: list[tuple[int, int, tuple[int, ...], int]] = []
     if not graphs:
         return out
     n = graphs[0].n
-    masks = _vertex_masks(n)
+    full = (1 << n) - 1
+    weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))[:, None]
     for lo in range(0, len(graphs), _CHUNK):
         chunk = graphs[lo : lo + _CHUNK]
-        table = subset_tables(chunk)
-        totals = table.sum(axis=1)
-        fvals = np.stack([table[:, masks[v]].sum(axis=1) for v in range(n)], axis=1)
-        fmin = fvals.min(axis=1)
-        for i in range(len(chunk)):
-            argmin = tuple(int(v) for v in np.nonzero(fvals[i] == fmin[i])[0])
-            out.append((int(totals[i]), int(fmin[i]), argmin))
+        table = _tables(chunk)
+        if not table[full].all():
+            raise ValueError("evaluate_counts needs connected graphs")
+        cnt = len(chunk)
+        totals = table.sum(axis=0)
+        # rows S with bit v set, as one reshape: S = (hi, bit v, lo)
+        fvals = np.stack(
+            [
+                table.reshape(1 << (n - 1 - v), 2, 1 << v, cnt)[:, 1].sum(axis=(0, 1))
+                for v in range(n)
+            ]
+        )
+        fmin = fvals.min(axis=0)
+        argmasks = ((fvals == fmin) * weights).sum(axis=0)
+        if n >= 2:
+            cuts = (table[[full ^ (1 << v) for v in range(n)]] == 0).sum(axis=0)
+        else:
+            cuts = np.zeros(cnt, dtype=np.int64)
+        for total, f_min, mask, k in zip(
+            totals.tolist(), fmin.tolist(), argmasks.tolist(), cuts.tolist()
+        ):
+            out.append((total, f_min, tuple(bits(mask)), k))
     return out
 
 
@@ -197,12 +233,12 @@ def _build_records(graphs: Iterable[Graph], jobs: int) -> list[_Record]:
     glist = list(graphs)
     evals = _evaluate_parallel(glist, jobs)
     records = []
-    for g, (total, f_min, argmin) in zip(glist, evals):
+    for g, (total, f_min, argmin, k) in zip(glist, evals):
         records.append(
             _Record(
                 graph=g,
                 g6=serialize_graph6(g),
-                k=len(cut_vertices(g)),
+                k=k,
                 total=total,
                 f_min=f_min,
                 f_argmin=argmin,

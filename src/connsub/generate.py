@@ -6,6 +6,9 @@ Two complementary strategies feed the extremal searches:
   ``m+1`` vertices is some connected graph on ``m`` vertices plus one new
   vertex attached to a non-empty subset; duplicates are removed with a
   canonical-form set per level.  Exact for any n, practical through n = 8.
+  Each kept class also keeps its vertex-orbit representatives, read off
+  the automorphism generators its canonical labeling found, which is what
+  ``rooted_classes(n)`` returns.
 
 * ``classes_with_cut_vertices(n)`` -- cut-vertex composition: every
   connected graph with a cut vertex is two smaller connected graphs (each
@@ -25,20 +28,24 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .canon import canonical_key, canonical_labeling, vertex_orbits
-from .graph import Graph, is_connected
+from .canon import canonical_labeling, generator_orbits, positions
+from .graph import Graph, bits, is_connected
 
 _connected_cache: dict[int, tuple[Graph, ...]] = {}
+# per class of _connected_cache[n], a bitmask of vertex-orbit representatives
+_roots_cache: dict[int, tuple[int, ...]] = {}
 _cut_cache: dict[int, tuple[Graph, ...]] = {}
 _rooted_cache: dict[int, list[tuple[Graph, int]]] = {}
 
 
-def _canonize(g: Graph) -> tuple[bytes, Graph]:
-    key, order, _ = canonical_labeling(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return key, g.relabel(pos)
+def _orbit_roots(gens: list[tuple[int, ...]], pos: list[int]) -> int:
+    """Bitmask of the smallest canonical label in each vertex orbit, from the
+    automorphism generators ``gens`` (original labels) and the canonical
+    positions ``pos``."""
+    roots = 0
+    for orbit in generator_orbits(len(pos), gens):
+        roots |= 1 << min(pos[v] for v in orbit)
+    return roots
 
 
 def connected_classes(n: int) -> tuple[Graph, ...]:
@@ -49,43 +56,36 @@ def connected_classes(n: int) -> tuple[Graph, ...]:
     if n in _connected_cache:
         return _connected_cache[n]
     if n == 1:
-        result = (Graph.from_edges(1, []),)
-        _connected_cache[1] = result
-        return result
+        _connected_cache[1] = (Graph.from_edges(1, []),)
+        _roots_cache[1] = (1,)
+        return _connected_cache[1]
     found: dict[bytes, Graph] = {}
+    roots: dict[bytes, int] = {}
     for parent in connected_classes(n - 1):
         base = list(parent.edges)
         for subset in range(1, 1 << (n - 1)):
-            edges = base + [(v, n - 1) for v in _bits(subset)]
+            edges = base + [(v, n - 1) for v in bits(subset)]
             child = Graph.from_edges(n, edges)
-            key, canon = _canonize(child)
+            key, order, gens = canonical_labeling(child)
             if key not in found:
-                found[key] = canon
-    result = tuple(found[k] for k in sorted(found))
-    _connected_cache[n] = result
-    return result
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
+                pos = positions(order)
+                found[key] = child.relabel(pos)
+                roots[key] = _orbit_roots(gens, pos)
+    keys = sorted(found)
+    _connected_cache[n] = tuple(found[k] for k in keys)
+    _roots_cache[n] = tuple(roots[k] for k in keys)
+    return _connected_cache[n]
 
 
 def rooted_classes(n: int) -> list[tuple[Graph, int]]:
     """(graph, root) pairs: each connected class on n vertices with one root
-    per vertex orbit."""
+    per vertex orbit, the orbit's smallest vertex."""
     if n in _rooted_cache:
         return _rooted_cache[n]
-    out = []
-    for g in connected_classes(n):
-        for orbit in vertex_orbits(g):
-            out.append((g, orbit[0]))
+    classes = connected_classes(n)
+    out = [
+        (g, root) for g, roots in zip(classes, _roots_cache[n]) for root in bits(roots)
+    ]
     _rooted_cache[n] = out
     return out
 
@@ -120,9 +120,10 @@ def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
         for i, (g1, r1) in enumerate(left):
             start = i if n2 == n1 else 0
             for g2, r2 in right[start:]:
-                key, canon = _canonize(_glue(g1, r1, g2, r2))
+                glued = _glue(g1, r1, g2, r2)
+                key, order, _ = canonical_labeling(glued)
                 if key not in found:
-                    found[key] = canon
+                    found[key] = glued.relabel(positions(order))
     result = tuple(found[k] for k in sorted(found))
     _cut_cache[n] = result
     return result
@@ -141,8 +142,7 @@ def naive_connected_classes(n: int) -> tuple[Graph, ...]:
         g = Graph.from_edges(n, edges)
         if not is_connected(g):
             continue
-        key = canonical_key(g)
+        key, order, _ = canonical_labeling(g)
         if key not in found:
-            _, canon = _canonize(g)
-            found[key] = canon
+            found[key] = g.relabel(positions(order))
     return tuple(found[k] for k in sorted(found))

@@ -160,6 +160,18 @@ class BlockCutTree:
         )
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    v = 0
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return out
+
+
 def _reach_mask(adj: tuple[int, ...], start: int, allowed: int) -> int:
     """Bitmask of vertices reachable from ``start`` staying inside ``allowed``."""
     reached = (1 << start) & allowed

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import census, decompose, families
-from .canon import canonical_graph, canonical_key, canonical_labeling
+from .canon import canonical_graph, canonical_key, canonical_labeling, positions
 from .extremal import (
     ClassSpec,
     catalog,
@@ -218,10 +218,7 @@ def _check_vertex_floor_nontree(n_max: int) -> VerdictReport:
                 pendant = families.special_vertex(fs, "pendant")
                 canon = _canon_g6(lol)
                 idx = report.minimizers.index(canon)
-                _, order, _ = canonical_labeling(lol)
-                pos = [0] * lol.n
-                for i, v in enumerate(order):
-                    pos[v] = i
+                pos = positions(canonical_labeling(lol)[1])
                 ok = report.argmin_vertices[idx] == (pos[pendant],)
             rep.add(
                 f"n={n} k={k}: floor {want} uniquely lollipop at pendant",

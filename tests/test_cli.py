@@ -90,6 +90,11 @@ class TestFamily:
         rc, _, err = run(capsys, ["family", "--spec", "L:n=6,g=6"])
         assert rc == 2
 
+    def test_check_beyond_census_exits_two(self, capsys):
+        rc, _, err = run(capsys, ["family", "--spec", "C:n=30", "--check"])
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSearch:
     def test_summary_and_report(self, capsys, tmp_path):

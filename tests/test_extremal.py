@@ -16,7 +16,7 @@ from connsub.extremal import (
 )
 from connsub.families import build, parse_family_spec
 from connsub.generate import connected_classes
-from connsub.graph import cut_vertices, girth, is_connected
+from connsub.graph import Graph, cut_vertices, girth, is_connected
 
 
 def G(text):
@@ -92,11 +92,32 @@ class TestBatchKernel:
 
     def test_evaluate_counts_matches_census(self):
         graphs = list(connected_classes(6))
-        for g, (total, fmin, argmin) in zip(graphs, evaluate_counts(graphs)):
+        for g, (total, fmin, argmin, _) in zip(graphs, evaluate_counts(graphs)):
             assert total == census.count_connected_subgraphs(g)
             fs = [census.subgraph_number(g, v) for v in range(g.n)]
             assert fmin == min(fs)
             assert argmin == tuple(v for v in range(g.n) if fs[v] == fmin)
+        for n in range(1, 8):
+            graphs = list(connected_classes(n))
+            for g, (_, _, _, k) in zip(graphs, evaluate_counts(graphs)):
+                assert k == len(cut_vertices(g))
+
+    def test_evaluate_counts_rejects_disconnected(self):
+        with pytest.raises(ValueError):
+            evaluate_counts([Graph.from_edges(4, [(0, 1), (2, 3)])])
+
+    def test_sparse_order_eleven_matches_census(self):
+        for text in ("C:n=11", "P:n=11"):
+            g = G(text)
+            assert list(subset_tables([g])[0]) == census.connected_set_table(g)
+
+    def test_rejects_batches_beyond_int64_bound(self):
+        k11 = Graph.from_edges(11, [(i, j) for i in range(11) for j in range(i + 1, 11)])
+        assert k11.n + k11.m == 66
+        with pytest.raises(ValueError):
+            subset_tables([k11])
+        with pytest.raises(ValueError):
+            subset_tables([G("P:n=13")])
 
 
 class TestSearches:

@@ -53,3 +53,12 @@ def test_rooted_classes_orbits():
     assert len(pairs) == 3
     for g, root in pairs:
         assert any(root in orbit for orbit in vertex_orbits(g))
+
+
+def test_rooted_classes_one_root_per_orbit():
+    # pairs = sum over classes of the orbit count, n = 2..8
+    for n, want in {2: 1, 3: 3, 4: 11, 5: 58, 6: 407, 7: 4306, 8: 72489}.items():
+        assert len(rooted_classes(n)) == want
+    for n in range(2, 7):
+        want = [(g, orbit[0]) for g in connected_classes(n) for orbit in vertex_orbits(g)]
+        assert rooted_classes(n) == want
