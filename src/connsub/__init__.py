@@ -22,7 +22,6 @@ from .decompose import (
 from .extremal import (
     ClassSpec,
     SearchReport,
-    generate,
     search_min_F,
     search_min_vertex_subgraph_number,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "distance",
     "enumerate_connected_subgraphs",
     "export_dot",
-    "generate",
     "girth",
     "is_connected",
     "merge_count",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import census
-from .graph import Block, Graph, bits, block_cut_tree, cut_vertices
+from .graph import Block, Graph, bits, block_cut_tree, cut_vertices, reach
 
 
 @dataclass(frozen=True)
@@ -48,27 +48,12 @@ def split_at(g: Graph, w: int) -> SplitAtCutVertex:
     parts = []
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
-        comp = _component(g, start, remaining)
+        comp = reach(g.adj, start, remaining)
         remaining &= ~comp
         verts = comp | (1 << w)
         sub, old = g.subgraph_on(bits(verts))
         parts.append(SplitPart(sub, old, old.index(w)))
     return SplitAtCutVertex(w, tuple(parts))
-
-
-def _component(g: Graph, start: int, allowed: int) -> int:
-    reached = 1 << start
-    frontier = reached
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= g.adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & allowed & ~reached
-        reached |= frontier
-    return reached
 
 
 def merge_count(F1: int, F2: int, f1w: int, f2w: int) -> int:
@@ -143,7 +128,7 @@ def _f(g: Graph, v: int, memo: dict) -> int:
         full = (1 << g.n) - 1
         best_w = min(
             (w for w in cuts if w != v),
-            key=lambda w: (_component(g, v, full & ~(1 << w)).bit_count(), w),
+            key=lambda w: (reach(g.adj, v, full & ~(1 << w)).bit_count(), w),
         )
         split = split_at(g, best_w)
         mine = next(p for p in split.parts if v in p.vertices)
@@ -176,19 +161,8 @@ def _branch_at(g: Graph, block: Block, w: int) -> SplitPart:
     for u in block.vertices:
         inside |= 1 << u
     allowed = full & ~inside
-    reach = 1 << w
-    frontier = g.adj[w] & allowed
-    reach |= frontier
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= g.adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & allowed & ~reach
-        reach |= frontier
-    sub, old = g.subgraph_on(bits(reach))
+    branch = reach(g.adj, w, allowed | 1 << w)
+    sub, old = g.subgraph_on(bits(branch))
     return SplitPart(sub, old, old.index(w))
 
 

@@ -17,10 +17,9 @@ re-checked through the decomposition path.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -71,17 +70,20 @@ class SearchReport:
 @dataclass
 class _Record:
     graph: Graph
-    g6: str
     k: int
     total: int
     f_min: int
     f_argmin: tuple[int, ...]
-    girth_cached: Girth | None = None
 
-    def girth_value(self) -> Girth:
-        if self.girth_cached is None:
-            self.girth_cached = girth(self.graph)
-        return self.girth_cached
+    # graph6 and girth are built on first read: only minimisers, failure
+    # messages and girth-bounded classes need them
+    @cached_property
+    def g6(self) -> str:
+        return serialize_graph6(self.graph)
+
+    @cached_property
+    def girth(self) -> Girth:
+        return girth(self.graph)
 
     @property
     def is_tree(self) -> bool:
@@ -201,53 +203,21 @@ def evaluate_counts(
     return out
 
 
-def _eval_worker(args: tuple[tuple[tuple[int, ...], ...], int]):
-    adjs, n = args
-    graphs = [Graph.from_adj(a) for a in adjs]
-    return evaluate_counts(graphs)
-
-
-def _evaluate_parallel(graphs: Sequence[Graph], jobs: int):
-    if jobs <= 1 or len(graphs) <= _CHUNK:
-        return evaluate_counts(graphs)
-    n = graphs[0].n
-    chunks = [
-        (tuple(g.adj for g in graphs[lo : lo + _CHUNK]), n)
-        for lo in range(0, len(graphs), _CHUNK)
-    ]
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_eval_worker, chunks)
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # catalogs
 
 _catalog_cache: dict[tuple[int, str], list[_Record]] = {}
 
 
-def _build_records(graphs: Iterable[Graph], jobs: int) -> list[_Record]:
+def _build_records(graphs: Iterable[Graph]) -> list[_Record]:
     glist = list(graphs)
-    evals = _evaluate_parallel(glist, jobs)
-    records = []
-    for g, (total, f_min, argmin, k) in zip(glist, evals):
-        records.append(
-            _Record(
-                graph=g,
-                g6=serialize_graph6(g),
-                k=k,
-                total=total,
-                f_min=f_min,
-                f_argmin=argmin,
-            )
-        )
-    return records
+    return [
+        _Record(graph=g, k=k, total=total, f_min=f_min, f_argmin=argmin)
+        for g, (total, f_min, argmin, k) in zip(glist, evaluate_counts(glist))
+    ]
 
 
-def catalog(n: int, stratum: str = "cut", jobs: int = 1) -> list[_Record]:
+def catalog(n: int, stratum: str = "cut") -> list[_Record]:
     """Evaluated class records for one vertex count.
 
     ``stratum="cut"`` holds only classes with >= 1 cut vertex (cheap even at
@@ -262,11 +232,9 @@ def catalog(n: int, stratum: str = "cut", jobs: int = 1) -> list[_Record]:
         return base if stratum == "all" else [r for r in base if r.k >= 1]
     if stratum == "cut":
         if (n, "cut") not in _catalog_cache:
-            _catalog_cache[(n, "cut")] = _build_records(
-                classes_with_cut_vertices(n), jobs
-            )
+            _catalog_cache[(n, "cut")] = _build_records(classes_with_cut_vertices(n))
         return _catalog_cache[(n, "cut")]
-    _catalog_cache[(n, "all")] = _build_records(connected_classes(n), jobs)
+    _catalog_cache[(n, "all")] = _build_records(connected_classes(n))
     return _catalog_cache[(n, "all")]
 
 
@@ -278,16 +246,16 @@ def _matches(rec: _Record, spec: ClassSpec) -> bool:
     if spec.subset == "nontrees" and rec.is_tree:
         return False
     if spec.min_girth is not None and spec.min_girth >= 4:
-        if not rec.girth_value().at_least(spec.min_girth):
+        if not rec.girth.at_least(spec.min_girth):
             return False
     return True
 
 
-def _class_records(spec: ClassSpec, jobs: int = 1) -> list[_Record]:
+def _class_records(spec: ClassSpec) -> list[_Record]:
     if spec.n >= 2 and spec.k >= spec.n - 1:
         return []  # no graph has n or n-1 cut vertices
     stratum = "cut" if spec.k >= 1 else "all"
-    return [r for r in catalog(spec.n, stratum, jobs) if _matches(r, spec)]
+    return [r for r in catalog(spec.n, stratum) if _matches(r, spec)]
 
 
 def generate(spec: ClassSpec, visitor: Callable[[Graph], None]) -> int:
@@ -342,19 +310,19 @@ def _finalize(
     )
 
 
-def search_min_F(spec: ClassSpec, jobs: int = 1) -> SearchReport:
+def search_min_F(spec: ClassSpec) -> SearchReport:
     """Minimum total connected-subgraph count over the class, with the
     complete minimizer set."""
     t0 = time.monotonic()
-    records = _class_records(spec, jobs)
+    records = _class_records(spec)
     return _finalize(spec, "F", records, lambda r: r.total, None, t0)
 
 
-def search_min_vertex_subgraph_number(spec: ClassSpec, jobs: int = 1) -> SearchReport:
+def search_min_vertex_subgraph_number(spec: ClassSpec) -> SearchReport:
     """Minimum over all (G, v) of the per-vertex count, with minimizing
     graphs and their argmin vertex sets."""
     t0 = time.monotonic()
-    records = _class_records(spec, jobs)
+    records = _class_records(spec)
     return _finalize(spec, "minf", records, lambda r: r.f_min, lambda r: r.f_argmin, t0)
 
 

@@ -90,8 +90,9 @@ def rooted_classes(n: int) -> list[tuple[Graph, int]]:
     return out
 
 
-def _glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
-    """Identify root r2 of g2 with root r1 of g1."""
+def glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
+    """Identify root r2 of g2 with root r1 of g1.  g1 keeps its labels; g2's
+    other vertices become g1.n, g1.n + 1, ... in their original order."""
     n = g1.n + g2.n - 1
     mapping = {}
     nxt = g1.n
@@ -120,7 +121,7 @@ def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
         for i, (g1, r1) in enumerate(left):
             start = i if n2 == n1 else 0
             for g2, r2 in right[start:]:
-                glued = _glue(g1, r1, g2, r2)
+                glued = glue(g1, r1, g2, r2)
                 key, order, _ = canonical_labeling(glued)
                 if key not in found:
                     found[key] = glued.relabel(positions(order))

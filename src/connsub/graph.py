@@ -49,22 +49,6 @@ class Graph:
             adj[v] |= 1 << u
         return Graph(n, sorted_edges, tuple(adj))
 
-    @staticmethod
-    def from_adj(adj: Iterable[int]) -> "Graph":
-        """Build from adjacency bitmasks (must be symmetric and loop-free)."""
-        masks = tuple(adj)
-        n = len(masks)
-        edges = []
-        for u in range(n):
-            m = masks[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    edges.append((u, v))
-                m >>= 1
-                v += 1
-        return Graph.from_edges(n, edges)
-
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -172,7 +156,7 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def _reach_mask(adj: tuple[int, ...], start: int, allowed: int) -> int:
+def reach(adj: tuple[int, ...], start: int, allowed: int) -> int:
     """Bitmask of vertices reachable from ``start`` staying inside ``allowed``."""
     reached = (1 << start) & allowed
     frontier = reached
@@ -190,7 +174,7 @@ def _reach_mask(adj: tuple[int, ...], start: int, allowed: int) -> int:
 
 def is_connected(g: Graph) -> bool:
     full = (1 << g.n) - 1
-    return _reach_mask(g.adj, 0, full) == full
+    return reach(g.adj, 0, full) == full
 
 
 def _require_connected(g: Graph) -> None:

@@ -25,7 +25,7 @@ from .extremal import (
     search_min_vertex_subgraph_number,
     subset_tables,
 )
-from .generate import connected_classes, rooted_classes
+from .generate import connected_classes, glue, rooted_classes
 from .graph import Graph, block_cut_tree
 from .graphio import parse_graph6, serialize_graph6
 
@@ -373,20 +373,6 @@ def _check_pendant_share_limit(n_max: int) -> VerdictReport:
     return rep
 
 
-def _glue_with_offset(g1: Graph, r1: int, g2: Graph, r2: int):
-    mapping = {}
-    nxt = g1.n
-    for v in range(g2.n):
-        if v == r2:
-            mapping[v] = r1
-        else:
-            mapping[v] = nxt
-            nxt += 1
-    edges = list(g1.edges)
-    edges.extend((mapping[u], mapping[v]) for u, v in g2.edges)
-    return Graph.from_edges(g1.n + g2.n - 1, edges), mapping
-
-
 def _check_branch_move_decrease(pairs: int = 60, seed: int = 7) -> VerdictReport:
     """Moving a whole branch from a shared cut vertex to a deeper vertex
     strictly decreases every vertex count in the untouched part."""
@@ -401,12 +387,11 @@ def _check_branch_move_decrease(pairs: int = 60, seed: int = 7) -> VerdictReport
         g1, r1 = pool[rng.randrange(len(pool))]
         g2, r2 = pool[rng.randrange(len(pool))]
         g3, r3 = pool[rng.randrange(len(pool))]
-        base, mapping = _glue_with_offset(g1, r1, g2, r2)
-        w = r1
-        g2_copy = [mapping[v] for v in range(g2.n) if v != r2]
-        wprime = g2_copy[rng.randrange(len(g2_copy))]
-        g_orig, _ = _glue_with_offset(base, w, g3, r3)
-        g_star, _ = _glue_with_offset(base, wprime, g3, r3)
+        base = glue(g1, r1, g2, r2)
+        # glue labels g2's non-root vertices g1.n .. g1.n + g2.n - 2
+        wprime = g1.n + rng.randrange(g2.n - 1)
+        g_orig = glue(base, r1, g3, r3)
+        g_star = glue(base, wprime, g3, r3)
         for v in range(g1.n):
             fo = decompose.subgraph_number_via_decomposition(g_orig, v)
             fs_ = decompose.subgraph_number_via_decomposition(g_star, v)

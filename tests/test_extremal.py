@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from connsub import census
+from connsub import census, extremal
 from connsub.canon import canonical_key
 from connsub.extremal import (
     ClassSpec,
@@ -158,6 +158,15 @@ class TestSearches:
         assert list(report.minimizers) == sorted(report.minimizers)
         assert len(set(report.minimizers)) == len(report.minimizers)
         assert len(report.argmin_vertices) == len(report.minimizers)
+
+    def test_records_serialise_only_when_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(extremal, "serialize_graph6", lambda g: calls.append(g) or "x")
+        records = extremal._build_records(connected_classes(5))
+        assert calls == []
+        assert records[3].g6 == "x" and records[3].g6 == "x"
+        assert calls == [records[3].graph]
+        assert all(r.girth == girth(r.graph) for r in records)
 
 
 class TestReports:

@@ -1,11 +1,15 @@
+import sys
+
+import connsub
 from connsub.canon import canonical_key, vertex_orbits
 from connsub.generate import (
     classes_with_cut_vertices,
     connected_classes,
+    glue,
     naive_connected_classes,
     rooted_classes,
 )
-from connsub.graph import cut_vertices, is_connected
+from connsub.graph import Graph, cut_vertices, is_connected
 
 # connected graphs up to isomorphism, then the 2-connected stratum
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -62,3 +66,20 @@ def test_rooted_classes_one_root_per_orbit():
     for n in range(2, 7):
         want = [(g, orbit[0]) for g in connected_classes(n) for orbit in vertex_orbits(g)]
         assert rooted_classes(n) == want
+
+
+def test_glue_labels_g2_after_g1_in_order():
+    g1 = Graph.from_edges(3, [(0, 1), (1, 2)])  # P3 rooted at an end, 2
+    g2 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # paw rooted at 2
+    glued = glue(g1, 2, g2, 2)
+    assert glued.n == g1.n + g2.n - 1
+    assert set(g1.edges) <= set(glued.edges)
+    # g2's vertices 0, 1, 3 become 3, 4, 5 and its root becomes g1's root
+    relabel = {0: 3, 1: 4, 2: 2, 3: 5}
+    mapped = {tuple(sorted((relabel[u], relabel[v]))) for u, v in g2.edges}
+    assert set(glued.edges) == set(g1.edges) | mapped
+
+
+def test_package_attribute_is_the_generate_module():
+    # the package must not shadow its submodule with extremal.generate
+    assert connsub.generate is sys.modules["connsub.generate"]
