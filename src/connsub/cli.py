@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
-counterexample, 2 usage or input error.  Counts always print as decimal
-strings.  ``-`` reads graphs from stdin, one graph6 line each.
+counterexample, 2 usage or input error, including a graph too large for
+exact counting.  Counts always print as decimal strings.  ``-`` reads
+graphs from stdin, one graph6 line each.
 """
 
 from __future__ import annotations
@@ -101,10 +102,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
         ]
         sys.stdout.write(export_dot(g, highlights))
     if args.check:
-        try:
-            return _check_family(fs, g, predicted)
-        except census.CensusLimitError as exc:
-            raise _UsageError(f"--check cannot count {args.spec}: {exc}") from exc
+        return _check_family(fs, g, predicted)
     return 0
 
 
@@ -236,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, census.CensusLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

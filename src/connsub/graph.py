@@ -3,6 +3,10 @@
 Vertices are dense integers ``0..n-1`` with ``n <= 64`` so every neighbor
 set fits in one machine word.  All operations are pure; graphs are safe to
 share across threads.
+
+Blocks and cut vertices come from one bitset DFS, ``_blocks``: both
+``cut_vertices`` and ``block_cut_tree`` read its masks, and it is also the
+connectivity check that raises ``DisconnectedGraphError`` for them.
 """
 
 from __future__ import annotations
@@ -177,118 +181,74 @@ def is_connected(g: Graph) -> bool:
     return reach(g.adj, 0, full) == full
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
+def _blocks(g: Graph) -> tuple[list[int], int]:
+    """Vertex masks of every block, in the order they close, and the mask of
+    cut vertices: one bitset DFS (Hopcroft & Tarjan's low-link test).
+
+    ``up[v]`` collects the neighbourhoods of v's DFS subtree. A DFS of an
+    undirected graph has no cross edges, so when child v of p finishes, the
+    subtree reaches above p (low(v) < disc(p)) exactly when ``up[v]`` meets a
+    vertex seen before v other than p; otherwise the subtree's unclaimed
+    vertices and p form one block. A vertex in two or more blocks is a cut
+    vertex.
+    """
+    adj = g.adj
+    up = list(adj)
+    before = [0] * g.n
+    seen = unclaimed = 1
+    masks: list[int] = []
+    cuts = covered = 0
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        fresh = adj[v] & ~seen
+        if fresh:
+            w = (fresh & -fresh).bit_length() - 1
+            before[w] = seen
+            seen |= 1 << w
+            unclaimed |= 1 << w
+            stack.append(w)
+            continue
+        stack.pop()
+        if not stack:
+            break
+        p = stack[-1]
+        up[p] |= up[v]
+        if up[v] & before[v] == 1 << p:
+            block = unclaimed & ~before[v]
+            unclaimed ^= block
+            block |= 1 << p
+            masks.append(block)
+            cuts |= covered & block
+            covered |= block
+    if seen != (1 << g.n) - 1:
         raise DisconnectedGraphError("operation requires a connected graph")
+    return masks or [1], cuts  # n = 1: the lone vertex is one block
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
-    """Articulation vertices, by a single DFS with low-link values."""
-    _require_connected(g)
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    result: set[int] = set()
-    # iterative DFS; state = (vertex, neighbor iterator)
-    timer = 0
-    stack = [(0, iter(list(g.neighbors(0))))]
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if disc[w] == -1:
-                parent[w] = v
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((w, iter(list(g.neighbors(w)))))
-                advanced = True
-                break
-            elif w != parent[v]:
-                low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if p != 0 and low[v] >= disc[p]:
-                    result.add(p)
-    if root_children >= 2:
-        result.add(0)
-    return frozenset(result)
+    """Articulation vertices: the vertices that lie in two or more blocks."""
+    return frozenset(bits(_blocks(g)[1]))
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
     """Decompose a connected graph into blocks and cut vertices.
 
     Bridges appear as 2-vertex blocks; a single-vertex graph gets one
-    trivial block so that blocks always cover the vertex set.
+    trivial block so that blocks always cover the vertex set.  Blocks are
+    ordered by their sorted vertex lists; each edge lies in the one block
+    holding both its ends.
     """
-    _require_connected(g)
-    n = g.n
-    if n == 1:
-        return BlockCutTree((Block(frozenset({0}), ()),), frozenset(), ())
-
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    edge_stack: list[Edge] = []
-    block_edge_lists: list[list[Edge]] = []
-    timer = 0
-
-    disc[0] = low[0] = timer
-    timer += 1
-    stack = [(0, iter(list(g.neighbors(0))))]
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if disc[w] == -1:
-                parent[w] = v
-                edge_stack.append((v, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, iter(list(g.neighbors(w)))))
-                advanced = True
-                break
-            elif w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] >= disc[p]:
-                    comp: list[Edge] = []
-                    while True:
-                        e = edge_stack.pop()
-                        comp.append(e)
-                        if e == (p, v):
-                            break
-                    block_edge_lists.append(comp)
-    if edge_stack:
-        block_edge_lists.append(edge_stack)
-
+    masks, cut_mask = _blocks(g)
     blocks = []
-    for comp in block_edge_lists:
-        verts = frozenset(x for e in comp for x in e)
-        edges = tuple(sorted((u, v) if u < v else (v, u) for u, v in comp))
-        blocks.append(Block(verts, edges))
-    blocks.sort(key=lambda b: (min(b.vertices), sorted(b.vertices)))
-
-    counts: dict[int, list[int]] = {}
-    for i, b in enumerate(blocks):
-        for v in b.vertices:
-            counts.setdefault(v, []).append(i)
-    cuts = frozenset(v for v, idxs in counts.items() if len(idxs) >= 2)
-    incidence = tuple((v, tuple(counts[v])) for v in sorted(cuts))
-    return BlockCutTree(tuple(blocks), cuts, incidence)
+    for mask in sorted(masks, key=bits):
+        edges = tuple((u, v) for u, v in g.edges if mask >> u & mask >> v & 1)
+        blocks.append(Block(frozenset(bits(mask)), edges))
+    cuts = bits(cut_mask)
+    incidence = tuple(
+        (w, tuple(i for i, b in enumerate(blocks) if w in b.vertices)) for w in cuts
+    )
+    return BlockCutTree(tuple(blocks), frozenset(cuts), incidence)
 
 
 def girth(g: Graph) -> Girth:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from . import census, decompose, families
 from .canon import canonical_graph, canonical_key, canonical_labeling, positions
 from .extremal import (
     ClassSpec,
+    SearchReport,
     catalog,
     search_min_F,
     search_min_vertex_subgraph_number,
@@ -164,36 +166,26 @@ def _check_block_pair_floor(n_max: int) -> VerdictReport:
     rep = VerdictReport("block-pair-floor")
     star4 = _family_key("S:n=4")
     for n in range(3, n_max + 1):
-        bad = None
-        recs = catalog(n, "all")
-        for lo in range(0, len(recs), 512):
-            chunk = recs[lo : lo + 512]
-            tables = subset_tables([r.graph for r in chunk])
-            for row, rec in zip(tables, chunk):
-                if rec.k > n - 3:
-                    continue
-                if n == 4 and canonical_key(rec.graph) == star4:
-                    continue
-                bound = 2 * (n - rec.k) - 1
-                for blk in block_cut_tree(rec.graph).blocks:
-                    vs = sorted(blk.vertices)
-                    for i in range(len(vs)):
-                        for j in range(i + 1, len(vs)):
-                            mask = (1 << vs[i]) | (1 << vs[j])
-                            got = int(row[_superset_indices(n, mask)].sum())
-                            if got < bound:
-                                bad = f"{rec.g6} pair ({vs[i]},{vs[j]}): {got} < {bound}"
-                                break
-                        if bad:
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        bad = _block_pair_offence(n, star4)
         rep.add(f"pair floor 2(n-k)-1 within blocks, n={n}", bad is None, bad or "")
     return rep
+
+
+def _block_pair_offence(n: int, star4: bytes) -> str | None:
+    """The first pair within a block whose count breaks the floor, or None."""
+    recs = catalog(n, "all")
+    for lo in range(0, len(recs), 512):
+        chunk = recs[lo : lo + 512]
+        for row, rec in zip(subset_tables([r.graph for r in chunk]), chunk):
+            if rec.k > n - 3 or (n == 4 and canonical_key(rec.graph) == star4):
+                continue
+            bound = 2 * (n - rec.k) - 1
+            for blk in block_cut_tree(rec.graph).blocks:
+                for u, v in combinations(sorted(blk.vertices), 2):
+                    got = int(row[_superset_indices(n, 1 << u | 1 << v)].sum())
+                    if got < bound:
+                        return f"{rec.g6} pair ({u},{v}): {got} < {bound}"
+    return None
 
 
 def _lollipop_pendant_floor(n: int, k: int) -> int:
@@ -343,34 +335,29 @@ def _check_pendant_share_limit(n_max: int) -> VerdictReport:
             report = search_min_vertex_subgraph_number(ClassSpec(n, k, subset="nontrees"))
             if report.class_size == 0:
                 continue
-            bad = None
-            for g6s, argmins in zip(report.minimizers, report.argmin_vertices):
-                g = parse_graph6(g6s)
-                bct = block_cut_tree(g)
-                pend = set(bct.pendant_block_indices())
-                for v0 in argmins:
-                    holders = [i for i, b in enumerate(bct.blocks) if v0 in b.vertices]
-                    for bi in holders:
-                        blk = bct.blocks[bi]
-                        for w in sorted(blk.vertices & bct.cut_vertices):
-                            others = [j for j in bct.blocks_at(w) if j != bi]
-                            if len(others) > 4:
-                                bad = f"{g6s}: {len(others)} other blocks at {w}"
-                            elif len(others) >= 2 and any(
-                                j not in pend or len(bct.blocks[j].vertices) != 2
-                                for j in others
-                            ):
-                                bad = f"{g6s}: non-pendant-edge sharer at {w}"
-                            if bad:
-                                break
-                        if bad:
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
+            bad = _pendant_share_offence(report)
             rep.add(f"n={n} k={k}: sharer limit on minimizers", bad is None, bad or "")
     return rep
+
+
+def _pendant_share_offence(report: SearchReport) -> str | None:
+    """The first minimizer whose argmin block breaks the sharer limit, or None."""
+    for g6s, argmins in zip(report.minimizers, report.argmin_vertices):
+        bct = block_cut_tree(parse_graph6(g6s))
+        pend = set(bct.pendant_block_indices())
+        for v0 in argmins:
+            for bi, blk in enumerate(bct.blocks):
+                if v0 not in blk.vertices:
+                    continue
+                for w in sorted(blk.vertices & bct.cut_vertices):
+                    others = [j for j in bct.blocks_at(w) if j != bi]
+                    if len(others) > 4:
+                        return f"{g6s}: {len(others)} other blocks at {w}"
+                    if len(others) >= 2 and any(
+                        j not in pend or len(bct.blocks[j].vertices) != 2 for j in others
+                    ):
+                        return f"{g6s}: non-pendant-edge sharer at {w}"
+    return None
 
 
 def _check_branch_move_decrease(pairs: int = 60, seed: int = 7) -> VerdictReport:

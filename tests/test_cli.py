@@ -130,6 +130,12 @@ class TestVerify:
         assert rc == 0
         assert "FAIL" not in out
 
+    def test_formulas_beyond_census_exits_two(self, capsys):
+        # the path's f check on P27 goes through census
+        rc, _, err = run(capsys, ["verify", "--suite", "formulas", "--n-max", "27"])
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_table1_reports_known_conflicts(self, capsys):
         rc, out, _ = run(capsys, ["verify", "--suite", "table1", "--n-max", "7"])
         assert rc == 1
@@ -140,6 +146,12 @@ class TestVerify:
 
 
 class TestOracleDiff:
+    def test_beyond_census_exits_two(self, capsys, monkeypatch):
+        g6 = serialize_graph6(build(parse_family_spec("C:n=30")))
+        rc, _, err = run(capsys, ["oracle-diff", "--in", "-"], stdin=g6 + "\n", monkeypatch=monkeypatch)
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_routes_agree(self, capsys, monkeypatch):
         lines = "\n".join(
             serialize_graph6(build(parse_family_spec(t)))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -10,11 +11,13 @@ from connsub.graph import (
     DisconnectedGraphError,
     Girth,
     Graph,
+    bits,
     block_cut_tree,
     cut_vertices,
     distance,
     girth,
     is_connected,
+    reach,
     s_pendant_blocks,
 )
 
@@ -146,7 +149,7 @@ class TestBlockCutTree:
             for v in b.vertices:
                 counts[v] += 1
         assert {v for v, c in counts.items() if c >= 2} == set(bct.cut_vertices)
-        assert bct.cut_vertices == cut_vertices(g)
+        assert bct.cut_vertices == {v for v in range(g.n) if not _connected_without(g, v)}
         # block/cut incidence forms a tree
         nodes = len(bct.blocks) + len(bct.cut_vertices)
         links = sum(len(idxs) for _, idxs in bct.incidence)
@@ -155,6 +158,51 @@ class TestBlockCutTree:
     def test_pendant_blocks(self):
         bct = block_cut_tree(G("L:n=6,g=5"))
         assert set(bct.pendant_block_indices()) == {0, 1}
+
+    def test_matches_brute_force_blocks(self):
+        # every class with n <= 7, plus a relabelling so the DFS root moves
+        rng = random.Random(11)
+        for n in range(2, 8):
+            for cls in connected_classes(n):
+                for g in (cls, cls.relabel(rng.sample(range(n), n))):
+                    bct = block_cut_tree(g)
+                    oracle = _blocks_oracle(g)
+                    assert [sorted(b.vertices) for b in bct.blocks] == oracle
+                    for b in bct.blocks:
+                        assert b.edges == tuple(
+                            (u, v) for u, v in g.edges if u in b.vertices and v in b.vertices
+                        )
+                    shared = [v for v in range(n) if sum(v in s for s in oracle) >= 2]
+                    assert sorted(bct.cut_vertices) == shared
+                    assert cut_vertices(g) == bct.cut_vertices
+
+
+def _induces_connected(g, mask):
+    return reach(g.adj, (mask & -mask).bit_length() - 1, mask) == mask
+
+
+def _blocks_oracle(g):
+    """Sorted vertex lists of the maximal vertex sets that induce a single
+    edge or a 2-connected subgraph (connected after removing any one vertex)."""
+
+    def is_block_like(mask):
+        vs = bits(mask)
+        if len(vs) == 2:
+            return g.has_edge(*vs)
+        return _induces_connected(g, mask) and all(
+            _induces_connected(g, mask & ~(1 << v)) for v in vs
+        )
+
+    candidates = sorted(
+        (m for m in range(1 << g.n) if m.bit_count() >= 2 and is_block_like(m)),
+        key=int.bit_count,
+        reverse=True,
+    )
+    maximal: list[int] = []
+    for m in candidates:
+        if all(m & other != m for other in maximal):
+            maximal.append(m)
+    return sorted(bits(m) for m in maximal)
 
 
 class TestGirth:
