@@ -157,6 +157,12 @@ def canonical_key(g: Graph, colors: tuple[int, ...] | None = None) -> bytes:
     return canonical_labeling(g, colors)[0]
 
 
+def labeled_key(g: Graph) -> bytes:
+    """The key of ``g`` in its own labels, without a search; it equals
+    ``canonical_key(g)`` when ``g`` is canonically labeled."""
+    return bytes([g.n]) + _leaf_key(g.adj, list(range(g.n)))
+
+
 def positions(order: tuple[int, ...]) -> list[int]:
     """Inverse of a labeling order: ``pos[order[i]] == i``, so old vertex
     ``v`` gets canonical label ``pos[v]``."""

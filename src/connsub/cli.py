@@ -14,6 +14,7 @@ import sys
 
 from . import census, decompose, families, verify
 from .extremal import (
+    GENERATION_CAP,
     ClassSpec,
     report_summary_line,
     report_to_json_dict,
@@ -138,9 +139,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.n_max is not None and args.n_max < 1:
+        raise _UsageError("--n-max must be at least 1")
+    if args.suite == "table1" and args.n_max is not None and args.n_max > GENERATION_CAP:
+        raise _UsageError(f"--n-max for table1 searches must be at most {GENERATION_CAP}")
     ok = True
     if args.suite == "formulas":
-        rep = verify.verify_formulas(args.n_max if args.n_max else 12)
+        rep = verify.verify_formulas(args.n_max if args.n_max is not None else 12)
         for line in rep.lines():
             print(line)
         ok = rep.passed
@@ -151,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(line)
             ok = ok and rep.passed
     else:
-        rep = verify.verify_table1(search_n_max=args.n_max if args.n_max else 9)
+        rep = verify.verify_table1(search_n_max=args.n_max if args.n_max is not None else 9)
         for line in rep.lines():
             print(line)
         ok = rep.passed

@@ -25,11 +25,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import decompose
-from .generate import classes_with_cut_vertices, connected_classes
+from .generate import GENERATION_CAP, classes_with_cut_vertices, connected_classes
 from .graph import Girth, Graph, bits, girth
 from .graphio import serialize_graph6
-
-GENERATION_CAP = 10
 
 _SUBSETS = ("all", "trees", "nontrees")
 
@@ -220,10 +218,11 @@ def _build_records(graphs: Iterable[Graph]) -> list[_Record]:
 def catalog(n: int, stratum: str = "cut") -> list[_Record]:
     """Evaluated class records for one vertex count.
 
-    ``stratum="cut"`` holds only classes with >= 1 cut vertex (cheap even at
-    n = 9 via composition); ``stratum="all"`` holds every connected class
-    and is practical through n = 8 (for larger n the 2-connected stratum
-    must be generated by plain augmentation, which takes hours at n >= 9).
+    ``stratum="cut"`` holds only classes with >= 1 cut vertex, built by
+    composition; ``stratum="all"`` holds every connected class, the same
+    composed classes plus the 2-connected stratum by canonical augmentation,
+    and is practical through n = 9 (261,080 classes, about 100 s).  Both
+    read one composition cache, so neither composes twice.
     """
     if stratum not in ("cut", "all"):
         raise ValueError("stratum must be 'cut' or 'all'")

@@ -123,6 +123,11 @@ class TestSearch:
         rc, _, err = run(capsys, ["search", "--n", "11", "--k", "1"])
         assert rc == 2
 
+    def test_n10_over_cap_exits_two(self, capsys):
+        rc, _, err = run(capsys, ["search", "--n", "10", "--k", "0"])
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_formulas_pass(self, capsys):
@@ -134,6 +139,18 @@ class TestVerify:
         # the path's f check on P27 goes through census
         rc, _, err = run(capsys, ["verify", "--suite", "formulas", "--n-max", "27"])
         assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_n_max_below_one_exits_two(self, capsys):
+        for suite in ("formulas", "theorems", "table1"):
+            for n_max in ("-3", "0"):
+                rc, out, err = run(capsys, ["verify", "--suite", suite, "--n-max", n_max])
+                assert rc == 2 and out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_table1_over_cap_exits_two(self, capsys):
+        rc, out, err = run(capsys, ["verify", "--suite", "table1", "--n-max", "10"])
+        assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_table1_reports_known_conflicts(self, capsys):

@@ -36,7 +36,7 @@ def minimizer_keys(report):
 class TestClassSpec:
     def test_rejects_over_cap(self):
         with pytest.raises(ValueError):
-            ClassSpec(11, 0)
+            ClassSpec(10, 0)
 
     def test_rejects_bad_subset(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,22 @@
 import sys
+from itertools import combinations
+
+import pytest
 
 import connsub
-from connsub.canon import canonical_key, vertex_orbits
+from connsub import generate
+from connsub.canon import (
+    canonical_key,
+    canonical_labeling,
+    labeled_key,
+    positions,
+    vertex_orbits,
+)
 from connsub.generate import (
+    GENERATION_CAP,
     classes_with_cut_vertices,
     connected_classes,
     glue,
-    naive_connected_classes,
     rooted_classes,
 )
 from connsub.graph import Graph, cut_vertices, is_connected
@@ -21,12 +31,28 @@ def test_connected_class_counts():
         assert len(connected_classes(n)) == want
 
 
+def naive_connected_classes(n: int) -> tuple[Graph, ...]:
+    """Completeness oracle: scan all labeled graphs on n <= 6 vertices."""
+    pairs = list(combinations(range(n), 2))
+    found: dict[bytes, Graph] = {}
+    for mask in range(1 << len(pairs)):
+        g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        if not is_connected(g):
+            continue
+        key, order, _ = canonical_labeling(g)
+        if key not in found:
+            found[key] = g.relabel(positions(order))
+    return tuple(found[k] for k in sorted(found))
+
+
 def test_all_connected_and_distinct():
-    for n in range(1, 8):
+    for n in range(1, 9):
         classes = connected_classes(n)
         assert all(is_connected(g) for g in classes)
-        keys = {canonical_key(g) for g in classes}
-        assert len(keys) == len(classes)
+        keys = [canonical_key(g) for g in classes]
+        # distinct, canonically labeled, in canonical-key order
+        assert keys == sorted(set(keys))
+        assert keys == [labeled_key(g) for g in classes]
 
 
 def test_matches_naive_oracle():
@@ -40,6 +66,34 @@ def test_cut_vertex_stratum_counts():
     for n in range(3, 9):
         want = CONNECTED_COUNTS[n] - TWO_CONNECTED_COUNTS[n]
         assert len(classes_with_cut_vertices(n)) == want
+
+
+def test_two_connected_stratum_counts():
+    # the augmented stratum: every class without a cut vertex, A002218
+    for n in range(3, 9):
+        composed = set(classes_with_cut_vertices(n))
+        two = [g for g in connected_classes(n) if g not in composed]
+        assert len(two) == TWO_CONNECTED_COUNTS[n]
+        assert not any(cut_vertices(g) for g in two)
+
+
+def test_augmentation_canonisation_count(monkeypatch):
+    # screening subsets and keeping one per Aut(parent) orbit keeps the
+    # labelings near the class count; one per (parent, subset) is 116,146
+    caches = ("_connected_cache", "_cut_cache", "_roots_cache", "_cut_roots_cache", "_rooted_cache")
+    for name in caches:
+        monkeypatch.setattr(generate, name, {})
+    calls = 0
+    label = generate.canonical_labeling
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "canonical_labeling", counted)
+    assert len(generate.connected_classes(8)) == CONNECTED_COUNTS[8]
+    assert calls < 25_000
 
 
 def test_cut_vertex_stratum_matches_filter():
@@ -63,9 +117,15 @@ def test_rooted_classes_one_root_per_orbit():
     # pairs = sum over classes of the orbit count, n = 2..8
     for n, want in {2: 1, 3: 3, 4: 11, 5: 58, 6: 407, 7: 4306, 8: 72489}.items():
         assert len(rooted_classes(n)) == want
-    for n in range(2, 7):
+    for n in range(2, 8):
         want = [(g, orbit[0]) for g in connected_classes(n) for orbit in vertex_orbits(g)]
         assert rooted_classes(n) == want
+
+
+def test_rooted_classes_refuses_the_cap():
+    # orbit roots are kept only for the sizes composition glues
+    with pytest.raises(ValueError):
+        rooted_classes(GENERATION_CAP)
 
 
 def test_glue_labels_g2_after_g1_in_order():
