@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Sequence
 
-from .graph import Graph
+from .graph import Graph, bits, map_mask
 
 # Routing limits for count queries.  The subset DP costs ~3^n, the
 # enumerator is linear in the number of subgraphs it visits, the naive
@@ -97,6 +97,39 @@ def _count_from_table(table: Sequence[int], size: int, req_mask: int) -> int:
     return sum(table[S] for S in range(size) if S & req_mask == req_mask)
 
 
+def _walk(g: Graph, rmask: int, visit: Callable[[int, int], None]) -> None:
+    """Call ``visit(edge_mask, vertex_mask)`` once for every connected
+    subgraph whose vertex set contains ``rmask``; bit i of ``edge_mask``
+    stands for ``g.edges[i]``.
+
+    Single vertices come first.  Edge sets are then grown from an anchor
+    edge, extending only with eligible edges of larger index; extensions
+    skipped at one branch are excluded from the whole subtree, so no set is
+    produced twice.
+    """
+    if rmask.bit_count() <= 1:
+        for v in range(g.n):
+            if rmask == 0 or rmask == 1 << v:
+                visit(0, 1 << v)
+    inc = [0] * g.n  # vertex -> bitmask of incident edge indices
+    emask = []  # edge index -> vertex pair bitmask
+    for i, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+        emask.append(1 << u | 1 << v)
+
+    def grow(sel: int, vmask: int, banned: int, above: int) -> None:
+        if vmask & rmask == rmask:
+            visit(sel, vmask)
+        taken = 0
+        for j in bits(map_mask(vmask, inc) & ~sel & ~banned & above):
+            grow(sel | 1 << j, vmask | emask[j], banned | taken, above)
+            taken |= 1 << j
+
+    for i in range(len(emask)):
+        grow(1 << i, emask[i], 0, -1 << i + 1)
+
+
 def enumerate_connected_subgraphs(
     g: Graph, req: Collection[int], visitor: Callable[[tuple[int, ...], tuple[tuple[int, int], ...]], None]
 ) -> None:
@@ -104,68 +137,14 @@ def enumerate_connected_subgraphs(
     exactly once, in a deterministic order.
 
     The visitor receives the sorted vertex tuple and sorted edge tuple.
-    Edge sets are grown from an anchor edge, extending only with eligible
-    edges of larger index; extensions skipped at one branch are excluded
-    from the whole subtree, so no set is produced twice.
     """
     rmask = _req_mask(g, req)
-    if rmask.bit_count() <= 1:
-        for v in range(g.n):
-            if rmask == 0 or rmask == 1 << v:
-                visitor((v,), ())
-    m = g.m
     edges = g.edges
-    inc = [0] * g.n  # vertex -> bitmask of incident edge indices
-    emask = [0] * m  # edge index -> vertex pair bitmask
-    for i, (u, v) in enumerate(edges):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-        emask[i] = (1 << u) | (1 << v)
-
-    def incident(vmask: int) -> int:
-        out = 0
-        mm = vmask
-        while mm:
-            lowbit = mm & -mm
-            out |= inc[lowbit.bit_length() - 1]
-            mm ^= lowbit
-        return out
-
-    def emit(sel: int, vmask: int) -> None:
-        vs = []
-        v = 0
-        mm = vmask
-        while mm:
-            if mm & 1:
-                vs.append(v)
-            mm >>= 1
-            v += 1
-        es = []
-        i = 0
-        mm = sel
-        while mm:
-            if mm & 1:
-                es.append(edges[i])
-            mm >>= 1
-            i += 1
-        visitor(tuple(vs), tuple(es))
-
-    def grow(sel: int, vmask: int, banned: int, anchor: int) -> None:
-        if vmask & rmask == rmask:
-            emit(sel, vmask)
-        elig = incident(vmask) & ~sel & ~banned & ~((1 << (anchor + 1)) - 1)
-        taken = 0
-        mm = elig
-        while mm:
-            lowbit = mm & -mm
-            j = lowbit.bit_length() - 1
-            grow(sel | lowbit, vmask | emask[j], banned | taken, anchor)
-            taken |= lowbit
-            mm ^= lowbit
-        return
-
-    for i in range(m):
-        grow(1 << i, emask[i], 0, i)
+    _walk(
+        g,
+        rmask,
+        lambda sel, vmask: visitor(tuple(bits(vmask)), tuple(edges[i] for i in bits(sel))),
+    )
 
 
 def count_by_enumeration(g: Graph, req: Collection[int] = ()) -> int:
@@ -174,11 +153,11 @@ def count_by_enumeration(g: Graph, req: Collection[int] = ()) -> int:
         raise CensusLimitError(f"enumeration needs m <= {_ENUM_MAX_M}, got {g.m}")
     total = 0
 
-    def bump(_vs, _es):
+    def bump(_sel: int, _vmask: int) -> None:
         nonlocal total
         total += 1
 
-    enumerate_connected_subgraphs(g, req, bump)
+    _walk(g, _req_mask(g, req), bump)
     return total
 
 
@@ -195,26 +174,19 @@ def count_by_edge_subsets(g: Graph, req: Collection[int] = ()) -> int:
     if rmask.bit_count() <= 1:
         count += g.n if rmask == 0 else 1
     for sub in range(1, 1 << m):
+        chosen = [emask[j] for j in bits(sub)]
         vmask = 0
-        mm = sub
-        while mm:
-            lowbit = mm & -mm
-            vmask |= emask[lowbit.bit_length() - 1]
-            mm ^= lowbit
+        for em in chosen:
+            vmask |= em
         if vmask & rmask != rmask:
             continue
         # BFS over selected edges only
-        start = vmask & -vmask
-        reached = start
+        reached = vmask & -vmask
         while True:
             grown = reached
-            mm = sub
-            while mm:
-                lowbit = mm & -mm
-                em = emask[lowbit.bit_length() - 1]
+            for em in chosen:
                 if em & grown:
                     grown |= em
-                mm ^= lowbit
             if grown == reached:
                 break
             reached = grown

@@ -59,11 +59,10 @@ labeled, sorted by canonical key.
 
 from __future__ import annotations
 
-from itertools import combinations
 from operator import itemgetter
 
 from .canon import canonical_labeling, generator_orbits, labeled_key, positions
-from .graph import Graph, bits, cut_vertices, reach
+from .graph import MAX_VERTICES, Graph, bits, cut_vertices, map_mask, reach
 
 # largest n an exhaustive search generates; n = 10 would need about 2 M
 # classes with a cut vertex from composition alone
@@ -96,7 +95,7 @@ def connected_classes(n: int) -> tuple[Graph, ...]:
         return _connected_cache[n]
     if n <= 2:
         # K1 and K2: one class, one vertex orbit
-        _connected_cache[n] = (Graph.from_edges(n, combinations(range(n), 2)),)
+        _connected_cache[n] = (Graph(n, (0,) if n == 1 else (0b10, 0b01)),)
         _roots_cache[n] = (1,)
         return _connected_cache[n]
     keep_roots = n < GENERATION_CAP
@@ -120,9 +119,11 @@ def _two_connected(n: int, keep_roots: bool) -> list[tuple[bytes, Graph, int]]:
         _, _, gens = canonical_labeling(parent)
         for subset in _subset_orbit_reps(parent, gens):
             size = subset.bit_count()
-            child = Graph.from_edges(n, parent.edges + tuple((v, new) for v in bits(subset)))
+            # the new vertex n - 1 joined to every vertex of the subset
+            adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
+            adj.append(subset)
+            child = Graph(n, tuple(adj))
             key, order, cgens = canonical_labeling(child)
-            adj = child.adj
             # m(child): the new vertex has the minimum degree, |S|
             deleted = next(v for v in order if adj[v].bit_count() == size)
             orbits = generator_orbits(n, cgens) if keep_roots or deleted != new else None
@@ -159,7 +160,7 @@ def _subset_orbit_reps(p: Graph, gens: list[tuple[int, ...]]) -> list[int]:
         and s & below[size] == below[size]
         and all(s & side for side in sides)
     ]
-    images = [[1 << a[v] for v in range(p.n)] for a in gens]
+    images = [[1 << x for x in a] for a in gens]
     seen: set[int] = set()
     reps = []
     for s in kept:
@@ -170,9 +171,7 @@ def _subset_orbit_reps(p: Graph, gens: list[tuple[int, ...]]) -> list[int]:
         orbit = [s]
         for t in orbit:
             for img in images:
-                u = 0
-                for v in bits(t):
-                    u |= img[v]
+                u = map_mask(t, img)
                 if u not in seen:
                     seen.add(u)
                     orbit.append(u)
@@ -198,18 +197,18 @@ def rooted_classes(n: int) -> list[tuple[Graph, int]]:
 def glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
     """Identify root r2 of g2 with root r1 of g1.  g1 keeps its labels; g2's
     other vertices become g1.n, g1.n + 1, ... in their original order."""
+    if not (0 <= r1 < g1.n and 0 <= r2 < g2.n):
+        raise ValueError(f"roots ({r1}, {r2}) out of range for n = ({g1.n}, {g2.n})")
     n = g1.n + g2.n - 1
-    mapping = {}
-    nxt = g1.n
-    for v in range(g2.n):
-        if v == r2:
-            mapping[v] = r1
-        else:
-            mapping[v] = nxt
-            nxt += 1
-    edges = list(g1.edges)
-    edges.extend((mapping[u], mapping[v]) for u, v in g2.edges)
-    return Graph.from_edges(n, edges)
+    if n > MAX_VERTICES:
+        raise ValueError(f"glued graph has {n} > {MAX_VERTICES} vertices")
+    label = [g1.n + v - (v > r2) for v in range(g2.n)]
+    label[r2] = r1
+    image = [1 << x for x in label]
+    adj = list(g1.adj) + [0] * (g2.n - 1)
+    for v, a in enumerate(g2.adj):
+        adj[label[v]] |= map_mask(a, image)
+    return Graph(n, tuple(adj))
 
 
 def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:

@@ -1,8 +1,14 @@
 """Immutable bitset-backed simple graphs and their structural queries.
 
 Vertices are dense integers ``0..n-1`` with ``n <= 64`` so every neighbor
-set fits in one machine word.  All operations are pure; graphs are safe to
-share across threads.
+set fits in one machine word.  A graph is its vertex count and its
+adjacency bitsets, nothing more: the edge list and the edge count are
+derived from the bitsets on demand.  All operations are pure; graphs are
+safe to share across threads.
+
+``from_edges`` validates input from outside the package.  Graphs built
+inside it (relabelled, induced, edge-deleted, glued) are assembled from
+bitsets directly, mapping vertex masks through ``map_mask``.
 
 Blocks and cut vertices come from one bitset DFS, ``_blocks``: both
 ``cut_vertices`` and ``block_cut_tree`` read its masks, and it is also the
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -26,10 +32,10 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: vertex count, sorted edge list, adjacency bitsets."""
+    """Simple undirected graph on ``0..n-1``: bit v of ``adj[u]`` is set
+    exactly when uv is an edge."""
 
     n: int
-    edges: tuple[Edge, ...]
     adj: tuple[int, ...]
 
     @staticmethod
@@ -46,50 +52,62 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-        sorted_edges = tuple(sorted(seen))
         adj = [0] * n
-        for u, v in sorted_edges:
+        for u, v in seen:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return Graph(n, sorted_edges, tuple(adj))
+        return Graph(n, tuple(adj))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge as ``(u, v)`` with u < v, in sorted order; rebuilt on
+        each access, so only the bitsets are ever stored."""
+        return tuple(
+            (u, v) for u, a in enumerate(self.adj) for v in bits(a >> u + 1 << u + 1)
+        )
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(a.bit_count() for a in self.adj) // 2
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> Iterator[int]:
-        m = self.adj[v]
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return iter(bits(self.adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
     def remove_edge(self, u: int, v: int) -> "Graph":
-        e = (u, v) if u < v else (v, u)
-        if e not in self.edges:
-            raise ValueError(f"no edge {e}")
-        return Graph.from_edges(self.n, (x for x in self.edges if x != e))
+        if not (0 <= u < self.n and 0 <= v < self.n and self.has_edge(u, v)):
+            raise ValueError(f"no edge {(u, v) if u < v else (v, u)}")
+        adj = list(self.adj)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        return Graph(self.n, tuple(adj))
 
     def subgraph_on(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on ``vertices``; returns it with the old-id tuple
         (new id ``i`` corresponds to ``old[i]``)."""
         old = tuple(sorted(set(vertices)))
-        index = {v: i for i, v in enumerate(old)}
-        edges = [
-            (index[u], index[v]) for u, v in self.edges if u in index and v in index
-        ]
-        return Graph.from_edges(len(old), edges), old
+        if not old or old[0] < 0 or old[-1] >= self.n:
+            raise ValueError(f"vertices {old} are not a non-empty subset of 0..{self.n - 1}")
+        image = [0] * self.n
+        for i, v in enumerate(old):
+            image[v] = 1 << i
+        return Graph(len(old), tuple(map_mask(self.adj[v], image) for v in old)), old
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """Relabeled copy where old vertex ``v`` becomes ``perm[v]``."""
         p = tuple(perm)
-        return Graph.from_edges(self.n, ((p[u], p[v]) for u, v in self.edges))
+        if sorted(p) != list(range(self.n)):
+            raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}, got {p}")
+        image = [1 << x for x in p]
+        adj = [0] * self.n
+        for v, a in enumerate(self.adj):
+            adj[p[v]] = map_mask(a, image)
+        return Graph(self.n, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -151,27 +169,29 @@ class BlockCutTree:
 def bits(mask: int) -> list[int]:
     """The set bits of ``mask``, ascending."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def reach(adj: tuple[int, ...], start: int, allowed: int) -> int:
+def map_mask(mask: int, image: Sequence[int]) -> int:
+    """The union of ``image[v]`` over the vertices v in ``mask``.  With
+    single-bit images this maps a vertex set through a vertex map (an image
+    of 0 drops the vertex); with ``image = adj`` it is the neighbourhood."""
+    out = 0
+    for v in bits(mask):
+        out |= image[v]
+    return out
+
+
+def reach(adj: Sequence[int], start: int, allowed: int) -> int:
     """Bitmask of vertices reachable from ``start`` staying inside ``allowed``."""
     reached = (1 << start) & allowed
     frontier = reached
     while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & allowed & ~reached
+        frontier = map_mask(frontier, adj) & allowed & ~reached
         reached |= frontier
     return reached
 
@@ -240,9 +260,10 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     holding both its ends.
     """
     masks, cut_mask = _blocks(g)
+    all_edges = g.edges
     blocks = []
     for mask in sorted(masks, key=bits):
-        edges = tuple((u, v) for u, v in g.edges if mask >> u & mask >> v & 1)
+        edges = tuple((u, v) for u, v in all_edges if mask >> u & mask >> v & 1)
         blocks.append(Block(frozenset(bits(mask)), edges))
     cuts = bits(cut_mask)
     incidence = tuple(

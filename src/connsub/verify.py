@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -220,107 +221,102 @@ def _check_vertex_floor_nontree(n_max: int) -> VerdictReport:
     return rep
 
 
+def _broom_floor(n: int, k: int) -> tuple[int, set[bytes]]:
+    return (1 << (n - k - 1)) + k, {_family_key(f"PS:k={k + 1},m={n - k - 1}")}
+
+
 def _expected_vertex_floor(n: int, k: int) -> tuple[int, set[bytes]]:
-    lollipop = _lollipop_pendant_floor(n, k)
-    broom = (1 << (n - k - 1)) + k
+    """Lollipop regime for k <= n-6, the lollipop/broom tie at k = n-5,
+    broom regime above."""
     if k <= n - 6:
-        return lollipop, {_family_key(f"L:n={n},g={n - k}")}
+        return _lollipop_pendant_floor(n, k), {_family_key(f"L:n={n},g={n - k}")}
     if k == n - 5:
         return 16 + k, {
             _family_key(f"PS:k={k + 1},m=4"),
             _family_key(f"L:n={n},g=5"),
         }
-    return broom, {_family_key(f"PS:k={k + 1},m={n - k - 1}")}
+    return _broom_floor(n, k)
 
 
-def _check_vertex_floor_three_regime(n_max: int) -> VerdictReport:
-    """Vertex-count minimum over all of C_{n,k}: lollipop regime for
-    k <= n-6, the lollipop/broom tie at k = n-5, broom regime above."""
-    rep = VerdictReport("vertex-floor-three-regime")
-    for n in range(4, n_max + 1):
-        for k in range(1, n - 2):
-            want, want_keys = _expected_vertex_floor(n, k)
-            report = search_min_vertex_subgraph_number(ClassSpec(n, k))
-            got_keys = {canonical_key(parse_graph6(s)) for s in report.minimizers}
-            ok = report.minimum == want and got_keys == want_keys
-            rep.add(
-                f"n={n} k={k}: floor {want} with exact minimizer set",
-                ok,
-                "" if ok else f"got {report.minimum} at {report.minimizers}",
-            )
-    return rep
+def _double_broom_floor(n: int, k: int) -> tuple[int, set[bytes]]:
+    r = n - k
+    key = _family_key(f"T:l={r // 2},m={(r + 1) // 2},d={k}")
+    return families.balanced_double_broom_F(n, k), {key}
 
 
-def _check_tree_vertex_floor(n_max: int) -> VerdictReport:
-    """Over trees the vertex-count floor is 2^{n-k-1}+k, attained only by
-    the broom at its path-end pendant."""
-    rep = VerdictReport("tree-vertex-floor")
-    for n in range(3, n_max + 1):
-        for k in range(1, n - 1):
-            report = search_min_vertex_subgraph_number(ClassSpec(n, k, subset="trees"))
-            if report.class_size == 0:
-                continue
-            want = (1 << (n - k - 1)) + k
-            want_keys = {_family_key(f"PS:k={k + 1},m={n - k - 1}")}
-            got_keys = {canonical_key(parse_graph6(s)) for s in report.minimizers}
-            ok = report.minimum == want and got_keys == want_keys
-            rep.add(
-                f"n={n} k={k}: tree floor {want} uniquely broom",
-                ok,
-                "" if ok else f"got {report.minimum} at {report.minimizers}",
-            )
-    return rep
+def _girth_count_floor(n: int, k: int) -> tuple[int, set[bytes]]:
+    """The lollipop, tied by the cycle-broom exactly at n = 2k+1, k >= 3."""
+    want_keys = {_family_key(f"L:n={n},g={n - k}")}
+    if n == 2 * k + 1 and k >= 3:
+        want_keys.add(_family_key(f"Q:n={n},k={k}"))
+    return families.closed_form_F(families.spec("L", n=n, g=n - k)), want_keys
 
 
-def _check_tree_count_floor(n_max: int) -> VerdictReport:
-    """Over trees with k >= 2 cut vertices the total-count floor is the
-    balanced double broom, uniquely."""
-    rep = VerdictReport("tree-count-floor")
-    for n in range(4, n_max + 1):
-        for k in range(2, n - 1):
-            report = search_min_F(ClassSpec(n, k, subset="trees"))
-            if report.class_size == 0:
-                continue
-            want = families.balanced_double_broom_F(n, k)
-            r = n - k
-            want_keys = {_family_key(f"T:l={r // 2},m={(r + 1) // 2},d={k}")}
-            got_keys = {canonical_key(parse_graph6(s)) for s in report.minimizers}
-            ok = report.minimum == want and got_keys == want_keys
-            rep.add(
-                f"n={n} k={k}: balanced double broom floor {want}",
-                ok,
-                "" if ok else f"got {report.minimum} at {report.minimizers}",
-            )
-    return rep
+@dataclass(frozen=True)
+class _Floor:
+    """A search-and-compare check: for every n >= n_min and k in ks(n), the
+    searched minimum and minimizer set (by canonical key) of spec(n, k)
+    equal expected(n, k).  An empty class fails its item unless the row's
+    ``empty_iff`` (rule text, predicate) predicts it."""
+
+    name: str
+    search: Callable[[ClassSpec], SearchReport]
+    n_min: int
+    ks: Callable[[int], range]
+    spec: Callable[[int, int], ClassSpec]
+    expected: Callable[[int, int], tuple[int, set[bytes]]]
+    label: str  # the item label after "n=.. k=..: ", formatted with want
+    empty_iff: tuple[str, Callable[[int, int], bool]] | None = None
 
 
-def _check_count_floor_girth(n_max: int) -> VerdictReport:
-    """Over non-trees with k cut vertices and girth >= k the total-count
-    floor is the lollipop; at n = 2k+1 with k >= 3 exactly one more graph
-    ties, the cycle-broom."""
-    rep = VerdictReport("count-floor-girth")
-    for n in range(4, n_max + 1):
-        for k in range(1, n - 2):
-            report = search_min_F(ClassSpec(n, k, min_girth=k, subset="nontrees"))
-            expect_empty = n < k + max(3, k)
-            if report.class_size == 0 or expect_empty:
+_FLOORS = (
+    # the vertex-count minimum over all of C_{n,k}, in three regimes
+    _Floor(
+        "vertex-floor-three-regime", search_min_vertex_subgraph_number, 4,
+        lambda n: range(1, n - 2), ClassSpec, _expected_vertex_floor,
+        "floor {want} with exact minimizer set",
+    ),
+    # over trees the vertex-count floor is 2^{n-k-1}+k, only at the broom
+    _Floor(
+        "tree-vertex-floor", search_min_vertex_subgraph_number, 3,
+        lambda n: range(1, n - 1), lambda n, k: ClassSpec(n, k, subset="trees"),
+        _broom_floor, "tree floor {want} uniquely broom",
+    ),
+    # over trees with k >= 2 the total-count floor is the balanced double broom
+    _Floor(
+        "tree-count-floor", search_min_F, 4,
+        lambda n: range(2, n - 1), lambda n, k: ClassSpec(n, k, subset="trees"),
+        _double_broom_floor, "balanced double broom floor {want}",
+    ),
+    # over non-trees with girth >= k the total-count floor is the lollipop
+    _Floor(
+        "count-floor-girth", search_min_F, 4,
+        lambda n: range(1, n - 2),
+        lambda n, k: ClassSpec(n, k, min_girth=k, subset="nontrees"),
+        _girth_count_floor, "girth-floored count minimum {want}",
+        ("n < k + max(3,k)", lambda n, k: n < k + max(3, k)),
+    ),
+)
+
+
+def _check_floor(row: _Floor, n_max: int) -> VerdictReport:
+    rep = VerdictReport(row.name)
+    for n in range(row.n_min, n_max + 1):
+        for k in row.ks(n):
+            report = row.search(row.spec(n, k))
+            if row.empty_iff and (report.class_size == 0 or row.empty_iff[1](n, k)):
+                rule, empty = row.empty_iff
                 rep.add(
-                    f"n={n} k={k}: class empty iff n < k + max(3,k)",
-                    (report.class_size == 0) == expect_empty,
+                    f"n={n} k={k}: class empty iff {rule}",
+                    (report.class_size == 0) == empty(n, k),
                     f"classes={report.class_size}",
                 )
                 continue
-            want = families.closed_form_F(families.spec("L", n=n, g=n - k))
-            want_keys = {_family_key(f"L:n={n},g={n - k}")}
-            if n == 2 * k + 1 and k >= 3:
-                want_keys.add(_family_key(f"Q:n={n},k={k}"))
+            want, want_keys = row.expected(n, k)
             got_keys = {canonical_key(parse_graph6(s)) for s in report.minimizers}
             ok = report.minimum == want and got_keys == want_keys
-            rep.add(
-                f"n={n} k={k}: girth-floored count minimum {want}",
-                ok,
-                "" if ok else f"got {report.minimum} at {report.minimizers}",
-            )
+            detail = "" if ok else f"got {report.minimum} at {report.minimizers}"
+            rep.add(f"n={n} k={k}: " + row.label.format(want=want), ok, detail)
     return rep
 
 
@@ -397,10 +393,7 @@ _THEOREMS = {
     "block-pair-floor": (_check_block_pair_floor, 8),
     "pendant-share-limit": (_check_pendant_share_limit, 9),
     "vertex-floor-nontree": (_check_vertex_floor_nontree, 9),
-    "vertex-floor-three-regime": (_check_vertex_floor_three_regime, 9),
-    "tree-vertex-floor": (_check_tree_vertex_floor, 9),
-    "tree-count-floor": (_check_tree_count_floor, 9),
-    "count-floor-girth": (_check_count_floor_girth, 9),
+    **{row.name: (partial(_check_floor, row), 9) for row in _FLOORS},
     "branch-move-decrease": (_check_branch_move_decrease, None),
 }
 

@@ -203,3 +203,15 @@ class TestTheoremRegistry:
         assert "edge-monotonicity" in names and "count-floor-girth" in names
         with pytest.raises(ValueError):
             verify_theorem("no-such-claim")
+
+    def test_floor_row_fails_an_unexpected_empty_class(self):
+        # no tree on n vertices has n - 1 cut vertices; a row without an
+        # emptiness rule must report such a class as a failure, not skip it
+        from dataclasses import replace
+
+        from connsub import verify
+
+        row = next(r for r in verify._FLOORS if r.name == "tree-vertex-floor")
+        row = replace(row, ks=lambda n: range(n - 1, n), expected=lambda n, k: (0, set()))
+        rep = verify._check_floor(row, 4)
+        assert [item.passed for item in rep.items] == [False, False]

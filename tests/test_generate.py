@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import combinations
 
@@ -138,6 +139,39 @@ def test_glue_labels_g2_after_g1_in_order():
     relabel = {0: 3, 1: 4, 2: 2, 3: 5}
     mapped = {tuple(sorted((relabel[u], relabel[v]))) for u, v in g2.edges}
     assert set(glued.edges) == set(g1.edges) | mapped
+
+
+def _glue_ref(g1, r1, g2, r2):
+    """Edge-list reference for ``glue``, built through from_edges."""
+    label = {r2: r1}
+    for v in range(g2.n):
+        if v != r2:
+            label[v] = g1.n + len(label) - 1
+    edges = list(g1.edges) + [(label[u], label[v]) for u, v in g2.edges]
+    return Graph.from_edges(g1.n + g2.n - 1, edges)
+
+
+def test_glue_matches_edge_list_reference():
+    # every connected class with n <= 7 and a seeded relabelling of each,
+    # glued on both sides of a seeded rooted class
+    rng = random.Random(9)
+    pool = [pair for n in range(1, 5) for pair in rooted_classes(n)]
+    for n in range(1, 8):
+        for cls in connected_classes(n):
+            for g in (cls, cls.relabel(rng.sample(range(n), n))):
+                r = rng.randrange(n)
+                h, hr = pool[rng.randrange(len(pool))]
+                assert glue(g, r, h, hr) == _glue_ref(g, r, h, hr)
+                assert glue(h, hr, g, r) == _glue_ref(h, hr, g, r)
+
+
+def test_glue_rejects_out_of_range_roots():
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for r1, r2 in ((3, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            glue(p3, r1, p3, r2)
+    with pytest.raises(ValueError):
+        glue(Graph.from_edges(40, []), 0, Graph.from_edges(40, []), 0)
 
 
 def test_package_attribute_is_the_generate_module():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -55,6 +56,91 @@ class TestGraphType:
         for u in range(5):
             for v in range(5):
                 assert g.has_edge(u, v) == g.has_edge(v, u)
+
+    def test_stores_only_the_bitsets(self):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+
+    def test_edges_and_m_derived_from_adj(self):
+        g = Graph.from_edges(4, [(3, 0), (2, 1), (0, 1)])
+        assert g.edges == ((0, 1), (0, 3), (1, 2))
+        assert g.m == 3
+        assert Graph.from_edges(1, []).edges == () and Graph.from_edges(1, []).m == 0
+
+
+class TestConstructionGuards:
+    def test_relabel_rejects_non_permutation(self):
+        p3 = G("P:n=3")
+        for perm in ([0, 1, 2, 5], [0, 1], [0, 0, 1], [0, 1, 3]):
+            with pytest.raises(ValueError):
+                p3.relabel(perm)
+
+    def test_subgraph_on_rejects_outside_vertex(self):
+        p3 = G("P:n=3")
+        for vertices in ([0, 1, 7], [-1, 0], []):
+            with pytest.raises(ValueError):
+                p3.subgraph_on(vertices)
+
+    def test_remove_edge_rejects_non_edge(self):
+        p3 = G("P:n=3")
+        for u, v in ((0, 2), (1, 1), (0, 3), (-1, 0)):
+            with pytest.raises(ValueError, match="no edge"):
+                p3.remove_edge(u, v)
+
+
+# edge-list references for the bitset constructions, all through from_edges
+
+
+def _relabel_ref(g, perm):
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _subgraph_on_ref(g, vertices):
+    old = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(old)}
+    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    return Graph.from_edges(len(old), edges), tuple(old)
+
+
+def _remove_edge_ref(g, u, v):
+    return Graph.from_edges(g.n, [e for e in g.edges if e != (min(u, v), max(u, v))])
+
+
+def _classes_and_relabellings(n_max, seed):
+    # every connected class with n <= n_max, and a seeded relabelling of each
+    rng = random.Random(seed)
+    for n in range(1, n_max + 1):
+        for cls in connected_classes(n):
+            yield cls
+            yield cls.relabel(rng.sample(range(n), n))
+
+
+class TestBitsetConstructionMatchesEdgeLists:
+    def test_edges_round_trip(self):
+        for g in _classes_and_relabellings(7, 1):
+            edges = g.edges
+            assert list(edges) == sorted(edges) and all(u < v for u, v in edges)
+            assert g.m == len(edges)
+            assert Graph.from_edges(g.n, edges) == g
+
+    def test_relabel(self):
+        rng = random.Random(2)
+        for g in _classes_and_relabellings(7, 3):
+            perm = rng.sample(range(g.n), g.n)
+            assert g.relabel(perm) == _relabel_ref(g, perm)
+
+    def test_subgraph_on(self):
+        rng = random.Random(4)
+        for g in _classes_and_relabellings(7, 5):
+            subsets = [[u for u in range(g.n) if u != v] for v in range(g.n)]
+            subsets.append(rng.sample(range(g.n), rng.randint(1, g.n)))
+            for vertices in subsets:
+                if vertices:
+                    assert g.subgraph_on(vertices) == _subgraph_on_ref(g, vertices)
+
+    def test_remove_edge(self):
+        for g in _classes_and_relabellings(7, 6):
+            for u, v in g.edges:
+                assert g.remove_edge(v, u) == g.remove_edge(u, v) == _remove_edge_ref(g, u, v)
 
 
 class TestConnectivity:
