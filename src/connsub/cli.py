@@ -102,21 +102,13 @@ def _cmd_family(args: argparse.Namespace) -> int:
             families.special_vertex(fs, tag) for tag in families.special_tags(fs.name)
         ]
         sys.stdout.write(export_dot(g, highlights))
-    if args.check:
-        return _check_family(fs, g, predicted)
-    return 0
-
-
-def _check_family(fs: families.FamilySpec, g: Graph, predicted: int) -> int:
-    computed = decompose.count_via_decomposition(g)
-    ok = computed == predicted
-    print(f"check: predicted={predicted} computed={computed} {'PASS' if ok else 'FAIL'}")
-    for tag in families.special_tags(fs.name):
-        got = census.subgraph_number(g, families.special_vertex(fs, tag))
-        want = families.closed_form_f(fs, tag)
-        tag_ok = got == want
-        ok = ok and tag_ok
-        print(f"check f[{tag}]: predicted={want} computed={got} {'PASS' if tag_ok else 'FAIL'}")
+    if not args.check:
+        return 0
+    ok = True
+    for tag, want, got in verify.compare_family(fs):
+        ok = ok and want == got
+        what = "check:" if tag is None else f"check f[{tag}]:"
+        print(f"{what} predicted={want} computed={got} {'PASS' if want == got else 'FAIL'}")
     return 0 if ok else 1
 
 

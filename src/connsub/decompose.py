@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import census
-from .graph import Block, Graph, bits, block_cut_tree, cut_vertices, reach
+from .graph import Block, Graph, bits, block_cut_tree, components, cut_vertices, reach
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,9 @@ def split_at(g: Graph, w: int) -> SplitAtCutVertex:
     cuts = cut_vertices(g)
     if w not in cuts:
         raise ValueError(f"vertex {w} is not a cut vertex")
-    full = (1 << g.n) - 1
-    remaining = full & ~(1 << w)
     parts = []
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = reach(g.adj, start, remaining)
-        remaining &= ~comp
-        verts = comp | (1 << w)
-        sub, old = g.subgraph_on(bits(verts))
+    for comp in components(g.adj, (1 << g.n) - 1 & ~(1 << w)):
+        sub, old = g.subgraph_on(bits(comp | 1 << w))
         parts.append(SplitPart(sub, old, old.index(w)))
     return SplitAtCutVertex(w, tuple(parts))
 
@@ -189,10 +183,7 @@ def block_expansion_count(g: Graph, block: Block | frozenset[int]) -> int:
     size = 1 << bgraph.n
 
     def f_block(req: tuple[int, ...]) -> int:
-        mask = 0
-        for w in req:
-            mask |= 1 << local[w]
-        return sum(table[S] for S in range(size) if S & mask == mask)
+        return census._count_from_table(table, size, sum(1 << local[w] for w in req))
 
     branches = {w: _branch_at(g, b, w) for w in ws}
     memo: dict = {}

@@ -18,9 +18,13 @@ name        parameters                     graph
                                            the broom PS(k, 2)
 ==========  =============================  ==========================================
 
-Labelings are fixed (cycle vertices first, then path and leaf vertices in
-order) so serialized output is byte-stable.  Every closed form here is
-cross-checked against brute-force counting in the test suite.
+Each family is one ``_Family`` row in ``_FAMILIES``: its parameter names,
+validity rules, edges, closed-form total and, per special-vertex tag, the
+vertex and its closed-form count.  Spec checking, ``build``, the special
+vertices and the closed forms are lookups into that row.  Labelings are
+fixed (cycle vertices first, then path and leaf vertices in order) so
+serialized output is byte-stable.  Every closed form here is cross-checked
+against brute-force counting in the test suite.
 """
 
 from __future__ import annotations
@@ -28,19 +32,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb
+from typing import Callable, Iterable, Sequence
 
-from .graph import Graph
-
-_PARAM_NAMES = {
-    "P": ("n",),
-    "C": ("n",),
-    "S": ("n",),
-    "L": ("n", "g"),
-    "CC": ("n", "m1", "m2"),
-    "PS": ("k", "m"),
-    "T": ("l", "m", "d"),
-    "Q": ("n", "k"),
-}
+from .decompose import merge_count
+from .graph import Edge, Graph
 
 
 @dataclass(frozen=True)
@@ -49,14 +44,15 @@ class FamilySpec:
     params: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        if self.name not in _PARAM_NAMES:
+        fam = _FAMILIES.get(self.name)
+        order = fam.params if fam else ()
+        if tuple(k for k, _ in self.params) != order:
+            raise ValueError(f"family {self.name} takes parameters {order}")
+        if fam is None:
             raise ValueError(f"unknown family {self.name!r}")
-        got = tuple(k for k, _ in self.params)
-        if got != _PARAM_NAMES[self.name]:
-            raise ValueError(
-                f"family {self.name} takes parameters {_PARAM_NAMES[self.name]}, got {got}"
-            )
-        _validate(self.name, dict(self.params))
+        for holds, message in fam.rules:
+            if not holds(**dict(self.params)):
+                raise ValueError(message)
 
     def __getitem__(self, key: str) -> int:
         for k, v in self.params:
@@ -69,10 +65,11 @@ class FamilySpec:
 
 
 def spec(name: str, **params: int) -> FamilySpec:
-    order = _PARAM_NAMES.get(name, ())
-    if set(params) != set(order):
-        raise ValueError(f"family {name} takes parameters {order}")
-    return FamilySpec(name, tuple((k, params[k]) for k in order))
+    """The spec of family ``name``; parameters may be given in any order."""
+    order = _FAMILIES[name].params if name in _FAMILIES else ()
+    rank = {k: i for i, k in enumerate(order)}
+    ordered = sorted(params.items(), key=lambda kv: rank.get(kv[0], len(order)))
+    return FamilySpec(name, tuple(ordered))
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -87,211 +84,48 @@ def parse_family_spec(text: str) -> FamilySpec:
     return spec(name, **params)
 
 
-def _validate(name: str, p: dict[str, int]) -> None:
-    if name == "P" and p["n"] < 1:
-        raise ValueError("path needs n >= 1")
-    if name == "C" and p["n"] < 3:
-        raise ValueError("cycle needs n >= 3")
-    if name == "S" and p["n"] < 2:
-        raise ValueError("star needs n >= 2")
-    if name == "L":
-        if not 3 <= p["g"] <= p["n"] - 1:
-            raise ValueError("lollipop needs 3 <= g <= n-1 (use C for g = n)")
-    if name == "CC":
-        if p["m1"] < 3 or p["m2"] < 3:
-            raise ValueError("dumbbell cycles need m1, m2 >= 3")
-        if p["n"] < p["m1"] + p["m2"] - 1:
-            raise ValueError("dumbbell needs n >= m1 + m2 - 1")
-    if name == "PS":
-        if p["k"] < 1 or p["m"] < 1:
-            raise ValueError("broom needs k >= 1 and m >= 1")
-    if name == "T":
-        if p["l"] < 1 or p["m"] < 1 or p["d"] < 2:
-            raise ValueError("double broom needs l, m >= 1 and d >= 2")
-    if name == "Q":
-        if p["k"] < 2 or p["n"] - p["k"] - 1 < 3:
-            raise ValueError("Q needs k >= 2 and a cycle of length n-k-1 >= 3")
-
-
 def build(fs: FamilySpec) -> Graph:
     """Construct the family graph with its fixed deterministic labeling."""
-    p = dict(fs.params)
-    name = fs.name
-    if name == "P":
-        n = p["n"]
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if name == "C":
-        n = p["n"]
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if name == "S":
-        n = p["n"]
-        return Graph.from_edges(n, [(0, i) for i in range(1, n)])
-    if name == "L":
-        n, g = p["n"], p["g"]
-        edges = [(i, (i + 1) % g) for i in range(g)]
-        prev = 0
-        for v in range(g, n):
-            edges.append((prev, v))
-            prev = v
-        return Graph.from_edges(n, edges)
-    if name == "CC":
-        n, m1, m2 = p["n"], p["m1"], p["m2"]
-        t = n + 2 - m1 - m2  # number of path vertices shared with the cycles
-        edges = [(i, (i + 1) % m1) for i in range(m1)]
-        if t == 1:
-            attach2 = 0
-            second = [attach2] + list(range(m1, m1 + m2 - 1))
-        else:
-            prev = 0
-            for v in range(m1, m1 + t - 2):
-                edges.append((prev, v))
-                prev = v
-            attach2 = m1 + t - 2
-            edges.append((prev, attach2))
-            second = [attach2] + list(range(m1 + t - 1, n))
-        for i in range(m2):
-            edges.append((second[i], second[(i + 1) % m2]))
-        return Graph.from_edges(n, edges)
-    if name == "PS":
-        k, m = p["k"], p["m"]
-        n = k + m
-        edges = [(i, i + 1) for i in range(k - 1)]
-        edges.extend((k - 1, v) for v in range(k, n))
-        return Graph.from_edges(n, edges)
-    if name == "T":
-        l, m, d = p["l"], p["m"], p["d"]
-        n = l + m + d
-        edges = [(i, i + 1) for i in range(d - 1)]
-        edges.extend((0, v) for v in range(d, d + l))
-        edges.extend((d - 1, v) for v in range(d + l, n))
-        return Graph.from_edges(n, edges)
-    if name == "Q":
-        n, k = p["n"], p["k"]
-        c = n - k - 1
-        edges = [(i, (i + 1) % c) for i in range(c)]
-        prev = 0
-        for v in range(c, c + k - 1):  # remaining path vertices of the broom
-            edges.append((prev, v))
-            prev = v
-        edges.append((prev, n - 2))
-        edges.append((prev, n - 1))
-        return Graph.from_edges(n, edges)
-    raise AssertionError(name)
-
-
-#: special-vertex tags defined per family
-_SPECIAL = {
-    "P": ("end",),
-    "C": ("any",),
-    "S": ("center", "leaf"),
-    "L": ("pendant", "cut"),
-    "CC": ("cut",),
-    "PS": ("path_end", "center"),
-    "T": (),
-    "Q": ("glue",),
-}
+    n, edges = _FAMILIES[fs.name].edges(**dict(fs.params))
+    return Graph.from_edges(n, edges)
 
 
 def special_tags(name: str) -> tuple[str, ...]:
-    if name not in _SPECIAL:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}")
-    return _SPECIAL[name]
+    return tuple(_FAMILIES[name].special)
+
+
+def _special(fs: FamilySpec, tag: str) -> tuple[Callable[..., int], Callable[..., int]]:
+    special = _FAMILIES[fs.name].special
+    if tag not in special:
+        raise ValueError(f"family {fs.name} has no special vertex {tag!r}")
+    return special[tag]
 
 
 def special_vertex(fs: FamilySpec, tag: str) -> int:
     """Vertex id of a designated special vertex in the ``build`` labeling."""
-    p = dict(fs.params)
-    name = fs.name
-    if tag not in _SPECIAL.get(name, ()):
-        raise ValueError(f"family {name} has no special vertex {tag!r}")
-    if name == "P":
-        return 0
-    if name == "C":
-        return 0
-    if name == "S":
-        return 0 if tag == "center" else 1
-    if name == "L":
-        return p["n"] - 1 if tag == "pendant" else 0
-    if name == "CC":
-        return 0
-    if name == "PS":
-        return 0 if tag == "path_end" else p["k"] - 1
-    if name == "Q":
-        return 0
-    raise AssertionError(name)
-
-
-def _cycle_F(n: int) -> int:
-    return n * n + 1
-
-
-def _cycle_f(n: int) -> int:
-    return (n * n + n + 2) // 2
-
-
-def _broom_F(k: int, m: int) -> int:
-    return k * (k - 1) // 2 + k * (1 << m) + m
-
-
-def _broom_f_path_end(k: int, m: int) -> int:
-    return (1 << m) + k - 1
+    return _special(fs, tag)[0](**dict(fs.params))
 
 
 def closed_form_F(fs: FamilySpec) -> int:
     """Closed-form total count of connected subgraphs for the family."""
-    p = dict(fs.params)
-    name = fs.name
-    if name == "P":
-        return comb(p["n"] + 1, 2)
-    if name == "C":
-        return _cycle_F(p["n"])
-    if name == "S":
-        return (1 << (p["n"] - 1)) + p["n"] - 1
-    if name == "L":
-        n, g = p["n"], p["g"]
-        k = n - g
-        return k * (n * n + k * k - 2 * n * k + n + 3) // 2 + g * g + 1
-    if name == "CC":
-        n, m1, m2 = p["n"], p["m1"], p["m2"]
-        k = n + 2 - m1 - m2
-        return (
-            m1 * m1 * m2 * m2
-            + m1 * m1 * m2
-            + 2 * m1 * m1 * k
-            + m1 * m2 * m2
-            + m1 * m2
-            + 2 * m1 * k
-            + 2 * m1 * m1
-            + 2 * m2 * m2
-            + 2 * m2 * m2 * k
-            + 2 * m2 * k
-            + 2 * k * k
-            + 2 * k
-            - 2 * m1
-            - 2 * m2
-        ) // 4
-    if name == "PS":
-        return _broom_F(p["k"], p["m"])
-    if name == "T":
-        l, m, d = p["l"], p["m"], p["d"]
-        if abs(l - m) <= 1:
-            return balanced_double_broom_F(l + m + d, d)
-        # unbalanced case: fold the m-leaf star onto the broom holding the
-        # l leaves, counts merged at the far path end
-        F1 = _broom_F(d, l)
-        f1 = _broom_f_path_end(d, l)
-        F2 = (1 << m) + m
-        f2 = 1 << m
-        return F1 + F2 - 1 + (f1 - 1) * (f2 - 1)
-    if name == "Q":
-        n, k = p["n"], p["k"]
-        c = n - k - 1
-        F1 = _cycle_F(c)
-        f1 = _cycle_f(c)
-        F2 = _broom_F(k, 2)
-        f2 = _broom_f_path_end(k, 2)
-        return F1 + F2 - 1 + (f1 - 1) * (f2 - 1)
-    raise AssertionError(name)
+    return _FAMILIES[fs.name].F(**dict(fs.params))
+
+
+def closed_form_f(fs: FamilySpec, tag: str) -> int:
+    """Closed-form subgraph number of the tagged special vertex."""
+    return _special(fs, tag)[1](**dict(fs.params))
+
+
+def specs_up_to(n_max: int) -> list[FamilySpec]:
+    """Every spec on at most ``n_max`` vertices, family by family in table
+    order; CC and T specs that are mirror images of one another appear once."""
+    return [
+        FamilySpec(name, tuple(zip(fam.params, values)))
+        for name, fam in _FAMILIES.items()
+        for values in fam.sweep(n_max)
+    ]
 
 
 def balanced_double_broom_F(n: int, k: int) -> int:
@@ -303,38 +137,225 @@ def balanced_double_broom_F(n: int, k: int) -> int:
     return 3 * (k - 1) * (1 << ((r - 1) // 2)) + (1 << r) + r + comb(k - 1, 2)
 
 
-def closed_form_f(fs: FamilySpec, tag: str) -> int:
-    """Closed-form subgraph number of the tagged special vertex."""
-    p = dict(fs.params)
-    name = fs.name
-    if tag not in _SPECIAL.get(name, ()):
-        raise ValueError(f"family {name} has no special vertex {tag!r}")
-    if name == "P":
-        return p["n"]
-    if name == "C":
-        return _cycle_f(p["n"])
-    if name == "S":
-        n = p["n"]
-        return (1 << (n - 1)) if tag == "center" else (1 << (n - 2)) + 1
-    if name == "L":
-        n, g = p["n"], p["g"]
-        k = n - g
-        if tag == "pendant":
-            return (g * g + n + k + 2) // 2
-        return _cycle_f(g) * (n - g + 1)
-    if name == "CC":
-        n, m1, m2 = p["n"], p["m1"], p["m2"]
-        if n == m1 + m2 - 1:
-            return _cycle_f(m1) * _cycle_f(m2)
-        # cut vertex on the first cycle: product of the cycle factor and the
-        # pendant-vertex count of the remaining lollipop
-        rest_n = n - m1 + 1
-        rest_k = rest_n - m2
-        return _cycle_f(m1) * ((m2 * m2 + rest_n + rest_k + 2) // 2)
-    if name == "PS":
-        k, m = p["k"], p["m"]
-        return _broom_f_path_end(k, m) if tag == "path_end" else k * (1 << m)
-    if name == "Q":
-        n, k = p["n"], p["k"]
-        return _cycle_f(n - k - 1) * _broom_f_path_end(k, 2)
-    raise AssertionError(name)
+def cycle_pair_count(n: int, d: int) -> int:
+    """Connected subgraphs of the cycle C_n that contain two given vertices
+    at distance d."""
+    return (n * n + 2 * d * d - 2 * n * d + n + 2) // 2
+
+
+# ---------------------------------------------------------------------------
+# edges
+
+
+def _path(vs: Sequence[int]) -> list[Edge]:
+    return list(zip(vs, vs[1:]))
+
+
+def _cycle(vs: Sequence[int]) -> list[Edge]:
+    return _path([*vs, vs[0]])
+
+
+def _star(center: int, leaves: Iterable[int]) -> list[Edge]:
+    return [(center, v) for v in leaves]
+
+
+def _dumbbell(n: int, m1: int, m2: int) -> tuple[int, list[Edge]]:
+    t = n + 2 - m1 - m2  # path vertices, counting the two on the cycles
+    path = [0, *range(m1, m1 + t - 1)]
+    return n, _cycle(range(m1)) + _path(path) + _cycle([path[-1], *range(m1 + t - 1, n)])
+
+
+def _cycle_broom(n: int, k: int) -> tuple[int, list[Edge]]:
+    c = n - k - 1
+    hub = c + k - 2  # the broom's star centre, last of its k path vertices
+    return n, _cycle(range(c)) + _path([0, *range(c, hub + 1)]) + _star(hub, (n - 2, n - 1))
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+
+def _cycle_F(n: int) -> int:
+    return n * n + 1
+
+
+def _cycle_f(n: int) -> int:
+    return (n * n + n + 2) // 2
+
+
+def _lollipop_F(n: int, g: int) -> int:
+    k = n - g
+    return k * (n * n + k * k - 2 * n * k + n + 3) // 2 + g * g + 1
+
+
+def _lollipop_pendant_f(n: int, g: int) -> int:
+    return (g * g + n + (n - g) + 2) // 2
+
+
+def _dumbbell_F(n: int, m1: int, m2: int) -> int:
+    k = n + 2 - m1 - m2
+    return (
+        m1 * m1 * m2 * m2
+        + m1 * m1 * m2
+        + 2 * m1 * m1 * k
+        + m1 * m2 * m2
+        + m1 * m2
+        + 2 * m1 * k
+        + 2 * m1 * m1
+        + 2 * m2 * m2
+        + 2 * m2 * m2 * k
+        + 2 * m2 * k
+        + 2 * k * k
+        + 2 * k
+        - 2 * m1
+        - 2 * m2
+    ) // 4
+
+
+def _dumbbell_cut_f(n: int, m1: int, m2: int) -> int:
+    # the first cycle's factor times the pendant count of the lollipop that
+    # the path and the second cycle form (the cycle itself when n = m1+m2-1)
+    return _cycle_f(m1) * _lollipop_pendant_f(n - m1 + 1, m2)
+
+
+def _broom_F(k: int, m: int) -> int:
+    return k * (k - 1) // 2 + k * (1 << m) + m
+
+
+def _broom_f_path_end(k: int, m: int) -> int:
+    return (1 << m) + k - 1
+
+
+def _double_broom_F(l: int, m: int, d: int) -> int:
+    if abs(l - m) <= 1:
+        return balanced_double_broom_F(l + m + d, d)
+    # unbalanced case: fold the m-leaf star onto the broom holding the
+    # l leaves, counts merged at the far path end
+    return merge_count(_broom_F(d, l), (1 << m) + m, _broom_f_path_end(d, l), 1 << m)
+
+
+def _cycle_broom_F(n: int, k: int) -> int:
+    c = n - k - 1
+    return merge_count(_cycle_F(c), _broom_F(k, 2), _cycle_f(c), _broom_f_path_end(k, 2))
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything known about one named family; every callable takes the
+    spec's parameters as keyword arguments."""
+
+    params: tuple[str, ...]
+    rules: tuple[tuple[Callable[..., bool], str], ...]  # (must hold, message otherwise)
+    edges: Callable[..., tuple[int, list[Edge]]]  # vertex count and edge list
+    F: Callable[..., int]
+    special: dict[str, tuple[Callable[..., int], Callable[..., int]]]  # tag -> (vertex, f)
+    sweep: Callable[[int], Iterable[tuple[int, ...]]]  # parameter values up to n_max vertices
+
+
+_FAMILIES: dict[str, _Family] = {
+    "P": _Family(
+        ("n",),
+        ((lambda n: n >= 1, "path needs n >= 1"),),
+        lambda n: (n, _path(range(n))),
+        lambda n: comb(n + 1, 2),
+        {"end": (lambda n: 0, lambda n: n)},
+        lambda N: ((n,) for n in range(1, N + 1)),
+    ),
+    "C": _Family(
+        ("n",),
+        ((lambda n: n >= 3, "cycle needs n >= 3"),),
+        lambda n: (n, _cycle(range(n))),
+        _cycle_F,
+        {"any": (lambda n: 0, _cycle_f)},
+        lambda N: ((n,) for n in range(3, N + 1)),
+    ),
+    "S": _Family(
+        ("n",),
+        ((lambda n: n >= 2, "star needs n >= 2"),),
+        lambda n: (n, _star(0, range(1, n))),
+        lambda n: (1 << (n - 1)) + n - 1,
+        {
+            "center": (lambda n: 0, lambda n: 1 << (n - 1)),
+            "leaf": (lambda n: 1, lambda n: (1 << (n - 2)) + 1),
+        },
+        lambda N: ((n,) for n in range(2, N + 1)),
+    ),
+    "L": _Family(
+        ("n", "g"),
+        ((lambda n, g: 3 <= g <= n - 1, "lollipop needs 3 <= g <= n-1 (use C for g = n)"),),
+        lambda n, g: (n, _cycle(range(g)) + _path([0, *range(g, n)])),
+        _lollipop_F,
+        {
+            "pendant": (lambda n, g: n - 1, _lollipop_pendant_f),
+            "cut": (lambda n, g: 0, lambda n, g: _cycle_f(g) * (n - g + 1)),
+        },
+        lambda N: ((n, g) for n in range(4, N + 1) for g in range(3, n)),
+    ),
+    "CC": _Family(
+        ("n", "m1", "m2"),
+        (
+            (lambda n, m1, m2: m1 >= 3 and m2 >= 3, "dumbbell cycles need m1, m2 >= 3"),
+            (lambda n, m1, m2: n >= m1 + m2 - 1, "dumbbell needs n >= m1 + m2 - 1"),
+        ),
+        _dumbbell,
+        _dumbbell_F,
+        {"cut": (lambda n, m1, m2: 0, _dumbbell_cut_f)},
+        lambda N: (
+            (n, m1, m2)
+            for n in range(5, N + 1)
+            for m1 in range(3, n)
+            for m2 in range(m1, n)
+            if m1 + m2 - 1 <= n
+        ),
+    ),
+    "PS": _Family(
+        ("k", "m"),
+        ((lambda k, m: k >= 1 and m >= 1, "broom needs k >= 1 and m >= 1"),),
+        lambda k, m: (k + m, _path(range(k)) + _star(k - 1, range(k, k + m))),
+        _broom_F,
+        {
+            "path_end": (lambda k, m: 0, _broom_f_path_end),
+            "center": (lambda k, m: k - 1, lambda k, m: k * (1 << m)),
+        },
+        lambda N: ((k, m) for k in range(1, N) for m in range(1, N + 1 - k)),
+    ),
+    "T": _Family(
+        ("l", "m", "d"),
+        (
+            (
+                lambda l, m, d: l >= 1 and m >= 1 and d >= 2,
+                "double broom needs l, m >= 1 and d >= 2",
+            ),
+        ),
+        lambda l, m, d: (
+            l + m + d,
+            _path(range(d)) + _star(0, range(d, d + l)) + _star(d - 1, range(d + l, d + l + m)),
+        ),
+        _double_broom_F,
+        {},
+        lambda N: (
+            (l, m, d)
+            for d in range(2, N - 1)
+            for l in range(1, N)
+            for m in range(l, N)
+            if l + m + d <= N
+        ),
+    ),
+    "Q": _Family(
+        ("n", "k"),
+        (
+            (
+                lambda n, k: k >= 2 and n - k - 1 >= 3,
+                "Q needs k >= 2 and a cycle of length n-k-1 >= 3",
+            ),
+        ),
+        _cycle_broom,
+        _cycle_broom_F,
+        {"glue": (lambda n, k: 0, lambda n, k: _cycle_f(n - k - 1) * _broom_f_path_end(k, 2))},
+        lambda N: ((n, k) for n in range(6, N + 1) for k in range(2, n - 3)),
+    ),
+}

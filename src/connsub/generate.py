@@ -62,7 +62,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .canon import canonical_labeling, generator_orbits, labeled_key, positions
-from .graph import MAX_VERTICES, Graph, bits, cut_vertices, map_mask, reach
+from .graph import MAX_VERTICES, Graph, bits, components, cut_vertices, map_mask
 
 # largest n an exhaustive search generates; n = 10 would need about 2 M
 # classes with a cut vertex from composition alone
@@ -141,14 +141,7 @@ def _subset_orbit_reps(p: Graph, gens: list[tuple[int, ...]]) -> list[int]:
     generate Aut(p) in p's labels."""
     full = (1 << p.n) - 1
     # S must meet every component of p - c, for every cut vertex c
-    sides = []
-    for c in cut_vertices(p):
-        rest = full & ~(1 << c)
-        left = rest
-        while left:
-            comp = reach(p.adj, (left & -left).bit_length() - 1, rest)
-            sides.append(comp)
-            left &= ~comp
+    sides = [side for c in cut_vertices(p) for side in components(p.adj, full & ~(1 << c))]
     deg = [a.bit_count() for a in p.adj]
     # below[s]: vertices that reach degree s only if joined to the new vertex
     below = [sum(1 << v for v in range(p.n) if deg[v] < s) for s in range(p.n + 1)]

@@ -196,6 +196,17 @@ def reach(adj: Sequence[int], start: int, allowed: int) -> int:
     return reached
 
 
+def components(adj: Sequence[int], allowed: int) -> list[int]:
+    """Vertex masks of the components of the subgraph induced on
+    ``allowed``, in order of their lowest vertex."""
+    comps = []
+    while allowed:
+        comp = reach(adj, (allowed & -allowed).bit_length() - 1, allowed)
+        comps.append(comp)
+        allowed &= ~comp
+    return comps
+
+
 def is_connected(g: Graph) -> bool:
     full = (1 << g.n) - 1
     return reach(g.adj, 0, full) == full

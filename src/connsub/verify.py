@@ -14,12 +14,12 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import census, decompose, families
-from .canon import canonical_graph, canonical_key, canonical_labeling, positions
+from .canon import canonical_key, canonical_labeling, positions
 from .extremal import (
     ClassSpec,
     SearchReport,
@@ -65,10 +65,6 @@ def _g6(g: Graph) -> str:
     return serialize_graph6(g)
 
 
-def _canon_g6(g: Graph) -> str:
-    return serialize_graph6(canonical_graph(g))
-
-
 @lru_cache(maxsize=None)
 def _family_key(text: str) -> bytes:
     return canonical_key(families.build(families.parse_family_spec(text)))
@@ -106,33 +102,6 @@ def _check_edge_monotonicity(n_max: int) -> VerdictReport:
     return rep
 
 
-def _check_two_connected_vertex_floor(n_max: int) -> VerdictReport:
-    """Over 2-connected graphs on n >= 3 vertices, every vertex count is at
-    least (n^2+n+2)/2, with equality exactly on the cycle."""
-    rep = VerdictReport("two-connected-vertex-floor")
-    for n in range(3, n_max + 1):
-        bound = (n * n + n + 2) // 2
-        cycle = _family_key(f"C:n={n}")
-        cycle_attains = False
-        bad = None
-        for rec in catalog(n, "all"):
-            if rec.k != 0:
-                continue
-            if rec.f_min < bound:
-                bad = f"{rec.g6} has vertex count {rec.f_min} < {bound}"
-                break
-            if rec.f_min == bound:
-                if canonical_key(rec.graph) == cycle:
-                    cycle_attains = True
-                else:
-                    bad = f"{rec.g6} ties the cycle floor"
-                    break
-        if bad is None and not cycle_attains:
-            bad = "cycle does not attain its own floor"
-        rep.add(f"floor (n^2+n+2)/2 with cycle equality, n={n}", bad is None, bad or "")
-    return rep
-
-
 def _check_cycle_pair_count(n_max: int) -> VerdictReport:
     """On a cycle, the count of subgraphs containing two vertices at
     distance d is (n^2+2d^2-2nd+n+2)/2; maximal exactly at d=1, and the
@@ -144,7 +113,7 @@ def _check_cycle_pair_count(n_max: int) -> VerdictReport:
         detail = ""
         for d in range(1, n // 2 + 1):
             got = census.count_containing(g, (0, d))
-            want = (n * n + 2 * d * d - 2 * n * d + n + 2) // 2
+            want = families.cycle_pair_count(n, d)
             if got != want:
                 ok, detail = False, f"d={d}: {got} != {want}"
                 break
@@ -189,112 +158,122 @@ def _block_pair_offence(n: int, star4: bytes) -> str | None:
     return None
 
 
-def _lollipop_pendant_floor(n: int, k: int) -> int:
-    return ((n - k) * (n - k) + n + k + 2) // 2
+def _minimizer_keys(report: SearchReport) -> set[bytes]:
+    return {canonical_key(parse_graph6(s)) for s in report.minimizers}
 
 
-def _check_vertex_floor_nontree(n_max: int) -> VerdictReport:
-    """Over non-trees with k cut vertices the vertex-count floor is
-    ((n-k)^2+n+k+2)/2, attained only by the lollipop at its pendant."""
-    rep = VerdictReport("vertex-floor-nontree")
-    for n in range(4, n_max + 1):
-        for k in range(1, n - 2):
-            report = search_min_vertex_subgraph_number(ClassSpec(n, k, subset="nontrees"))
-            want = _lollipop_pendant_floor(n, k)
-            fs = families.spec("L", n=n, g=n - k)
-            lol = families.build(fs)
-            want_keys = {canonical_key(lol)}
-            got_keys = {canonical_key(parse_graph6(s)) for s in report.minimizers}
-            ok = report.minimum == want and got_keys == want_keys
-            if ok:
-                # the argmin orbit must be exactly the pendant's image
-                pendant = families.special_vertex(fs, "pendant")
-                canon = _canon_g6(lol)
-                idx = report.minimizers.index(canon)
-                pos = positions(canonical_labeling(lol)[1])
-                ok = report.argmin_vertices[idx] == (pos[pendant],)
-            rep.add(
-                f"n={n} k={k}: floor {want} uniquely lollipop at pendant",
-                ok,
-                "" if ok else f"got {report.minimum} at {report.minimizers}",
-            )
-    return rep
+def _named_value(text: str, tag: str | None) -> int:
+    """The closed-form F of a named graph, or f of its tagged vertex."""
+    fs = families.parse_family_spec(text)
+    return families.closed_form_F(fs) if tag is None else families.closed_form_f(fs, tag)
 
 
-def _broom_floor(n: int, k: int) -> tuple[int, set[bytes]]:
-    return (1 << (n - k - 1)) + k, {_family_key(f"PS:k={k + 1},m={n - k - 1}")}
+def _argmin_at_tag(report: SearchReport, text: str, tag: str) -> bool:
+    """The named minimizer's argmin vertices are exactly its tagged vertex."""
+    fs = families.parse_family_spec(text)
+    g = families.build(fs)
+    pos = positions(canonical_labeling(g)[1])
+    idx = report.minimizers.index(serialize_graph6(g.relabel(pos)))
+    return report.argmin_vertices[idx] == (pos[families.special_vertex(fs, tag)],)
 
 
-def _expected_vertex_floor(n: int, k: int) -> tuple[int, set[bytes]]:
+# Extremal graphs named as (family spec, tag): the tag picks the vertex whose
+# closed-form f is the floor of a vertex-count search; it is None for a
+# total-count search, whose floor is the closed-form F.
+_Named = tuple[tuple[str, str | None], ...]
+
+
+def _lollipop_pendant(n: int, k: int) -> _Named:
+    return ((f"L:n={n},g={n - k}", "pendant"),)
+
+
+def _broom_end(n: int, k: int) -> _Named:
+    return ((f"PS:k={k + 1},m={n - k - 1}", "path_end"),)
+
+
+def _vertex_floor_graphs(n: int, k: int) -> _Named:
     """Lollipop regime for k <= n-6, the lollipop/broom tie at k = n-5,
     broom regime above."""
     if k <= n - 6:
-        return _lollipop_pendant_floor(n, k), {_family_key(f"L:n={n},g={n - k}")}
+        return _lollipop_pendant(n, k)
     if k == n - 5:
-        return 16 + k, {
-            _family_key(f"PS:k={k + 1},m=4"),
-            _family_key(f"L:n={n},g=5"),
-        }
-    return _broom_floor(n, k)
+        return _broom_end(n, k) + _lollipop_pendant(n, k)
+    return _broom_end(n, k)
 
 
-def _double_broom_floor(n: int, k: int) -> tuple[int, set[bytes]]:
+def _balanced_double_broom(n: int, k: int) -> _Named:
     r = n - k
-    key = _family_key(f"T:l={r // 2},m={(r + 1) // 2},d={k}")
-    return families.balanced_double_broom_F(n, k), {key}
+    return ((f"T:l={r // 2},m={(r + 1) // 2},d={k}", None),)
 
 
-def _girth_count_floor(n: int, k: int) -> tuple[int, set[bytes]]:
+def _girth_count_graphs(n: int, k: int) -> _Named:
     """The lollipop, tied by the cycle-broom exactly at n = 2k+1, k >= 3."""
-    want_keys = {_family_key(f"L:n={n},g={n - k}")}
-    if n == 2 * k + 1 and k >= 3:
-        want_keys.add(_family_key(f"Q:n={n},k={k}"))
-    return families.closed_form_F(families.spec("L", n=n, g=n - k)), want_keys
+    lollipop = ((f"L:n={n},g={n - k}", None),)
+    return lollipop + (((f"Q:n={n},k={k}", None),) if n == 2 * k + 1 and k >= 3 else ())
 
 
 @dataclass(frozen=True)
 class _Floor:
-    """A search-and-compare check: for every n >= n_min and k in ks(n), the
-    searched minimum and minimizer set (by canonical key) of spec(n, k)
-    equal expected(n, k).  An empty class fails its item unless the row's
-    ``empty_iff`` (rule text, predicate) predicts it."""
+    """A search-and-compare check: for every n from n_min to the cap and k
+    in ks(n), the searched minimum of spec(n, k) is the closed form of each
+    graph in expected(n, k), and the minimizer set (by canonical key) is
+    exactly those graphs.  An empty class fails its item unless the row's
+    ``empty_iff`` (rule text, predicate) predicts it.  With ``argmin``, each
+    named minimizer's argmin vertices must also be exactly its tagged vertex."""
 
     name: str
     search: Callable[[ClassSpec], SearchReport]
     n_min: int
     ks: Callable[[int], range]
     spec: Callable[[int, int], ClassSpec]
-    expected: Callable[[int, int], tuple[int, set[bytes]]]
-    label: str  # the item label after "n=.. k=..: ", formatted with want
+    expected: Callable[[int, int], _Named]
+    label: str  # the item label, formatted with n, k and want
+    cap: int = 9
     empty_iff: tuple[str, Callable[[int, int], bool]] | None = None
+    argmin: bool = False
 
 
 _FLOORS = (
+    # over 2-connected graphs every vertex count is at least (n^2+n+2)/2,
+    # with equality exactly on the cycle
+    _Floor(
+        "two-connected-vertex-floor", search_min_vertex_subgraph_number, 3,
+        lambda n: range(0, 1), ClassSpec, lambda n, k: ((f"C:n={n}", "any"),),
+        "floor (n^2+n+2)/2 with cycle equality, n={n}", cap=8,
+    ),
+    # over non-trees the vertex-count floor is ((n-k)^2+n+k+2)/2, attained
+    # only by the lollipop at its pendant
+    _Floor(
+        "vertex-floor-nontree", search_min_vertex_subgraph_number, 4,
+        lambda n: range(1, n - 2), lambda n, k: ClassSpec(n, k, subset="nontrees"),
+        _lollipop_pendant, "n={n} k={k}: floor {want} uniquely lollipop at pendant",
+        argmin=True,
+    ),
     # the vertex-count minimum over all of C_{n,k}, in three regimes
     _Floor(
         "vertex-floor-three-regime", search_min_vertex_subgraph_number, 4,
-        lambda n: range(1, n - 2), ClassSpec, _expected_vertex_floor,
-        "floor {want} with exact minimizer set",
+        lambda n: range(1, n - 2), ClassSpec, _vertex_floor_graphs,
+        "n={n} k={k}: floor {want} with exact minimizer set",
     ),
     # over trees the vertex-count floor is 2^{n-k-1}+k, only at the broom
     _Floor(
         "tree-vertex-floor", search_min_vertex_subgraph_number, 3,
         lambda n: range(1, n - 1), lambda n, k: ClassSpec(n, k, subset="trees"),
-        _broom_floor, "tree floor {want} uniquely broom",
+        _broom_end, "n={n} k={k}: tree floor {want} uniquely broom",
     ),
     # over trees with k >= 2 the total-count floor is the balanced double broom
     _Floor(
         "tree-count-floor", search_min_F, 4,
         lambda n: range(2, n - 1), lambda n, k: ClassSpec(n, k, subset="trees"),
-        _double_broom_floor, "balanced double broom floor {want}",
+        _balanced_double_broom, "n={n} k={k}: balanced double broom floor {want}",
     ),
     # over non-trees with girth >= k the total-count floor is the lollipop
     _Floor(
         "count-floor-girth", search_min_F, 4,
         lambda n: range(1, n - 2),
         lambda n, k: ClassSpec(n, k, min_girth=k, subset="nontrees"),
-        _girth_count_floor, "girth-floored count minimum {want}",
-        ("n < k + max(3,k)", lambda n, k: n < k + max(3, k)),
+        _girth_count_graphs, "n={n} k={k}: girth-floored count minimum {want}",
+        empty_iff=("n < k + max(3,k)", lambda n, k: n < k + max(3, k)),
     ),
 )
 
@@ -312,11 +291,14 @@ def _check_floor(row: _Floor, n_max: int) -> VerdictReport:
                     f"classes={report.class_size}",
                 )
                 continue
-            want, want_keys = row.expected(n, k)
-            got_keys = {canonical_key(parse_graph6(s)) for s in report.minimizers}
-            ok = report.minimum == want and got_keys == want_keys
+            named = row.expected(n, k)
+            values = {_named_value(text, tag) for text, tag in named}
+            want_keys = {_family_key(text) for text, _ in named}
+            ok = values == {report.minimum} and _minimizer_keys(report) == want_keys
+            if ok and row.argmin:
+                ok = all(_argmin_at_tag(report, text, tag) for text, tag in named)
             detail = "" if ok else f"got {report.minimum} at {report.minimizers}"
-            rep.add(f"n={n} k={k}: " + row.label.format(want=want), ok, detail)
+            rep.add(row.label.format(n=n, k=k, want=min(values, default=None)), ok, detail)
     return rep
 
 
@@ -386,14 +368,17 @@ def _check_branch_move_decrease(pairs: int = 60, seed: int = 7) -> VerdictReport
     return rep
 
 
+_FLOOR_CHECKS = {row.name: (partial(_check_floor, row), row.cap) for row in _FLOORS}
+
+# a floor row already listed by name keeps its place when **_FLOOR_CHECKS
+# adds the rest
 _THEOREMS = {
     "edge-monotonicity": (_check_edge_monotonicity, 6),
-    "two-connected-vertex-floor": (_check_two_connected_vertex_floor, 8),
+    "two-connected-vertex-floor": _FLOOR_CHECKS["two-connected-vertex-floor"],
     "cycle-pair-count": (_check_cycle_pair_count, 12),
     "block-pair-floor": (_check_block_pair_floor, 8),
     "pendant-share-limit": (_check_pendant_share_limit, 9),
-    "vertex-floor-nontree": (_check_vertex_floor_nontree, 9),
-    **{row.name: (partial(_check_floor, row), 9) for row in _FLOORS},
+    **_FLOOR_CHECKS,
     "branch-move-decrease": (_check_branch_move_decrease, None),
 }
 
@@ -563,9 +548,7 @@ def verify_table1(search_n_max: int = 9) -> Table1Report:
         if n > search_n_max or n < 6 or cell is None:
             continue
         spec_text, printed = cell
-        named_key = canonical_key(families.build(families.parse_family_spec(spec_text)))
         report = search_min_F(ClassSpec(n, k, min_girth=k))
-        got_keys = {canonical_key(parse_graph6(s)) for s in report.minimizers}
         remark = ""
         if (n, k) in PATH_LABELED_CELLS:
             remark = "flagged cell: search result reported, not asserted"
@@ -577,7 +560,7 @@ def verify_table1(search_n_max: int = 9) -> Table1Report:
                 minimizers=report.minimizers,
                 class_size=report.class_size,
                 printed_value=printed,
-                printed_in_minimizers=named_key in got_keys,
+                printed_in_minimizers=_family_key(spec_text) in _minimizer_keys(report),
                 value_matches_printed=report.minimum == printed,
                 remark=remark,
             )
@@ -591,53 +574,26 @@ def verify_table1(search_n_max: int = 9) -> Table1Report:
     return Table1Report(tier_a, tier_b, notes)
 
 
+def compare_family(fs: families.FamilySpec) -> Iterator[tuple[str | None, int, int]]:
+    """Yield (tag, closed form, computed count) for the family's F (tag
+    None, counted by decomposition) and then each tagged vertex's f
+    (counted by census), computing each count only when it is reached."""
+    g = families.build(fs)
+    yield None, families.closed_form_F(fs), decompose.count_via_decomposition(g)
+    for tag in families.special_tags(fs.name):
+        got = census.subgraph_number(g, families.special_vertex(fs, tag))
+        yield tag, families.closed_form_f(fs, tag), got
+
+
 def verify_formulas(n_max: int = 12) -> VerdictReport:
     """Every family closed form equals the decomposition count, and every
     special-vertex closed form equals the census count."""
     rep = VerdictReport("formulas")
-    specs: list[families.FamilySpec] = []
-    specs.extend(families.spec("P", n=n) for n in range(1, n_max + 1))
-    specs.extend(families.spec("C", n=n) for n in range(3, n_max + 1))
-    specs.extend(families.spec("S", n=n) for n in range(2, n_max + 1))
-    specs.extend(
-        families.spec("L", n=n, g=g) for n in range(4, n_max + 1) for g in range(3, n)
-    )
-    specs.extend(
-        families.spec("CC", n=n, m1=m1, m2=m2)
-        for n in range(5, n_max + 1)
-        for m1 in range(3, n)
-        for m2 in range(m1, n)
-        if m1 + m2 - 1 <= n
-    )
-    specs.extend(
-        families.spec("PS", k=k, m=m)
-        for k in range(1, n_max)
-        for m in range(1, n_max + 1 - k)
-    )
-    specs.extend(
-        families.spec("T", l=l, m=m, d=d)
-        for d in range(2, n_max - 1)
-        for l in range(1, n_max)
-        for m in range(l, n_max)
-        if l + m + d <= n_max
-    )
-    specs.extend(
-        families.spec("Q", n=n, k=k)
-        for n in range(6, n_max + 1)
-        for k in range(2, n - 3)
-    )
-    for fs in specs:
-        g = families.build(fs)
-        want = families.closed_form_F(fs)
-        got = decompose.count_via_decomposition(g)
-        ok = want == got
-        detail = "" if ok else f"closed form {want} != computed {got}"
-        for tag in families.special_tags(fs.name):
-            v = families.special_vertex(fs, tag)
-            wf = families.closed_form_f(fs, tag)
-            gf = census.subgraph_number(g, v)
-            if wf != gf:
-                ok = False
-                detail += f" f[{tag}] {wf} != {gf}"
-        rep.add(str(fs), ok, detail)
+    for fs in families.specs_up_to(n_max):
+        detail = "".join(
+            f"closed form {want} != computed {got}" if tag is None else f" f[{tag}] {want} != {got}"
+            for tag, want, got in compare_family(fs)
+            if want != got
+        )
+        rep.add(str(fs), not detail, detail)
     return rep

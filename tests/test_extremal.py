@@ -212,6 +212,6 @@ class TestTheoremRegistry:
         from connsub import verify
 
         row = next(r for r in verify._FLOORS if r.name == "tree-vertex-floor")
-        row = replace(row, ks=lambda n: range(n - 1, n), expected=lambda n, k: (0, set()))
+        row = replace(row, ks=lambda n: range(n - 1, n), expected=lambda n, k: ())
         rep = verify._check_floor(row, 4)
         assert [item.passed for item in rep.items] == [False, False]

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from connsub import census, decompose
@@ -11,8 +13,10 @@ from connsub.families import (
     spec,
     special_tags,
     special_vertex,
+    specs_up_to,
 )
 from connsub.graph import cut_vertices, girth
+from connsub.graphio import serialize_graph6
 from connsub.verify import verify_formulas
 
 
@@ -191,3 +195,34 @@ class TestSpecialVertexAgreement:
                 v = special_vertex(fs, tag)
                 assert closed_form_f(fs, tag) == census.subgraph_number(g, v)
             assert closed_form_F(fs) == decompose.count_via_decomposition(g)
+
+
+class TestByteStability:
+    # an unknown name, wrong keys, bad grammar, then one violation of each
+    # validity rule in table order (CC has two rules)
+    INVALID = [
+        "X:n=5", "L:n=5,k=2", "L;n=5", "P:n=0", "C:n=2", "S:n=1", "L:n=6,g=6",
+        "CC:n=6,m1=2,m2=4", "CC:n=5,m1=3,m2=4", "PS:k=0,m=2", "T:l=1,m=1,d=1", "Q:n=6,k=3",
+    ]
+
+    def test_labelings_counts_and_messages_are_pinned(self):
+        # the digest was taken before the families became table rows: every
+        # spec's text, labelled graph, closed forms and special vertices, and
+        # the error text of each invalid spec, keep their bytes
+        h = hashlib.sha256()
+        specs = specs_up_to(10)
+        for fs in specs:
+            h.update(f"{fs} {serialize_graph6(build(fs))} F={closed_form_F(fs)}".encode())
+            for tag in special_tags(fs.name):
+                h.update(f" {tag}@{special_vertex(fs, tag)}={closed_form_f(fs, tag)}".encode())
+            h.update(b"\n")
+        for text in self.INVALID:
+            with pytest.raises(ValueError) as exc:
+                parse_family_spec(text)
+            h.update(f"{text} -> {exc.value}\n".encode())
+        assert len(specs) == 199
+        assert h.hexdigest() == "5216b50321fef5c07d116a2cbf660629e477efbc927d16ca5beface01e625765"
+
+    def test_spec_accepts_any_parameter_order(self):
+        assert spec("L", g=3, n=5) == spec("L", n=5, g=3)
+        assert str(parse_family_spec("CC:m2=4,n=8,m1=3")) == "CC:n=8,m1=3,m2=4"
