@@ -9,6 +9,8 @@ highly symmetric graphs stay cheap.  Intended for n <= ~12.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .graph import Graph
 
 
@@ -172,11 +174,6 @@ def positions(order: tuple[int, ...]) -> list[int]:
     return pos
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labeled copy of ``g``."""
-    return g.relabel(positions(canonical_labeling(g)[1]))
-
-
 def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:
     """Orbits of the automorphism group, from the generators discovered
     during canonical labeling (sufficient to generate the group)."""
@@ -186,20 +183,24 @@ def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:
 def generator_orbits(n: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Orbits on ``0..n-1`` of the group generated by the permutations
     ``gens``, each orbit sorted, in order of their smallest vertex."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in gens:
-        for v in range(n):
-            ra, rv = find(a[v]), find(v)
-            if ra != rv:
-                parent[ra] = rv
     groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(vs)) for vs in groups.values())
+    for v, r in enumerate(orbit_least(range(n), gens)):
+        groups.setdefault(r, []).append(v)
+    return [tuple(vs) for vs in groups.values()]
+
+
+def orbit_least(labels: Sequence[int], gens: list[tuple[int, ...]]) -> list[int]:
+    """Per vertex v, the least ``labels[u]`` over the vertices u in v's orbit
+    under the group generated by the permutations ``gens``."""
+    # each vertex takes the lesser label across every generator edge until
+    # none changes, so every orbit carries its least label throughout
+    least = list(labels)
+    changed = bool(gens)
+    while changed:
+        changed = False
+        for a in gens:
+            for v, w in enumerate(a):
+                if least[v] != least[w]:
+                    least[v] = least[w] = min(least[v], least[w])
+                    changed = True
+    return least

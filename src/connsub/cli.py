@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--girth", type=int, help="minimum girth bound")
     p.add_argument("--subset", choices=("all", "trees", "nontrees"), default="all")
     p.add_argument("--objective", choices=("F", "minf"), default="F")
-    p.add_argument("--jobs", type=int, default=1, help="ignored: the search runs in one process")
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(fn=_cmd_search)
 

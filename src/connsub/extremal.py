@@ -257,15 +257,6 @@ def _class_records(spec: ClassSpec) -> list[_Record]:
     return [r for r in catalog(spec.n, stratum) if _matches(r, spec)]
 
 
-def generate(spec: ClassSpec, visitor: Callable[[Graph], None]) -> int:
-    """Visit one canonical representative per isomorphism class of the
-    class; returns the number of classes visited."""
-    records = _class_records(spec)
-    for rec in records:
-        visitor(rec.graph)
-    return len(records)
-
-
 def _finalize(
     spec: ClassSpec,
     objective: str,
@@ -347,21 +338,3 @@ def report_to_json_dict(report: SearchReport) -> dict:
 def report_summary_line(report: SearchReport) -> str:
     mins = "none" if report.minimum is None else str(report.minimum)
     return f"min={mins} minimizers={','.join(report.minimizers)} classes={report.class_size}"
-
-
-def report_to_text(report: SearchReport) -> str:
-    """Line-oriented rendering of a search report."""
-    s = report.spec
-    lines = [
-        f"class: n={s.n} k={s.k} min_girth={s.min_girth or '-'} subset={s.subset}",
-        f"objective: {report.objective}",
-        f"minimum: {'none' if report.minimum is None else report.minimum}",
-        f"class_size: {report.class_size}",
-        f"wall_time_ms: {report.wall_time_ms}",
-    ]
-    for i, g6 in enumerate(report.minimizers):
-        extra = ""
-        if report.objective == "minf":
-            extra = " argmin=" + ",".join(str(v) for v in report.argmin_vertices[i])
-        lines.append(f"minimizer: {g6}{extra}")
-    return "\n".join(lines) + "\n"

@@ -48,42 +48,69 @@ the new vertex v lies in that orbit.
 Hence the accepted children are the 2-connected classes, each once, and
 no set of seen children is needed.
 
-Orbit representatives (what ``rooted_classes(n)`` returns) are read off the
-automorphism generators of the canonical labeling that admitted each class,
-in either stratum, and kept only for n < ``GENERATION_CAP``: composition up
-to the cap is their only large consumer.
+Every class, in either stratum, is canonised by one step, ``canonize``: the
+canonical labeling, the canonically labeled copy and the orbit-root mask
+read off the automorphism generators of that same labeling.
 
-Results are cached per process; all returned graphs are canonically
-labeled, sorted by canonical key.
+The classes live in one store, per vertex count and stratum ("all" for every
+connected class, "cut" for the classes with a cut vertex): canonical graphs
+sorted by canonical key, with their orbit-root masks for n <
+``GENERATION_CAP`` (composition up to the cap is their only large consumer).
+``rooted_classes(n)`` expands the masks of level n on each call.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections.abc import Container
 
-from .canon import canonical_labeling, generator_orbits, labeled_key, positions
+from .canon import canonical_labeling, labeled_key, orbit_least, positions
 from .graph import MAX_VERTICES, Graph, bits, components, cut_vertices, map_mask
 
 # largest n an exhaustive search generates; n = 10 would need about 2 M
 # classes with a cut vertex from composition alone
 GENERATION_CAP = 9
 
-_connected_cache: dict[int, tuple[Graph, ...]] = {}
-_cut_cache: dict[int, tuple[Graph, ...]] = {}
-# for n < GENERATION_CAP, per class of the caches above, a bitmask of
-# vertex-orbit representatives in canonical labels
-_roots_cache: dict[int, tuple[int, ...]] = {}
-_cut_roots_cache: dict[int, tuple[int, ...]] = {}
-_rooted_cache: dict[int, list[tuple[Graph, int]]] = {}
+# the class store: (n, stratum) -> (canonical graphs in canonical-key order,
+# their orbit-root masks, or () where _keeps_roots(n) is false)
+_store: dict[tuple[int, str], tuple[tuple[Graph, ...], tuple[int, ...]]] = {}
 
 
-def _orbit_roots(orbits: list[tuple[int, ...]], pos: list[int]) -> int:
-    """Bitmask of the smallest canonical label in each vertex orbit, from the
-    orbits in original labels and the canonical positions ``pos``."""
-    roots = 0
-    for orbit in orbits:
-        roots |= 1 << min(pos[v] for v in orbit)
-    return roots
+def _keeps_roots(n: int) -> bool:
+    return n < GENERATION_CAP
+
+
+def canonize(
+    g: Graph, orbits: bool = True, known: Container[bytes] = ()
+) -> tuple[bytes, Graph | None, int, tuple[int, ...]]:
+    """The canonical key of ``g``, its canonically labeled copy, the copy's
+    orbit-root mask (bit r set for the smallest canonical label r of each
+    Aut(g)-orbit) and ``orbit_of``: per vertex v of ``g``, the root r of
+    v's orbit.  Without ``orbits`` the mask is 0 and ``orbit_of`` is ().
+    A key in ``known`` is a class already built: only the key is returned,
+    with copy None."""
+    key, order, gens = canonical_labeling(g)
+    if key in known:
+        return key, None, 0, ()
+    pos = positions(order)
+    copy = g.relabel(pos)
+    if not orbits:
+        return key, copy, 0, ()
+    orbit_of = orbit_least(pos, gens)
+    mask = 0
+    for r in orbit_of:
+        mask |= 1 << r
+    return key, copy, mask, tuple(orbit_of)
+
+
+def _put(
+    n: int, stratum: str, graphs: dict[bytes, Graph], roots: dict[bytes, int]
+) -> tuple[Graph, ...]:
+    """Store the canonical graphs and orbit-root masks of level n of a
+    stratum, both by canonical key, in key order; returns the graphs."""
+    keys = sorted(graphs)
+    level = tuple(graphs[k] for k in keys)
+    _store[n, stratum] = (level, tuple(roots[k] for k in keys) if _keeps_roots(n) else ())
+    return level
 
 
 def connected_classes(n: int) -> tuple[Graph, ...]:
@@ -91,30 +118,26 @@ def connected_classes(n: int) -> tuple[Graph, ...]:
     representative per isomorphism class."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n in _connected_cache:
-        return _connected_cache[n]
+    if (n, "all") in _store:
+        return _store[n, "all"][0]
     if n <= 2:
         # K1 and K2: one class, one vertex orbit
-        _connected_cache[n] = (Graph(n, (0,) if n == 1 else (0b10, 0b01)),)
-        _roots_cache[n] = (1,)
-        return _connected_cache[n]
-    keep_roots = n < GENERATION_CAP
-    items = _two_connected(n, keep_roots)
+        return _put(n, "all", {b"": Graph(n, (0,) if n == 1 else (0b10, 0b01))}, {b"": 1})
+    graphs, roots = _two_connected(n)
     cut = classes_with_cut_vertices(n)
-    cut_roots = _cut_roots_cache[n] if keep_roots else (0,) * len(cut)
-    items.extend((labeled_key(g), g, r) for g, r in zip(cut, cut_roots))
-    items.sort(key=itemgetter(0))
-    _connected_cache[n] = tuple(g for _, g, _ in items)
-    if keep_roots:
-        _roots_cache[n] = tuple(r for _, _, r in items)
-    return _connected_cache[n]
+    keys = [labeled_key(g) for g in cut]
+    graphs.update(zip(keys, cut))
+    roots.update(zip(keys, _store[n, "cut"][1]))
+    return _put(n, "all", graphs, roots)
 
 
-def _two_connected(n: int, keep_roots: bool) -> list[tuple[bytes, Graph, int]]:
-    """(key, canonical graph, orbit roots or 0) for every 2-connected class
-    on n >= 3 vertices, by canonical augmentation (see the lemma above)."""
+def _two_connected(n: int) -> tuple[dict[bytes, Graph], dict[bytes, int]]:
+    """The canonical graph and the orbit-root mask, by canonical key, of
+    every 2-connected class on n >= 3 vertices, by canonical augmentation
+    (see the lemma above)."""
     new = n - 1
-    out = []
+    graphs: dict[bytes, Graph] = {}
+    roots: dict[bytes, int] = {}
     for parent in connected_classes(n - 1):
         _, _, gens = canonical_labeling(parent)
         for subset in _subset_orbit_reps(parent, gens):
@@ -122,17 +145,14 @@ def _two_connected(n: int, keep_roots: bool) -> list[tuple[bytes, Graph, int]]:
             # the new vertex n - 1 joined to every vertex of the subset
             adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
             adj.append(subset)
-            child = Graph(n, tuple(adj))
-            key, order, cgens = canonical_labeling(child)
-            # m(child): the new vertex has the minimum degree, |S|
-            deleted = next(v for v in order if adj[v].bit_count() == size)
-            orbits = generator_orbits(n, cgens) if keep_roots or deleted != new else None
-            if deleted != new and not any(new in o and deleted in o for o in orbits):
-                continue
-            pos = positions(order)
-            roots = _orbit_roots(orbits, pos) if keep_roots else 0
-            out.append((key, child.relabel(pos), roots))
-    return out
+            key, child, mask, orbit_of = canonize(Graph(n, tuple(adj)))
+            # m(child) is the first canonical label of the minimum degree |S|;
+            # no smaller label shares its orbit, so it is its orbit's root
+            deleted = next(v for v, a in enumerate(child.adj) if a.bit_count() == size)
+            if orbit_of[new] == deleted:
+                graphs[key] = child
+                roots[key] = mask
+    return graphs, roots
 
 
 def _subset_orbit_reps(p: Graph, gens: list[tuple[int, ...]]) -> list[int]:
@@ -175,16 +195,10 @@ def rooted_classes(n: int) -> list[tuple[Graph, int]]:
     """(graph, root) pairs: each connected class on n vertices with one root
     per vertex orbit, the orbit's smallest vertex.  Kept for
     n < ``GENERATION_CAP``, the sizes composition glues."""
-    if not 1 <= n < GENERATION_CAP:
+    if n < 1 or not _keeps_roots(n):
         raise ValueError(f"rooted classes are kept for n in 1..{GENERATION_CAP - 1}")
-    if n in _rooted_cache:
-        return _rooted_cache[n]
-    classes = connected_classes(n)
-    out = [
-        (g, root) for g, roots in zip(classes, _roots_cache[n]) for root in bits(roots)
-    ]
-    _rooted_cache[n] = out
-    return out
+    graphs = connected_classes(n)
+    return [(g, root) for g, roots in zip(graphs, _store[n, "all"][1]) for root in bits(roots)]
 
 
 def glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
@@ -208,9 +222,9 @@ def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
     """All connected classes on n vertices having at least one cut vertex."""
     if n < 3:
         return ()
-    if n in _cut_cache:
-        return _cut_cache[n]
-    keep_roots = n < GENERATION_CAP
+    if (n, "cut") in _store:
+        return _store[n, "cut"][0]
+    orbits = _keeps_roots(n)
     found: dict[bytes, Graph] = {}
     roots: dict[bytes, int] = {}
     for n1 in range(2, (n + 1) // 2 + 1):
@@ -220,15 +234,8 @@ def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
         for i, (g1, r1) in enumerate(left):
             start = i if n2 == n1 else 0
             for g2, r2 in right[start:]:
-                glued = glue(g1, r1, g2, r2)
-                key, order, gens = canonical_labeling(glued)
-                if key not in found:
-                    pos = positions(order)
-                    found[key] = glued.relabel(pos)
-                    if keep_roots:
-                        roots[key] = _orbit_roots(generator_orbits(n, gens), pos)
-    keys = sorted(found)
-    _cut_cache[n] = tuple(found[k] for k in keys)
-    if keep_roots:
-        _cut_roots_cache[n] = tuple(roots[k] for k in keys)
-    return _cut_cache[n]
+                key, canon, mask, _ = canonize(glue(g1, r1, g2, r2), orbits, found)
+                if canon is not None:
+                    found[key] = canon
+                    roots[key] = mask
+    return _put(n, "cut", found, roots)

@@ -19,7 +19,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import census, decompose, families
-from .canon import canonical_key, canonical_labeling, positions
 from .extremal import (
     ClassSpec,
     SearchReport,
@@ -28,7 +27,7 @@ from .extremal import (
     search_min_vertex_subgraph_number,
     subset_tables,
 )
-from .generate import connected_classes, glue, rooted_classes
+from .generate import canonize, connected_classes, glue, rooted_classes
 from .graph import Graph, block_cut_tree
 from .graphio import parse_graph6, serialize_graph6
 
@@ -66,8 +65,12 @@ def _g6(g: Graph) -> str:
 
 
 @lru_cache(maxsize=None)
-def _family_key(text: str) -> bytes:
-    return canonical_key(families.build(families.parse_family_spec(text)))
+def _named_form(text: str) -> tuple[str, tuple[int, ...]]:
+    """The canonical graph6 of a named graph, the form in which a search
+    reports its minimizers, and per vertex the canonical label of its
+    orbit's root."""
+    _, g, _, orbit_of = canonize(families.build(families.parse_family_spec(text)))
+    return serialize_graph6(g), orbit_of
 
 
 @lru_cache(maxsize=None)
@@ -134,20 +137,20 @@ def _check_block_pair_floor(n_max: int) -> VerdictReport:
     """For graphs with k <= n-3 cut vertices, except the 4-star: any two
     vertices of any block have pair count at least 2(n-k)-1."""
     rep = VerdictReport("block-pair-floor")
-    star4 = _family_key("S:n=4")
+    star4 = _named_form("S:n=4")[0]
     for n in range(3, n_max + 1):
         bad = _block_pair_offence(n, star4)
         rep.add(f"pair floor 2(n-k)-1 within blocks, n={n}", bad is None, bad or "")
     return rep
 
 
-def _block_pair_offence(n: int, star4: bytes) -> str | None:
+def _block_pair_offence(n: int, star4: str) -> str | None:
     """The first pair within a block whose count breaks the floor, or None."""
     recs = catalog(n, "all")
     for lo in range(0, len(recs), 512):
         chunk = recs[lo : lo + 512]
         for row, rec in zip(subset_tables([r.graph for r in chunk]), chunk):
-            if rec.k > n - 3 or (n == 4 and canonical_key(rec.graph) == star4):
+            if rec.k > n - 3 or (n == 4 and rec.g6 == star4):
                 continue
             bound = 2 * (n - rec.k) - 1
             for blk in block_cut_tree(rec.graph).blocks:
@@ -158,10 +161,6 @@ def _block_pair_offence(n: int, star4: bytes) -> str | None:
     return None
 
 
-def _minimizer_keys(report: SearchReport) -> set[bytes]:
-    return {canonical_key(parse_graph6(s)) for s in report.minimizers}
-
-
 def _named_value(text: str, tag: str | None) -> int:
     """The closed-form F of a named graph, or f of its tagged vertex."""
     fs = families.parse_family_spec(text)
@@ -169,12 +168,12 @@ def _named_value(text: str, tag: str | None) -> int:
 
 
 def _argmin_at_tag(report: SearchReport, text: str, tag: str) -> bool:
-    """The named minimizer's argmin vertices are exactly its tagged vertex."""
-    fs = families.parse_family_spec(text)
-    g = families.build(fs)
-    pos = positions(canonical_labeling(g)[1])
-    idx = report.minimizers.index(serialize_graph6(g.relabel(pos)))
-    return report.argmin_vertices[idx] == (pos[families.special_vertex(fs, tag)],)
+    """The named minimizer's argmin vertices are exactly its tagged vertex.
+    Argmin sets are unions of orbits, so the tagged vertex's orbit root
+    stands for its canonical label: both match only a singleton orbit."""
+    g6, orbit_of = _named_form(text)
+    tagged = families.special_vertex(families.parse_family_spec(text), tag)
+    return report.argmin_vertices[report.minimizers.index(g6)] == (orbit_of[tagged],)
 
 
 # Extremal graphs named as (family spec, tag): the tag picks the vertex whose
@@ -216,7 +215,7 @@ def _girth_count_graphs(n: int, k: int) -> _Named:
 class _Floor:
     """A search-and-compare check: for every n from n_min to the cap and k
     in ks(n), the searched minimum of spec(n, k) is the closed form of each
-    graph in expected(n, k), and the minimizer set (by canonical key) is
+    graph in expected(n, k), and the minimizer set (by canonical graph6) is
     exactly those graphs.  An empty class fails its item unless the row's
     ``empty_iff`` (rule text, predicate) predicts it.  With ``argmin``, each
     named minimizer's argmin vertices must also be exactly its tagged vertex."""
@@ -293,8 +292,8 @@ def _check_floor(row: _Floor, n_max: int) -> VerdictReport:
                 continue
             named = row.expected(n, k)
             values = {_named_value(text, tag) for text, tag in named}
-            want_keys = {_family_key(text) for text, _ in named}
-            ok = values == {report.minimum} and _minimizer_keys(report) == want_keys
+            want = {_named_form(text)[0] for text, _ in named}
+            ok = values == {report.minimum} and set(report.minimizers) == want
             if ok and row.argmin:
                 ok = all(_argmin_at_tag(report, text, tag) for text, tag in named)
             detail = "" if ok else f"got {report.minimum} at {report.minimizers}"
@@ -560,7 +559,7 @@ def verify_table1(search_n_max: int = 9) -> Table1Report:
                 minimizers=report.minimizers,
                 class_size=report.class_size,
                 printed_value=printed,
-                printed_in_minimizers=_family_key(spec_text) in _minimizer_keys(report),
+                printed_in_minimizers=_named_form(spec_text)[0] in report.minimizers,
                 value_matches_printed=report.minimum == printed,
                 remark=remark,
             )
@@ -576,18 +575,18 @@ def verify_table1(search_n_max: int = 9) -> Table1Report:
 
 def compare_family(fs: families.FamilySpec) -> Iterator[tuple[str | None, int, int]]:
     """Yield (tag, closed form, computed count) for the family's F (tag
-    None, counted by decomposition) and then each tagged vertex's f
-    (counted by census), computing each count only when it is reached."""
+    None) and then each tagged vertex's f, all counted by decomposition,
+    computing each count only when it is reached."""
     g = families.build(fs)
     yield None, families.closed_form_F(fs), decompose.count_via_decomposition(g)
     for tag in families.special_tags(fs.name):
-        got = census.subgraph_number(g, families.special_vertex(fs, tag))
+        got = decompose.subgraph_number_via_decomposition(g, families.special_vertex(fs, tag))
         yield tag, families.closed_form_f(fs, tag), got
 
 
 def verify_formulas(n_max: int = 12) -> VerdictReport:
-    """Every family closed form equals the decomposition count, and every
-    special-vertex closed form equals the census count."""
+    """Every family closed form, of F and of each special vertex's f,
+    equals its decomposition count."""
     rep = VerdictReport("formulas")
     for fs in families.specs_up_to(n_max):
         detail = "".join(

@@ -278,11 +278,11 @@ def test_c8_graph6_roundtrip_exhaustive():
             assert parse_graph6(serialize_graph6(g)).edges == g.edges
 
 
-def _run_search_subprocess(n, k, jobs, out_path):
+def _run_search_subprocess(n, k, out_path):
     code = (
         "import sys; from connsub.cli import main; "
         f"sys.exit(main(['search','--n','{n}','--k','{k}','--objective','F',"
-        f"'--jobs','{jobs}','--out',r'{out_path}']))"
+        f"'--out',r'{out_path}']))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
@@ -291,23 +291,11 @@ def _run_search_subprocess(n, k, jobs, out_path):
     return proc.stdout
 
 
-def test_c8_reports_identical_across_worker_counts(tmp_path):
-    out1 = tmp_path / "jobs1.json"
-    out8 = tmp_path / "jobs8.json"
-    stdout1 = _run_search_subprocess(8, 3, 1, out1)
-    stdout8 = _run_search_subprocess(8, 3, 8, out8)
-    assert stdout1 == stdout8
-    doc1 = json.loads(out1.read_text())
-    doc8 = json.loads(out8.read_text())
-    doc1["wall_time_ms"] = doc8["wall_time_ms"] = 0  # timing is not part of the contract
-    assert doc1 == doc8
-
-
 def test_c8_repeat_run_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    first = _run_search_subprocess(7, 2, 1, a)
-    second = _run_search_subprocess(7, 2, 1, b)
+    first = _run_search_subprocess(7, 2, a)
+    second = _run_search_subprocess(7, 2, b)
     assert first == second
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
     da["wall_time_ms"] = db["wall_time_ms"] = 0

@@ -90,6 +90,13 @@ class TestFamily:
         rc, _, err = run(capsys, ["family", "--spec", "L:n=6,g=6"])
         assert rc == 2
 
+    def test_check_tags_counted_by_decomposition(self, capsys):
+        # the 30-vertex lollipop is past census, but not its tag counts
+        rc, out, _ = run(capsys, ["family", "--spec", "L:n=30,g=5", "--check"])
+        assert rc == 0
+        assert "check f[pendant]: predicted=41 computed=41 PASS\n" in out
+        assert "check f[cut]: predicted=416 computed=416 PASS\n" in out
+
     def test_check_beyond_census_exits_two(self, capsys):
         rc, _, err = run(capsys, ["family", "--spec", "C:n=30", "--check"])
         assert rc == 2
@@ -136,7 +143,7 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_formulas_beyond_census_exits_two(self, capsys):
-        # the path's f check on P27 goes through census
+        # F of the 26-cycle refuses: its one block is past census
         rc, _, err = run(capsys, ["verify", "--suite", "formulas", "--n-max", "27"])
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import connsub
-from connsub import generate
+from connsub import extremal, generate
 from connsub.canon import (
     canonical_key,
     canonical_labeling,
@@ -13,6 +13,7 @@ from connsub.canon import (
     positions,
     vertex_orbits,
 )
+from connsub.extremal import ClassSpec, search_min_F
 from connsub.generate import (
     GENERATION_CAP,
     classes_with_cut_vertices,
@@ -81,9 +82,7 @@ def test_two_connected_stratum_counts():
 def test_augmentation_canonisation_count(monkeypatch):
     # screening subsets and keeping one per Aut(parent) orbit keeps the
     # labelings near the class count; one per (parent, subset) is 116,146
-    caches = ("_connected_cache", "_cut_cache", "_roots_cache", "_cut_roots_cache", "_rooted_cache")
-    for name in caches:
-        monkeypatch.setattr(generate, name, {})
+    monkeypatch.setattr(generate, "_store", {})
     calls = 0
     label = generate.canonical_labeling
 
@@ -95,6 +94,24 @@ def test_augmentation_canonisation_count(monkeypatch):
     monkeypatch.setattr(generate, "canonical_labeling", counted)
     assert len(generate.connected_classes(8)) == CONNECTED_COUNTS[8]
     assert calls < 25_000
+
+
+def test_cut_class_search_skips_augmenting_its_level(monkeypatch):
+    # k >= 1 reads only composition, which glues rooted classes on fewer
+    # vertices: level 7's 2-connected stratum is never built
+    monkeypatch.setattr(generate, "_store", {})
+    monkeypatch.setattr(extremal, "_catalog_cache", {})
+    augmented = []
+    augment = generate._two_connected
+
+    def spy(n):
+        augmented.append(n)
+        return augment(n)
+
+    monkeypatch.setattr(generate, "_two_connected", spy)
+    assert search_min_F(ClassSpec(7, 2)).class_size > 0
+    assert augmented and max(augmented) < 7
+    assert (7, "all") not in generate._store
 
 
 def test_cut_vertex_stratum_matches_filter():
