@@ -1,15 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
-counterexample, 2 usage or input error, including a graph too large for
-exact counting.  Counts always print as decimal strings.  ``-`` reads
+counterexample, 2 usage, input or output error, including a graph too large
+for exact counting.  Counts always print as decimal strings.  ``-`` reads
 graphs from stdin, one graph6 line each.
+
+``main`` alone turns an exception into exit 2: a ``ValueError`` for bad
+input, an ``OSError`` for a failed read or write.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import census, decompose, families, verify
@@ -25,59 +29,56 @@ from .graph import Graph, is_connected
 from .graphio import FormatError, parse_edge_list, parse_graph6, export_dot, serialize_graph6
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _read_graphs(path: str, fmt: str) -> list[Graph]:
     if path == "-":
         text = sys.stdin.read()
     else:
+        # decoded as stdin is, so the same bytes get the same error
         try:
-            with open(path, "r", encoding="ascii") as fh:
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _UsageError(f"cannot read {path}: {exc}") from exc
+            raise OSError(f"cannot read {path}: {exc}") from exc
     try:
         if fmt == "edgelist":
             return [parse_edge_list(text)]
         lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
         if not lines:
-            raise _UsageError("no graphs in input")
+            raise ValueError("no graphs in input")
         return [parse_graph6(ln) for ln in lines]
     except FormatError as exc:
-        raise _UsageError(f"bad input: {exc}") from exc
+        raise ValueError(f"bad input: {exc}") from exc
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     graphs = _read_graphs(args.infile, args.format)
     req: tuple[int, ...] = ()
     if args.vertex is not None and args.containing is not None:
-        raise _UsageError("--vertex and --containing are mutually exclusive")
+        raise ValueError("--vertex and --containing are mutually exclusive")
     if args.vertex is not None:
         req = (args.vertex,)
     elif args.containing is not None:
         try:
             req = tuple(int(x) for x in args.containing.split(",") if x != "")
         except ValueError as exc:
-            raise _UsageError(f"bad --containing list: {exc}") from exc
+            raise ValueError(f"bad --containing list: {exc}") from exc
     status = 0
     for g in graphs:
-        try:
-            values = []
-            if args.method in ("brute", "both"):
+        values = []
+        if args.method in ("brute", "both"):
+            values.append(census.count_containing(g, req))
+        if args.method in ("decompose", "both"):
+            if not req:
+                values.append(decompose.count_via_decomposition(g))
+            elif len(req) == 1:
+                values.append(decompose.subgraph_number_via_decomposition(g, req[0]))
+            elif args.method == "both":
+                # no decomposition rule is exposed for general required sets;
+                # the enumerator checks census there (census takes it itself
+                # only on near-trees)
+                values.append(census.count_by_enumeration(g, req))
+            else:
                 values.append(census.count_containing(g, req))
-            if args.method in ("decompose", "both"):
-                if not req:
-                    values.append(decompose.count_via_decomposition(g))
-                elif len(req) == 1:
-                    values.append(decompose.subgraph_number_via_decomposition(g, req[0]))
-                else:
-                    # no decomposition rule is exposed for general required
-                    # sets; brute force is the reference there
-                    values.append(census.count_containing(g, req))
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
         print(" ".join(str(v) for v in values))
         if args.method == "both" and values[0] != values[1]:
             print(f"MISMATCH brute={values[0]} decompose={values[1]}", file=sys.stderr)
@@ -86,13 +87,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    try:
-        fs = families.parse_family_spec(args.spec)
-        g = families.build(fs)
-        predicted = families.closed_form_F(fs)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    print(f"F={predicted}")
+    fs = families.parse_family_spec(args.spec)
+    g = families.build(fs)
+    print(f"F={families.closed_form_F(fs)}")
     for tag in families.special_tags(fs.name):
         print(f"f[{tag}]={families.closed_form_f(fs, tag)}")
     if args.emit == "graph6":
@@ -113,10 +110,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    try:
-        spec = ClassSpec(args.n, args.k, args.girth, args.subset)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    spec = ClassSpec(args.n, args.k, args.girth, args.subset)
     if args.objective == "F":
         report = search_min_F(spec)
     else:
@@ -132,26 +126,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max is not None and args.n_max < 1:
-        raise _UsageError("--n-max must be at least 1")
+        raise ValueError("--n-max must be at least 1")
     if args.suite == "table1" and args.n_max is not None and args.n_max > GENERATION_CAP:
-        raise _UsageError(f"--n-max for table1 searches must be at most {GENERATION_CAP}")
-    ok = True
+        raise ValueError(f"--n-max for table1 searches must be at most {GENERATION_CAP}")
+    n_max = () if args.n_max is None else (args.n_max,)  # absent: each suite's default
     if args.suite == "formulas":
-        rep = verify.verify_formulas(args.n_max if args.n_max is not None else 12)
-        for line in rep.lines():
-            print(line)
-        ok = rep.passed
+        reports = [verify.verify_formulas(*n_max)]
     elif args.suite == "theorems":
-        for name in verify.theorem_names():
-            rep = verify.verify_theorem(name, args.n_max)
-            for line in rep.lines():
-                print(line)
-            ok = ok and rep.passed
+        reports = (verify.verify_theorem(name, *n_max) for name in verify.theorem_names())
     else:
-        rep = verify.verify_table1(search_n_max=args.n_max if args.n_max is not None else 9)
+        reports = [verify.verify_table1(*n_max)]
+    ok = True
+    for rep in reports:
         for line in rep.lines():
             print(line)
-        ok = rep.passed
+        ok = ok and rep.passed
     return 0 if ok else 1
 
 
@@ -229,8 +218,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except (_UsageError, census.CensusLimitError) as exc:
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return status
+    except (ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout again at exit; let that go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,18 @@
 import json
+import subprocess
+import sys
 
+import pytest
+
+from connsub import census
 from connsub.cli import main
 from connsub.families import build, parse_family_spec
+from connsub.graph import Graph
 from connsub.graphio import serialize_graph6
+
+
+def complete(n):
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -62,6 +72,19 @@ class TestCount:
     def test_missing_file_exits_two(self, capsys):
         rc, _, err = run(capsys, ["count", "--in", "/nonexistent/file"])
         assert rc == 2
+
+    def test_both_checks_required_sets_by_enumeration(self, capsys, monkeypatch):
+        # K5 is no near-tree, so census counts it by the DP, not the enumerator
+        g6 = serialize_graph6(complete(5))
+        monkeypatch.setattr(census, "count_by_enumeration", lambda g, req=(): 0)
+        rc, out, err = run(
+            capsys,
+            ["count", "--in", "-", "--containing", "0,2", "--method", "both"],
+            stdin=g6 + "\n",
+            monkeypatch=monkeypatch,
+        )
+        assert rc == 1
+        assert out.split()[1] == "0" and err.startswith("MISMATCH ")
 
 
 class TestFamily:
@@ -199,3 +222,95 @@ class TestUsage:
             monkeypatch=monkeypatch,
         )
         assert rc == 2
+
+
+def g6(text):
+    return serialize_graph6(build(parse_family_spec(text))) + "\n"
+
+
+# Every input, usage or output error: argv (``{tmp}`` is a scratch directory)
+# and the text fed to stdin.
+EXIT_TWO = {
+    "family-graph6-past-n62": (["family", "--spec", "P:n=63", "--emit", "graph6"], None),
+    "search-out-missing-dir": (["search", "--n", "4", "--k", "1", "--out", "{tmp}/no/x.json"], None),
+    "search-out-is-dir": (["search", "--n", "3", "--k", "1", "--out", "{tmp}"], None),
+    "count-non-ascii-file": (["count", "--in", "{tmp}/ff.g6"], None),
+    "count-missing-file": (["count", "--in", "{tmp}/missing.g6"], None),
+    "count-bad-graph6": (["count", "--in", "-"], "!!!\n"),
+    "count-no-graphs": (["count", "--in", "-"], "\n"),
+    "count-conflicting-flags": (["count", "--in", "-", "--vertex", "0", "--containing", "1,2"], g6("P:n=3")),
+    "count-bad-containing": (["count", "--in", "-", "--containing", "a,b"], g6("P:n=3")),
+    "count-vertex-out-of-range": (["count", "--in", "-", "--vertex", "7"], g6("P:n=3")),
+    "count-both-past-enumerator": (
+        ["count", "--in", "-", "--containing", "0,1", "--method", "both"],
+        serialize_graph6(complete(8)) + "\n",
+    ),
+    "family-bad-spec": (["family", "--spec", "L:n=6,g=6"], None),
+    "family-check-past-census": (["family", "--spec", "C:n=30", "--check"], None),
+    "search-n11": (["search", "--n", "11", "--k", "1"], None),
+    "search-n10": (["search", "--n", "10", "--k", "0"], None),
+    "verify-formulas-past-census": (["verify", "--suite", "formulas", "--n-max", "27"], None),
+    "verify-formulas-n-max-0": (["verify", "--suite", "formulas", "--n-max", "0"], None),
+    "verify-theorems-n-max-minus-3": (["verify", "--suite", "theorems", "--n-max", "-3"], None),
+    "verify-table1-n-max-0": (["verify", "--suite", "table1", "--n-max", "0"], None),
+    "verify-table1-past-cap": (["verify", "--suite", "table1", "--n-max", "10"], None),
+    "oracle-diff-past-census": (["oracle-diff", "--in", "-"], g6("C:n=30")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_TWO))
+def test_exit_two_contract(case, capsys, monkeypatch, tmp_path):
+    argv, stdin = EXIT_TWO[case]
+    (tmp_path / "ff.g6").write_bytes(b"\xff\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    rc, _, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def cli_process(argv, **kw):
+    return subprocess.Popen([sys.executable, "-m", "connsub.cli", *argv], **kw)
+
+
+@pytest.mark.parametrize(
+    "data", [b"\xff\n", "é\n".encode(), b"A\x80_\n"], ids=["ff", "utf8", "80"]
+)
+def test_non_ascii_bytes_same_error_from_file_and_stdin(data, tmp_path):
+    path = tmp_path / "g.g6"
+    path.write_bytes(data)
+    errs = []
+    for argv, given in ((["--in", str(path)], None), (["--in", "-"], data)):
+        proc = cli_process(["count", *argv], stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+        _, err = proc.communicate(given, timeout=60)
+        assert proc.returncode == 2
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(b"error: bad input: ") and errs[0].count(b"\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        # the report of a closed pipe: a short output, so timing decides
+        # whether any write comes after the close
+        (["verify", "--suite", "formulas", "--n-max", "12"], None),
+        # 245 KB of output, far past what the pipe can hold: a write always
+        # meets the closed pipe
+        (["oracle-diff", "--in", "-"], b"@\n" * 5000),
+    ],
+    ids=["verify-formulas", "oracle-diff-5000"],
+)
+def test_closed_stdout_ends_without_traceback(argv, data):
+    proc = cli_process(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if data is not None:
+        proc.stdin.write(data)
+    proc.stdin.close()
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.wait(timeout=120)
+    assert "Traceback" not in err and "Exception ignored" not in err
+    if data is not None:
+        assert proc.returncode == 2 and err == "error: [Errno 32] Broken pipe\n"
+    else:
+        assert proc.returncode in (0, 2)

@@ -65,6 +65,13 @@ class TestGenerate:
         assert len(class_graphs(ClassSpec(5, 5))) == 0
         assert len(class_graphs(ClassSpec(5, 4))) == 0
 
+    def test_no_class_has_n_or_n_minus_one_cut_vertices(self):
+        # the lemma behind _class_records' early return, checked on every
+        # class rather than assumed: an end vertex of a longest path is no
+        # cut vertex, and a connected graph on n >= 2 vertices has two
+        for n in range(2, 9):
+            assert max(r.k for r in extremal.catalog(n, "all")) <= n - 2
+
     def test_visited_graphs_satisfy_filters(self):
         spec = ClassSpec(7, 2, min_girth=4, subset="nontrees")
         seen = class_graphs(spec)
