@@ -155,13 +155,9 @@ def canonical_labeling(
     return key, tuple(c.best_order), c.automorphisms
 
 
-def canonical_key(g: Graph, colors: tuple[int, ...] | None = None) -> bytes:
-    return canonical_labeling(g, colors)[0]
-
-
 def labeled_key(g: Graph) -> bytes:
-    """The key of ``g`` in its own labels, without a search; it equals
-    ``canonical_key(g)`` when ``g`` is canonically labeled."""
+    """The key of ``g`` in its own labels, without a search; it equals the
+    key ``canonical_labeling(g)`` returns when ``g`` is canonically labeled."""
     return bytes([g.n]) + _leaf_key(g.adj, list(range(g.n)))
 
 
@@ -175,16 +171,11 @@ def positions(order: tuple[int, ...]) -> list[int]:
 
 
 def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:
-    """Orbits of the automorphism group, from the generators discovered
-    during canonical labeling (sufficient to generate the group)."""
-    return generator_orbits(g.n, canonical_labeling(g)[2])
-
-
-def generator_orbits(n: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Orbits on ``0..n-1`` of the group generated by the permutations
-    ``gens``, each orbit sorted, in order of their smallest vertex."""
+    """Orbits of the automorphism group, each sorted, in order of their
+    smallest vertex; the generators discovered during canonical labeling
+    suffice to generate the group."""
     groups: dict[int, list[int]] = {}
-    for v, r in enumerate(orbit_least(range(n), gens)):
+    for v, r in enumerate(orbit_least(range(g.n), canonical_labeling(g)[2])):
         groups.setdefault(r, []).append(v)
     return [tuple(vs) for vs in groups.values()]
 

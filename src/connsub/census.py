@@ -5,11 +5,17 @@ induced on ``V'``; single vertices count, the empty graph does not.  With two
 or more vertices such a subgraph has no isolated vertex, so it is exactly a
 non-empty connected edge subset.  All counts are exact Python integers.
 
-Three independent routes are provided:
+Three counting routes are provided:
 
-* a vertex-subset dynamic program (production path, polynomial in 2^n),
+* a vertex-subset dynamic program (polynomial in 2^n, n <= 13),
 * a recursive enumerator growing connected edge sets from an anchor edge,
-* a naive loop over all 2^m edge subsets (the cross-check oracle).
+* a naive loop over all 2^m edge subsets (the cross-check oracle, m <= 18).
+
+The count queries take one of the first two: the enumerator on near-trees
+(m - n <= 2) and on graphs with n > 13, the subset DP on the rest; the
+enumerator refuses m > 25.  On a near-tree, then, a query and
+``count_by_enumeration`` are one route, and only the edge-subset loop checks
+them independently.
 """
 
 from __future__ import annotations
@@ -130,23 +136,6 @@ def _walk(g: Graph, rmask: int, visit: Callable[[int, int], None]) -> None:
 
     for i in range(len(emask)):
         grow(1 << i, emask[i], 0, -1 << i + 1)
-
-
-def enumerate_connected_subgraphs(
-    g: Graph, req: Collection[int], visitor: Callable[[tuple[int, ...], tuple[tuple[int, int], ...]], None]
-) -> None:
-    """Visit every connected subgraph whose vertex set contains ``req``,
-    exactly once, in a deterministic order.
-
-    The visitor receives the sorted vertex tuple and sorted edge tuple.
-    """
-    rmask = _req_mask(g, req)
-    edges = g.edges
-    _walk(
-        g,
-        rmask,
-        lambda sel, vmask: visitor(tuple(bits(vmask)), tuple(edges[i] for i in bits(sel))),
-    )
 
 
 def count_by_enumeration(g: Graph, req: Collection[int] = ()) -> int:

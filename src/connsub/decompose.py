@@ -60,12 +60,8 @@ def merge_count(F1: int, F2: int, f1w: int, f2w: int) -> int:
 # evaluation are counted once but nothing is shared across evaluations.
 
 
-def cut_vertex_subgraph_number(g: Graph, w: int) -> int:
-    """f_G(w) for a cut vertex: the product over the parts at w."""
-    return _product_at(g, w, {})
-
-
 def _product_at(g: Graph, w: int, memo: dict) -> int:
+    """f_G(w) for a cut vertex: the product over the parts at w."""
     result = 1
     for part in split_at(g, w).parts:
         result *= _f(part.graph, part.w_local, memo)

@@ -116,25 +116,8 @@ class Girth:
 
     value: int | None
 
-    @staticmethod
-    def finite(v: int) -> "Girth":
-        if v < 3:
-            raise ValueError("finite girth is at least 3")
-        return Girth(v)
-
-    @staticmethod
-    def infinite() -> "Girth":
-        return Girth(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
     def at_least(self, k: int) -> bool:
         return self.value is None or self.value >= k
-
-    def __str__(self) -> str:
-        return "inf" if self.value is None else str(self.value)
 
 
 @dataclass(frozen=True)
@@ -142,20 +125,15 @@ class Block:
     """One block of a graph: a maximal 2-connected subgraph or a bridge (K2)."""
 
     vertices: frozenset[int]
-    edges: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
 class BlockCutTree:
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
-    # cut vertex -> sorted indices of blocks containing it
-    incidence: tuple[tuple[int, tuple[int, ...]], ...]
 
     def blocks_at(self, w: int) -> tuple[int, ...]:
-        for v, idxs in self.incidence:
-            if v == w:
-                return idxs
+        """Indices of the blocks containing vertex ``w``."""
         return tuple(i for i, b in enumerate(self.blocks) if w in b.vertices)
 
     def pendant_block_indices(self) -> tuple[int, ...]:
@@ -271,16 +249,8 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     holding both its ends.
     """
     masks, cut_mask = _blocks(g)
-    all_edges = g.edges
-    blocks = []
-    for mask in sorted(masks, key=bits):
-        edges = tuple((u, v) for u, v in all_edges if mask >> u & mask >> v & 1)
-        blocks.append(Block(frozenset(bits(mask)), edges))
-    cuts = bits(cut_mask)
-    incidence = tuple(
-        (w, tuple(i for i, b in enumerate(blocks) if w in b.vertices)) for w in cuts
-    )
-    return BlockCutTree(tuple(blocks), frozenset(cuts), incidence)
+    blocks = tuple(Block(frozenset(bits(mask))) for mask in sorted(masks, key=bits))
+    return BlockCutTree(blocks, frozenset(bits(cut_mask)))
 
 
 def girth(g: Graph) -> Girth:
@@ -309,41 +279,3 @@ def girth(g: Graph) -> Girth:
             break
     return Girth(best)
 
-
-def distance(g: Graph, u: int, v: int) -> int:
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex out of range")
-    if u == v:
-        return 0
-    dist = [-1] * g.n
-    dist[u] = 0
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        for w in g.neighbors(x):
-            if dist[w] == -1:
-                dist[w] = dist[x] + 1
-                if w == v:
-                    return dist[w]
-                q.append(w)
-    raise DisconnectedGraphError(f"no path between {u} and {v}")
-
-
-def s_pendant_blocks(g: Graph) -> list[Block]:
-    """Pendant blocks whose cut vertex lies in exactly one non-pendant block.
-
-    Requires a connected graph with at least one cut vertex (pendant blocks
-    only exist alongside cut vertices).
-    """
-    bct = block_cut_tree(g)
-    if not bct.cut_vertices:
-        raise ValueError("graph is 2-connected: no pendant blocks")
-    pendant = set(bct.pendant_block_indices())
-    result = []
-    for i in sorted(pendant):
-        b = bct.blocks[i]
-        (w,) = b.vertices & bct.cut_vertices
-        non_pendant_at_w = [j for j in bct.blocks_at(w) if j != i and j not in pendant]
-        if len(non_pendant_at_w) == 1:
-            result.append(b)
-    return result

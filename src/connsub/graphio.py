@@ -1,4 +1,4 @@
-"""Bit-exact graph serialization: graph6, a canonical edge-list text, DOT."""
+"""Bit-exact graph serialization: graph6 in and out, edge-list text in, DOT out."""
 
 from __future__ import annotations
 
@@ -76,12 +76,6 @@ def parse_graph6(text: str) -> Graph:
                 edges.append((i, j))
             idx += 1
     return Graph.from_edges(n, edges)
-
-
-def serialize_edge_list(g: Graph) -> str:
-    lines = [f"n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -28,7 +28,7 @@ from .extremal import (
     subset_tables,
 )
 from .generate import canonize, connected_classes, glue, rooted_classes
-from .graph import Graph, block_cut_tree
+from .graph import block_cut_tree
 from .graphio import parse_graph6, serialize_graph6
 
 
@@ -58,10 +58,6 @@ class VerdictReport:
             suffix = f"  [{item.detail}]" if item.detail else ""
             out.append(f"{status}  {self.name}: {item.label}{suffix}")
         return out
-
-
-def _g6(g: Graph) -> str:
-    return serialize_graph6(g)
 
 
 @lru_cache(maxsize=None)
@@ -94,10 +90,10 @@ def _check_edge_monotonicity(n_max: int) -> VerdictReport:
             for u, v in g.edges:
                 h = g.remove_edge(u, v)
                 if census.count_connected_subgraphs(h) >= F:
-                    bad = f"{_g6(g)} edge ({u},{v}) total"
+                    bad = f"{serialize_graph6(g)} edge ({u},{v}) total"
                     break
                 if any(census.subgraph_number(h, x) >= fs[x] for x in range(n)):
-                    bad = f"{_g6(g)} edge ({u},{v}) vertex count"
+                    bad = f"{serialize_graph6(g)} edge ({u},{v}) vertex count"
                     break
             if bad:
                 break
@@ -360,7 +356,7 @@ def _check_branch_move_decrease(pairs: int = 60, seed: int = 7) -> VerdictReport
             fo = decompose.subgraph_number_via_decomposition(g_orig, v)
             fs_ = decompose.subgraph_number_via_decomposition(g_star, v)
             if not fs_ < fo:
-                bad = f"{_g6(g_orig)} -> {_g6(g_star)} at v={v}: {fs_} !< {fo}"
+                bad = f"{serialize_graph6(g_orig)} -> {serialize_graph6(g_star)} at v={v}: {fs_} !< {fo}"
                 break
         tested += 1
     rep.add(f"strict decrease on {tested} constructed pairs", bad is None, bad or "")

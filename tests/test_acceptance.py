@@ -21,11 +21,12 @@ import sys
 import pytest
 
 from connsub import census, decompose, families, verify
-from connsub.canon import canonical_key
 from connsub.extremal import ClassSpec, search_min_F
 from connsub.generate import connected_classes
 from connsub.graph import Graph, block_cut_tree, cut_vertices
 from connsub.graphio import parse_graph6, serialize_graph6
+
+from helpers import canonical_key
 
 
 def build(text):

@@ -4,10 +4,11 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from connsub.canon import canonical_key, vertex_orbits
+from connsub.canon import vertex_orbits
 from connsub.families import build, parse_family_spec
 from connsub.generate import canonize, connected_classes
 
+from helpers import canonical_key
 from strategies import any_graphs
 
 

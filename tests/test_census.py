@@ -6,6 +6,7 @@ from connsub.families import build, parse_family_spec
 from connsub.generate import connected_classes
 from connsub.graph import Graph
 
+from helpers import enumerate_connected_subgraphs
 from strategies import any_graphs, connected_graphs
 
 
@@ -77,18 +78,18 @@ class TestRequiredSets:
 class TestEnumerator:
     def test_single_vertex_visit(self):
         visits = []
-        census.enumerate_connected_subgraphs(K1, (), lambda vs, es: visits.append((vs, es)))
+        enumerate_connected_subgraphs(K1, (), lambda vs, es: visits.append((vs, es)))
         assert visits == [((0,), ())]
 
     def test_edge_visits(self):
         visits = []
         g = Graph.from_edges(2, [(0, 1)])
-        census.enumerate_connected_subgraphs(g, (), lambda vs, es: visits.append((vs, es)))
+        enumerate_connected_subgraphs(g, (), lambda vs, es: visits.append((vs, es)))
         assert visits == [((0,), ()), ((1,), ()), ((0, 1), ((0, 1),))]
 
     def test_triangle_with_required_vertex(self):
         visits = []
-        census.enumerate_connected_subgraphs(
+        enumerate_connected_subgraphs(
             G("C:n=3"), (0,), lambda vs, es: visits.append(vs)
         )
         assert len(visits) == 7
@@ -97,7 +98,7 @@ class TestEnumerator:
     def test_each_subgraph_once(self):
         g = G("C:n=5")
         seen = set()
-        census.enumerate_connected_subgraphs(
+        enumerate_connected_subgraphs(
             g, (), lambda vs, es: seen.add((vs, es)) or None
         )
         assert len(seen) == census.count_connected_subgraphs(g)
@@ -105,8 +106,8 @@ class TestEnumerator:
     def test_deterministic_order(self):
         g = G("L:n=6,g=4")
         first, second = [], []
-        census.enumerate_connected_subgraphs(g, (), lambda vs, es: first.append((vs, es)))
-        census.enumerate_connected_subgraphs(g, (), lambda vs, es: second.append((vs, es)))
+        enumerate_connected_subgraphs(g, (), lambda vs, es: first.append((vs, es)))
+        enumerate_connected_subgraphs(g, (), lambda vs, es: second.append((vs, es)))
         assert first == second
 
 

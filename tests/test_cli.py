@@ -85,6 +85,7 @@ class TestCount:
         )
         assert rc == 1
         assert out.split()[1] == "0" and err.startswith("MISMATCH ")
+        assert err == f"MISMATCH brute={out.split()[0]} enumerate=0\n"
 
 
 class TestFamily:

@@ -1,10 +1,11 @@
 import pytest
 
 from connsub import census, decompose
-from connsub.canon import canonical_key
 from connsub.families import build, parse_family_spec
 from connsub.generate import connected_classes
 from connsub.graph import DisconnectedGraphError, Graph, block_cut_tree, cut_vertices
+
+from helpers import canonical_key
 
 
 def G(text):
@@ -59,23 +60,33 @@ class TestMerge:
         assert decompose.merge_count(10, 10, 7, 7) == 55
 
 
+def _product_over_parts(g, w):
+    result = 1
+    for part in decompose.split_at(g, w).parts:
+        result *= decompose.subgraph_number_via_decomposition(part.graph, part.w_local)
+    return result
+
+
 class TestCutVertexProduct:
     def test_lollipop(self):
-        assert decompose.cut_vertex_subgraph_number(G("L:n=6,g=5"), 0) == 32
+        g = G("L:n=6,g=5")
+        assert decompose.subgraph_number_via_decomposition(g, 0) == _product_over_parts(g, 0) == 32
 
     def test_claw_center(self):
-        assert decompose.cut_vertex_subgraph_number(G("S:n=4"), 0) == 8
+        g = G("S:n=4")
+        assert decompose.subgraph_number_via_decomposition(g, 0) == _product_over_parts(g, 0) == 8
 
     def test_two_triangles(self):
-        assert decompose.cut_vertex_subgraph_number(G("CC:n=5,m1=3,m2=3"), 0) == 49
+        g = G("CC:n=5,m1=3,m2=3")
+        assert decompose.subgraph_number_via_decomposition(g, 0) == _product_over_parts(g, 0) == 49
 
     def test_product_matches_census(self):
         for n in range(3, 8):
             for g in connected_classes(n):
                 for w in sorted(cut_vertices(g)):
-                    assert decompose.cut_vertex_subgraph_number(
+                    assert decompose.subgraph_number_via_decomposition(
                         g, w
-                    ) == census.subgraph_number(g, w)
+                    ) == _product_over_parts(g, w) == census.subgraph_number(g, w)
 
 
 class TestTotals:

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from connsub import census, extremal
-from connsub.canon import canonical_key
 from connsub.extremal import (
     ClassSpec,
     _class_records,
@@ -17,6 +16,8 @@ from connsub.extremal import (
 from connsub.families import build, parse_family_spec
 from connsub.generate import connected_classes
 from connsub.graph import Graph, cut_vertices, girth, is_connected
+
+from helpers import canonical_key
 
 
 def G(text):

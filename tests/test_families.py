@@ -3,7 +3,6 @@ import hashlib
 import pytest
 
 from connsub import census, decompose
-from connsub.canon import canonical_key
 from connsub.families import (
     balanced_double_broom_F,
     build,
@@ -18,6 +17,8 @@ from connsub.families import (
 from connsub.graph import cut_vertices, girth
 from connsub.graphio import serialize_graph6
 from connsub.verify import verify_formulas
+
+from helpers import canonical_key
 
 
 class TestBuild:

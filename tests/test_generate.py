@@ -7,7 +7,6 @@ import pytest
 import connsub
 from connsub import extremal, generate
 from connsub.canon import (
-    canonical_key,
     canonical_labeling,
     labeled_key,
     positions,
@@ -22,6 +21,8 @@ from connsub.generate import (
     rooted_classes,
 )
 from connsub.graph import Graph, cut_vertices, is_connected
+
+from helpers import canonical_key
 
 # connected graphs up to isomorphism, then the 2-connected stratum
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}

@@ -11,7 +11,6 @@ from connsub.graphio import (
     export_dot,
     parse_edge_list,
     parse_graph6,
-    serialize_edge_list,
     serialize_graph6,
 )
 
@@ -88,15 +87,6 @@ class TestEdgeList:
         assert parse_edge_list("n=2\n0 1\n").edges == ((0, 1),)
         assert parse_edge_list("n=3\n0 1\n1 2\n").edges == ((0, 1), (1, 2))
         assert parse_edge_list("n=1\n").n == 1
-
-    def test_serialize_canonical(self):
-        g = Graph.from_edges(3, [(2, 1), (1, 0)])
-        assert serialize_edge_list(g) == "n=3\n0 1\n1 2\n"
-
-    def test_roundtrip_idempotent(self):
-        g = G("L:n=7,g=4")
-        text = serialize_edge_list(g)
-        assert serialize_edge_list(parse_edge_list(text)) == text
 
     @pytest.mark.parametrize(
         "bad",

@@ -1,0 +1,28 @@
+"""The package's public surface: what the root holds, and the names the
+layer tracer wraps."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import connsub
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_package_root_re_exports_nothing():
+    names = [k for k in vars(connsub) if not k.startswith("_")]
+    # only submodules, set on the package as they are imported
+    assert all(sys.modules.get(f"connsub.{k}") is getattr(connsub, k) for k in names)
+
+
+def test_every_tracer_target_is_a_callable_module_attribute():
+    # the tracer looks each target up with getattr and no default, so a
+    # renamed or deleted function breaks `perfbench/run.py --trace`
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for modname, attr, _span in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)
