@@ -70,17 +70,9 @@ def _leaf_key(adj: tuple[int, ...], order: list[int]) -> bytes:
 
 
 class _Canonizer:
-    def __init__(self, adj: tuple[int, ...], n: int, colors: tuple[int, ...] | None):
+    def __init__(self, adj: tuple[int, ...], n: int):
         self.adj = adj
         self.n = n
-        if colors is None:
-            cells = [tuple(range(n))]
-        else:
-            groups: dict[int, list[int]] = {}
-            for v, c in enumerate(colors):
-                groups.setdefault(c, []).append(v)
-            cells = [tuple(groups[c]) for c in sorted(groups)]
-        self.initial = cells
         self.best_key: bytes | None = None
         self.best_order: list[int] | None = None
         self.first_key: bytes | None = None
@@ -88,7 +80,7 @@ class _Canonizer:
         self.automorphisms: list[tuple[int, ...]] = []
 
     def run(self) -> None:
-        self._search(_refine(self.adj, self.initial), [])
+        self._search(_refine(self.adj, [tuple(range(self.n))]), [])
 
     def _search(self, cells: list[tuple[int, ...]], fixed: list[int]) -> None:
         target = None
@@ -137,22 +129,13 @@ class _Canonizer:
         return False
 
 
-def canonical_labeling(
-    g: Graph, colors: tuple[int, ...] | None = None
-) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
+def canonical_labeling(g: Graph) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
     """Canonical key, the order achieving it (new index -> old vertex),
-    and a generating list of automorphisms found along the way.
-
-    With ``colors``, only color-preserving relabelings compete and the
-    color sequence is folded into the key.
-    """
-    c = _Canonizer(g.adj, g.n, colors)
+    and a generating list of automorphisms found along the way."""
+    c = _Canonizer(g.adj, g.n)
     c.run()
     assert c.best_order is not None
-    key = bytes([g.n]) + c.best_key
-    if colors is not None:
-        key += bytes(colors[v] & 0xFF for v in c.best_order)
-    return key, tuple(c.best_order), c.automorphisms
+    return bytes([g.n]) + c.best_key, tuple(c.best_order), c.automorphisms
 
 
 def labeled_key(g: Graph) -> bytes:

@@ -1,9 +1,13 @@
 """Exhaustive minimizer searches over classes of small connected graphs.
 
 A class is fixed by vertex count, exact cut-vertex count, an optional girth
-floor, and a tree/non-tree restriction.  Search streams one canonical
+floor, and a tree/non-tree restriction.  Search reads one canonical
 representative per isomorphism class, evaluates exact counts for all of
-them, and reports the full minimizer set.
+them, and reports the full minimizer set.  Classes come from the two
+disjoint strata of ``generate``: k = 0 reads the classes without a cut
+vertex and k >= 1 the classes with one, so a search never generates the
+other stratum of its level.  Each stratum is evaluated once per vertex
+count and kept as a catalog of records.
 
 Counting in the search loop runs through a batched version of the census
 subset table with machine integers.  Every count the kernel forms, table
@@ -25,8 +29,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import decompose
-from .generate import GENERATION_CAP, classes_with_cut_vertices, connected_classes
-from .graph import Girth, Graph, bits, girth
+from .generate import GENERATION_CAP, block_classes, classes_with_cut_vertices
+from .graph import Graph, bits, girth
 from .graphio import serialize_graph6
 
 _SUBSETS = ("all", "trees", "nontrees")
@@ -80,7 +84,7 @@ class _Record:
         return serialize_graph6(self.graph)
 
     @cached_property
-    def girth(self) -> Girth:
+    def girth(self) -> int | None:
         return girth(self.graph)
 
     @property
@@ -215,26 +219,18 @@ def _build_records(graphs: Iterable[Graph]) -> list[_Record]:
     ]
 
 
-def catalog(n: int, stratum: str = "cut") -> list[_Record]:
-    """Evaluated class records for one vertex count.
-
-    ``stratum="cut"`` holds only classes with >= 1 cut vertex, built by
-    composition; ``stratum="all"`` holds every connected class, the same
-    composed classes plus the 2-connected stratum by canonical augmentation,
-    and is practical through n = 9 (261,080 classes, about 100 s).  Both
-    read one composition cache, so neither composes twice.
-    """
-    if stratum not in ("cut", "all"):
-        raise ValueError("stratum must be 'cut' or 'all'")
-    if (n, "all") in _catalog_cache:
-        base = _catalog_cache[(n, "all")]
-        return base if stratum == "all" else [r for r in base if r.k >= 1]
-    if stratum == "cut":
-        if (n, "cut") not in _catalog_cache:
-            _catalog_cache[(n, "cut")] = _build_records(classes_with_cut_vertices(n))
-        return _catalog_cache[(n, "cut")]
-    _catalog_cache[(n, "all")] = _build_records(connected_classes(n))
-    return _catalog_cache[(n, "all")]
+def catalog(n: int, stratum: str) -> list[_Record]:
+    """Evaluated class records for one vertex count and one stratum of
+    ``generate``: ``"cut"``, the classes with >= 1 cut vertex, built by
+    composition, or ``"block"``, the classes without one, built by
+    canonical augmentation.  The strata are disjoint, so no class is
+    evaluated twice."""
+    if stratum not in ("cut", "block"):
+        raise ValueError("stratum must be 'cut' or 'block'")
+    if (n, stratum) not in _catalog_cache:
+        graphs = classes_with_cut_vertices(n) if stratum == "cut" else block_classes(n)
+        _catalog_cache[n, stratum] = _build_records(graphs)
+    return _catalog_cache[n, stratum]
 
 
 def _matches(rec: _Record, spec: ClassSpec) -> bool:
@@ -245,7 +241,8 @@ def _matches(rec: _Record, spec: ClassSpec) -> bool:
     if spec.subset == "nontrees" and rec.is_tree:
         return False
     if spec.min_girth is not None and spec.min_girth >= 4:
-        if not rec.girth.at_least(spec.min_girth):
+        # an acyclic graph has no cycle to break the floor
+        if rec.girth is not None and rec.girth < spec.min_girth:
             return False
     return True
 
@@ -253,7 +250,7 @@ def _matches(rec: _Record, spec: ClassSpec) -> bool:
 def _class_records(spec: ClassSpec) -> list[_Record]:
     if spec.n >= 2 and spec.k >= spec.n - 1:
         return []  # no graph has n or n-1 cut vertices
-    stratum = "cut" if spec.k >= 1 else "all"
+    stratum = "cut" if spec.k >= 1 else "block"
     return [r for r in catalog(spec.n, stratum) if _matches(r, spec)]
 
 

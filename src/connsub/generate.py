@@ -1,7 +1,7 @@
 """Isomorph-free generation of small connected graphs.
 
-Every connected graph on n >= 3 vertices lies in exactly one of two strata,
-and each stratum has its own generator:
+Every connected graph lies in exactly one of two strata, and each stratum
+has its own generator:
 
 * ``classes_with_cut_vertices(n)`` -- cut-vertex composition: every
   connected graph with a cut vertex is two smaller connected graphs (each
@@ -10,17 +10,20 @@ and each stratum has its own generator:
   therefore enumerates exactly the classes with k >= 1; a canonical-form
   set per level drops the repeated gluings.
 
-* the 2-connected stratum -- canonical augmentation (McKay, "Isomorph-free
-  exhaustive generation", J. Algorithms 1998): each connected class P on
-  n - 1 vertices gets a new vertex joined to a subset S of its vertices,
-  one S per orbit of Aut(P), and the child is kept only if the new vertex
-  lies in the canonical deletion orbit defined below.  Subsets are screened
-  on bitmasks before any graph is built: |S| >= 2, S minus c meets every
-  component of P - c for each cut vertex c of P (exactly the children that
-  are 2-connected), and no vertex of the child has degree below |S|.
+* ``block_classes(n)`` -- the classes without a cut vertex: K1 and K2 as
+  seeds, and for n >= 3 the 2-connected classes by canonical augmentation
+  (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): each
+  connected class P on n - 1 vertices gets a new vertex joined to a subset
+  S of its vertices, one S per orbit of Aut(P), and the child is kept only
+  if the new vertex lies in the canonical deletion orbit defined below.
+  Subsets are screened on bitmasks before any graph is built: |S| >= 2,
+  S minus c meets every component of P - c for each cut vertex c of P
+  (exactly the children that are 2-connected), and no vertex of the child
+  has degree below |S|.
 
-``connected_classes(n)`` is the union of the two strata, so composition
-builds the classes with a cut vertex once, for the catalogs of both.
+``connected_classes(n)`` and ``rooted_classes(n)`` merge the two strata in
+canonical-key order; nothing stores the union, so each class is generated
+and stored once, in its own stratum.
 
 Lemma (each 2-connected class is accepted exactly once).  For a child G,
 let m(G) be the vertex of minimum degree with the smallest canonical label,
@@ -52,16 +55,18 @@ Every class, in either stratum, is canonised by one step, ``canonize``: the
 canonical labeling, the canonically labeled copy and the orbit-root mask
 read off the automorphism generators of that same labeling.
 
-The classes live in one store, per vertex count and stratum ("all" for every
-connected class, "cut" for the classes with a cut vertex): canonical graphs
-sorted by canonical key, with their orbit-root masks for n <
-``GENERATION_CAP`` (composition up to the cap is their only large consumer).
+The classes live in one store, per vertex count and stratum ("cut" or
+"block"): canonical keys in sorted order, with the canonical graph and the
+orbit-root mask of each.  Masks are kept only below ``GENERATION_CAP``, the
+sizes composition glues (it computes none at the cap); at the cap each is 0.
 ``rooted_classes(n)`` expands the masks of level n on each call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container
+import heapq
+from collections.abc import Container, Iterator
+from operator import itemgetter
 
 from .canon import canonical_labeling, labeled_key, orbit_least, positions
 from .graph import MAX_VERTICES, Graph, bits, components, cut_vertices, map_mask
@@ -70,13 +75,9 @@ from .graph import MAX_VERTICES, Graph, bits, components, cut_vertices, map_mask
 # classes with a cut vertex from composition alone
 GENERATION_CAP = 9
 
-# the class store: (n, stratum) -> (canonical graphs in canonical-key order,
-# their orbit-root masks, or () where _keeps_roots(n) is false)
-_store: dict[tuple[int, str], tuple[tuple[Graph, ...], tuple[int, ...]]] = {}
-
-
-def _keeps_roots(n: int) -> bool:
-    return n < GENERATION_CAP
+# the class store: (n, stratum) -> (sorted canonical keys, the canonical
+# graph of each, the orbit-root mask of each)
+_store: dict[tuple[int, str], tuple[tuple[bytes, ...], tuple[Graph, ...], tuple[int, ...]]] = {}
 
 
 def canonize(
@@ -105,30 +106,43 @@ def canonize(
 def _put(
     n: int, stratum: str, graphs: dict[bytes, Graph], roots: dict[bytes, int]
 ) -> tuple[Graph, ...]:
-    """Store the canonical graphs and orbit-root masks of level n of a
-    stratum, both by canonical key, in key order; returns the graphs."""
-    keys = sorted(graphs)
+    """Store level n of a stratum from its canonical graphs and orbit-root
+    masks, both by canonical key, in key order (masks only below the cap);
+    returns the graphs."""
+    keys = tuple(sorted(graphs))
     level = tuple(graphs[k] for k in keys)
-    _store[n, stratum] = (level, tuple(roots[k] for k in keys) if _keeps_roots(n) else ())
+    _store[n, stratum] = (keys, level, tuple(roots[k] if n < GENERATION_CAP else 0 for k in keys))
     return level
+
+
+def block_classes(n: int) -> tuple[Graph, ...]:
+    """The connected classes on n vertices without a cut vertex: K1, K2
+    and, for n >= 3, the 2-connected classes."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if (n, "block") not in _store:
+        if n <= 2:
+            # K1 and K2: one class, one vertex orbit
+            seed = Graph(n, (0,) if n == 1 else (0b10, 0b01))
+            _store[n, "block"] = ((labeled_key(seed),), (seed,), (1,))
+        else:
+            _put(n, "block", *_two_connected(n))
+    return _store[n, "block"][1]
+
+
+def _union(n: int) -> Iterator[tuple[bytes, Graph, int]]:
+    """(key, graph, orbit-root mask) of every connected class on n vertices,
+    in canonical-key order: the two strata merged."""
+    block_classes(n)
+    classes_with_cut_vertices(n)
+    strata = [zip(*_store[n, s]) for s in ("block", "cut") if (n, s) in _store]
+    return heapq.merge(*strata, key=itemgetter(0))
 
 
 def connected_classes(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, one canonical
     representative per isomorphism class."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if (n, "all") in _store:
-        return _store[n, "all"][0]
-    if n <= 2:
-        # K1 and K2: one class, one vertex orbit
-        return _put(n, "all", {b"": Graph(n, (0,) if n == 1 else (0b10, 0b01))}, {b"": 1})
-    graphs, roots = _two_connected(n)
-    cut = classes_with_cut_vertices(n)
-    keys = [labeled_key(g) for g in cut]
-    graphs.update(zip(keys, cut))
-    roots.update(zip(keys, _store[n, "cut"][1]))
-    return _put(n, "all", graphs, roots)
+    return tuple(g for _, g, _ in _union(n))
 
 
 def _two_connected(n: int) -> tuple[dict[bytes, Graph], dict[bytes, int]]:
@@ -195,10 +209,9 @@ def rooted_classes(n: int) -> list[tuple[Graph, int]]:
     """(graph, root) pairs: each connected class on n vertices with one root
     per vertex orbit, the orbit's smallest vertex.  Kept for
     n < ``GENERATION_CAP``, the sizes composition glues."""
-    if n < 1 or not _keeps_roots(n):
+    if not 1 <= n < GENERATION_CAP:
         raise ValueError(f"rooted classes are kept for n in 1..{GENERATION_CAP - 1}")
-    graphs = connected_classes(n)
-    return [(g, root) for g, roots in zip(graphs, _store[n, "all"][1]) for root in bits(roots)]
+    return [(g, root) for _, g, roots in _union(n) for root in bits(roots)]
 
 
 def glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
@@ -223,8 +236,8 @@ def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
     if n < 3:
         return ()
     if (n, "cut") in _store:
-        return _store[n, "cut"][0]
-    orbits = _keeps_roots(n)
+        return _store[n, "cut"][1]
+    orbits = n < GENERATION_CAP
     found: dict[bytes, Graph] = {}
     roots: dict[bytes, int] = {}
     for n1 in range(2, (n + 1) // 2 + 1):

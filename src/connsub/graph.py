@@ -111,16 +111,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Girth:
-    """Length of a shortest cycle; ``value is None`` means the graph is acyclic."""
-
-    value: int | None
-
-    def at_least(self, k: int) -> bool:
-        return self.value is None or self.value >= k
-
-
-@dataclass(frozen=True)
 class Block:
     """One block of a graph: a maximal 2-connected subgraph or a bridge (K2)."""
 
@@ -253,8 +243,8 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     return BlockCutTree(blocks, frozenset(bits(cut_mask)))
 
 
-def girth(g: Graph) -> Girth:
-    """Shortest cycle length via BFS from every vertex; infinite for forests."""
+def girth(g: Graph) -> int | None:
+    """Shortest cycle length via BFS from every vertex; None for forests."""
     best: int | None = None
     adj = g.adj
     for root in range(g.n):
@@ -277,5 +267,5 @@ def girth(g: Graph) -> Girth:
                         best = cyc
         if best == 3:
             break
-    return Girth(best)
+    return best
 

@@ -142,7 +142,7 @@ def _check_block_pair_floor(n_max: int) -> VerdictReport:
 
 def _block_pair_offence(n: int, star4: str) -> str | None:
     """The first pair within a block whose count breaks the floor, or None."""
-    recs = catalog(n, "all")
+    recs = catalog(n, "block") + catalog(n, "cut")
     for lo in range(0, len(recs), 512):
         chunk = recs[lo : lo + 512]
         for row, rec in zip(subset_tables([r.graph for r in chunk]), chunk):
@@ -333,17 +333,22 @@ def _pendant_share_offence(report: SearchReport) -> str | None:
     return None
 
 
-def _check_branch_move_decrease(pairs: int = 60, seed: int = 7) -> VerdictReport:
+# the branch-move check draws this many constructed pairs from this seed
+_BRANCH_MOVE_PAIRS = 60
+_BRANCH_MOVE_SEED = 7
+
+
+def _check_branch_move_decrease() -> VerdictReport:
     """Moving a whole branch from a shared cut vertex to a deeper vertex
     strictly decreases every vertex count in the untouched part."""
     rep = VerdictReport("branch-move-decrease")
-    rng = random.Random(seed)
+    rng = random.Random(_BRANCH_MOVE_SEED)
     pool = []
     for n in (2, 3, 4):
         pool.extend(rooted_classes(n))
     tested = 0
     bad = None
-    while tested < pairs and bad is None:
+    while tested < _BRANCH_MOVE_PAIRS and bad is None:
         g1, r1 = pool[rng.randrange(len(pool))]
         g2, r2 = pool[rng.randrange(len(pool))]
         g3, r3 = pool[rng.randrange(len(pool))]

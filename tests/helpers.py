@@ -5,8 +5,8 @@ from connsub.canon import canonical_labeling
 from connsub.graph import bits
 
 
-def canonical_key(g, colors=None):
-    return canonical_labeling(g, colors)[0]
+def canonical_key(g):
+    return canonical_labeling(g)[0]
 
 
 def enumerate_connected_subgraphs(g, req, visitor):

@@ -79,12 +79,3 @@ def test_star_orbits():
 
 def test_cycle_single_orbit():
     assert vertex_orbits(G("C:n=7")) == [tuple(range(7))]
-
-
-def test_colored_labeling_distinguishes():
-    g = G("P:n=3")  # vertices 0,1,2 with middle 1
-    mark_end = canonical_key(g, colors=(0, 1, 1))
-    mark_other_end = canonical_key(g, colors=(1, 1, 0))
-    mark_middle = canonical_key(g, colors=(1, 0, 1))
-    assert mark_end == mark_other_end  # ends share an orbit
-    assert mark_end != mark_middle

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from connsub import census, extremal
+from connsub import census, extremal, generate
 from connsub.extremal import (
     ClassSpec,
     _class_records,
@@ -69,9 +69,36 @@ class TestGenerate:
     def test_no_class_has_n_or_n_minus_one_cut_vertices(self):
         # the lemma behind _class_records' early return, checked on every
         # class rather than assumed: an end vertex of a longest path is no
-        # cut vertex, and a connected graph on n >= 2 vertices has two
+        # cut vertex, and a connected graph on n >= 2 vertices has two; the
+        # kernel's cut count also puts each record in its generator's stratum
         for n in range(2, 9):
-            assert max(r.k for r in extremal.catalog(n, "all")) <= n - 2
+            block, cut = extremal.catalog(n, "block"), extremal.catalog(n, "cut")
+            assert all(r.k == 0 for r in block) and all(r.k >= 1 for r in cut)
+            assert max(r.k for r in block + cut) <= n - 2
+
+    def test_catalog_takes_only_the_two_strata(self):
+        for stratum in ("all", "2-connected", ""):
+            with pytest.raises(ValueError):
+                extremal.catalog(5, stratum)
+        with pytest.raises(TypeError):
+            extremal.catalog(5)
+
+    def test_catalogs_evaluate_each_class_once(self, monkeypatch):
+        # 385 classes with a cut vertex and 468 without: 853, each once
+        monkeypatch.setattr(generate, "_store", {})
+        monkeypatch.setattr(extremal, "_catalog_cache", {})
+        evaluated = []
+        kernel = extremal.evaluate_counts
+
+        def spy(graphs):
+            evaluated.append(len(graphs))
+            return kernel(graphs)
+
+        monkeypatch.setattr(extremal, "evaluate_counts", spy)
+        assert len(extremal.catalog(7, "cut")) == 385
+        assert len(extremal.catalog(7, "block")) == 468
+        assert sum(evaluated) == 853
+        assert {stratum for _, stratum in extremal._catalog_cache} == {"cut", "block"}
 
     def test_visited_graphs_satisfy_filters(self):
         spec = ClassSpec(7, 2, min_girth=4, subset="nontrees")
@@ -80,13 +107,21 @@ class TestGenerate:
         for g in seen:
             assert is_connected(g)
             assert len(cut_vertices(g)) == 2
-            assert girth(g).at_least(4)
+            assert girth(g) >= 4
             assert g.m >= g.n
+        # the floor is inclusive
+        assert any(girth(g) == 4 for g in seen)
 
     def test_girth_filter_trivial_below_four(self):
         plain = class_graphs(ClassSpec(6, 2))
         floored = class_graphs(ClassSpec(6, 2, min_girth=3))
         assert len(plain) == len(floored)
+
+    def test_girth_floor_keeps_forests(self):
+        # a tree has no cycle, so no floor removes it
+        trees = class_graphs(ClassSpec(7, 2, subset="trees"))
+        assert trees
+        assert class_graphs(ClassSpec(7, 2, min_girth=50, subset="trees")) == trees
 
 
 class TestBatchKernel:

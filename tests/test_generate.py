@@ -78,6 +78,14 @@ def test_two_connected_stratum_counts():
         two = [g for g in connected_classes(n) if g not in composed]
         assert len(two) == TWO_CONNECTED_COUNTS[n]
         assert not any(cut_vertices(g) for g in two)
+        assert generate.block_classes(n) == tuple(two)
+
+
+def test_block_classes_seed_k1_and_k2():
+    assert generate.block_classes(1) == connected_classes(1) == (Graph(1, (0,)),)
+    assert generate.block_classes(2) == connected_classes(2) == (Graph.from_edges(2, [(0, 1)]),)
+    with pytest.raises(ValueError):
+        generate.block_classes(0)
 
 
 def test_augmentation_canonisation_count(monkeypatch):
@@ -112,7 +120,35 @@ def test_cut_class_search_skips_augmenting_its_level(monkeypatch):
     monkeypatch.setattr(generate, "_two_connected", spy)
     assert search_min_F(ClassSpec(7, 2)).class_size > 0
     assert augmented and max(augmented) < 7
-    assert (7, "all") not in generate._store
+    assert (7, "block") not in generate._store
+
+
+def test_block_class_search_skips_composing_its_level(monkeypatch):
+    # k = 0 reads only augmentation, whose parents are the classes on n - 1
+    # vertices: level 8's classes with a cut vertex are never composed
+    monkeypatch.setattr(generate, "_store", {})
+    monkeypatch.setattr(extremal, "_catalog_cache", {})
+    composed = []
+    compose = generate.classes_with_cut_vertices
+    evaluated = []
+    kernel = extremal.evaluate_counts
+
+    def compose_spy(n):
+        composed.append(n)
+        return compose(n)
+
+    def kernel_spy(graphs):
+        evaluated.append(len(graphs))
+        return kernel(graphs)
+
+    monkeypatch.setattr(generate, "classes_with_cut_vertices", compose_spy)
+    monkeypatch.setattr(extremal, "evaluate_counts", kernel_spy)
+    assert search_min_F(ClassSpec(8, 0)).class_size == TWO_CONNECTED_COUNTS[8]
+    assert composed and max(composed) <= 7
+    assert sum(evaluated) == TWO_CONNECTED_COUNTS[8]
+    # every stored level is one of the two strata
+    assert {stratum for _, stratum in generate._store} == {"block", "cut"}
+    assert (8, "cut") not in generate._store
 
 
 def test_cut_vertex_stratum_matches_filter():

@@ -9,7 +9,6 @@ from connsub.families import build, parse_family_spec, spec, special_vertex
 from connsub.generate import connected_classes
 from connsub.graph import (
     DisconnectedGraphError,
-    Girth,
     Graph,
     bits,
     block_cut_tree,
@@ -296,23 +295,18 @@ def _blocks_oracle(g):
 
 class TestGirth:
     def test_cycle(self):
-        assert girth(G("C:n=7")) == Girth(7)
+        assert girth(G("C:n=7")) == 7
 
     def test_tree_infinite(self):
-        assert girth(G("T:l=2,m=3,d=4")).value is None
+        assert girth(G("T:l=2,m=3,d=4")) is None
 
     def test_q_family(self):
-        assert girth(G("Q:n=9,k=4")) == Girth(4)
-
-    def test_at_least(self):
-        assert Girth(None).at_least(100)
-        assert Girth(5).at_least(5)
-        assert not Girth(4).at_least(5)
+        assert girth(G("Q:n=9,k=4")) == 4
 
     def test_matches_brute_force(self):
         for n in range(3, 8):
             for g in connected_classes(n):
-                assert girth(g).value == _girth_oracle(g)
+                assert girth(g) == _girth_oracle(g)
 
 
 def _girth_oracle(g):

@@ -1,5 +1,5 @@
 """The package's public surface: what the root holds, and the names the
-layer tracer wraps."""
+benchmark's tracer and worker call."""
 
 import importlib
 import importlib.util
@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import connsub
+from connsub import extremal
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -26,3 +27,11 @@ def test_every_tracer_target_is_a_callable_module_attribute():
     assert tracer.TARGETS
     for modname, attr, _span in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)
+
+
+def test_benchmark_cut_catalog_call():
+    # the benchmark worker calls extremal.catalog(n, "cut") and its runner
+    # checks these sizes (perfbench/worker.py, perfbench/run.py): a renamed
+    # stratum must fail here, not in the benchmark
+    assert len(extremal.catalog(6, "cut")) == 56
+    assert len(extremal.catalog(7, "cut")) == 385
