@@ -2,15 +2,21 @@
 
 A cut vertex ``w`` splits a connected graph into edge-disjoint parts that
 pairwise meet only in ``w``.  Totals and per-vertex counts then follow from
-three rules, applied recursively until only 2-connected blocks remain,
-where brute-force census takes over:
+three rules:
 
 * merge:     F(G) = F(G1) + F(G2) - 1 + (f_{G1}(w) - 1)(f_{G2}(w) - 1)
 * vertex:    f_G(v) = f_{G1}(v) + f_{G1}(v, w) (f_{G2}(w) - 1)   for v in G1
 * product:   f_G(w) = prod over parts of f_part(w)
 
+F(G) and the single-vertex counts recurse until only 2-connected blocks
+remain, where brute-force census takes over.  The pair count f_{G1}(v, w)
+of the vertex rule does not recurse: census counts it on the whole part G1
+around v, which may itself hold cut vertices and be far larger than v's
+block.
+
 ``block_expansion_count`` evaluates the full expansion of F(G) around one
-block with s cut vertices (2^s terms over subsets of its cut vertices).
+block, given as a vertex mask, with s cut vertices (2^s terms over subsets
+of its cut vertices).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import census
-from .graph import Block, Graph, bits, block_cut_tree, components, cut_vertices, reach
+from .graph import Graph, bits, blocks, components, cut_vertices, reach
 
 
 @dataclass(frozen=True)
@@ -32,22 +38,15 @@ class SplitPart:
     w_local: int
 
 
-@dataclass(frozen=True)
-class SplitAtCutVertex:
-    w: int
-    parts: tuple[SplitPart, ...]
-
-
-def split_at(g: Graph, w: int) -> SplitAtCutVertex:
+def split_at(g: Graph, w: int) -> tuple[SplitPart, ...]:
     """Split at a cut vertex: one part per component of G - w, re-attached to w."""
-    cuts = cut_vertices(g)
-    if w not in cuts:
+    if w not in cut_vertices(g):
         raise ValueError(f"vertex {w} is not a cut vertex")
     parts = []
     for comp in components(g.adj, (1 << g.n) - 1 & ~(1 << w)):
         sub, old = g.subgraph_on(bits(comp | 1 << w))
         parts.append(SplitPart(sub, old, old.index(w)))
-    return SplitAtCutVertex(w, tuple(parts))
+    return tuple(parts)
 
 
 def merge_count(F1: int, F2: int, f1w: int, f2w: int) -> int:
@@ -63,7 +62,7 @@ def merge_count(F1: int, F2: int, f1w: int, f2w: int) -> int:
 def _product_at(g: Graph, w: int, memo: dict) -> int:
     """f_G(w) for a cut vertex: the product over the parts at w."""
     result = 1
-    for part in split_at(g, w).parts:
+    for part in split_at(g, w):
         result *= _f(part.graph, part.w_local, memo)
     return result
 
@@ -84,7 +83,7 @@ def _F(g: Graph, memo: dict) -> int:
     else:
         w = min(cuts)
         total_F = total_fw = None
-        for part in split_at(g, w).parts:
+        for part in split_at(g, w):
             F = _F(part.graph, memo)
             fw = _f(part.graph, part.w_local, memo)
             if total_F is None:
@@ -120,13 +119,13 @@ def _f(g: Graph, v: int, memo: dict) -> int:
             (w for w in cuts if w != v),
             key=lambda w: (reach(g.adj, v, full & ~(1 << w)).bit_count(), w),
         )
-        split = split_at(g, best_w)
-        mine = next(p for p in split.parts if v in p.vertices)
+        parts = split_at(g, best_w)
+        mine = next(p for p in parts if v in p.vertices)
         v_local = mine.vertices.index(v)
         f1 = _f(mine.graph, v_local, memo)
         f1vw = _pair(mine.graph, v_local, mine.w_local, memo)
         f2 = 1
-        for part in split.parts:
+        for part in parts:
             if part is not mine:
                 f2 *= _f(part.graph, part.w_local, memo)
         val = f1 + f1vw * (f2 - 1)
@@ -143,37 +142,29 @@ def _pair(g: Graph, u: int, v: int, memo: dict) -> int:
     return val
 
 
-def _branch_at(g: Graph, block: Block, w: int) -> SplitPart:
-    """The maximal subgraph hanging off block ``block`` at its cut vertex w
-    (everything reachable from w without entering the block)."""
-    full = (1 << g.n) - 1
-    inside = 0
-    for u in block.vertices:
-        inside |= 1 << u
-    allowed = full & ~inside
-    branch = reach(g.adj, w, allowed | 1 << w)
+def _branch_at(g: Graph, block: int, w: int) -> SplitPart:
+    """The maximal subgraph hanging off the block with vertex mask ``block``
+    at its cut vertex w (everything reachable from w without entering the
+    block)."""
+    branch = reach(g.adj, w, (1 << g.n) - 1 & ~block | 1 << w)
     sub, old = g.subgraph_on(bits(branch))
     return SplitPart(sub, old, old.index(w))
 
 
-def block_expansion_count(g: Graph, block: Block | frozenset[int]) -> int:
-    """F(G) via the expansion around one block B with cut vertices w1..ws:
+def block_expansion_count(g: Graph, block: int) -> int:
+    """F(G) via the expansion around one block B, given as its vertex mask,
+    with cut vertices w1..ws:
 
         F(B) + sum_i (F(G_i) - 1) + sum_i (f_B(w_i) - 1)(f_i - 1)
              + sum over subsets S with |S| >= 2 of f_B(S) prod_{i in S} (f_i - 1)
 
     where G_i is the branch at w_i and f_i = f_{G_i}(w_i).
     """
-    bct = block_cut_tree(g)
-    if isinstance(block, frozenset):
-        matches = [b for b in bct.blocks if b.vertices == block]
-    else:
-        matches = [b for b in bct.blocks if b.vertices == block.vertices]
-    if not matches:
+    if block not in blocks(g):
         raise ValueError("not a block of the graph")
-    b = matches[0]
-    ws = sorted(b.vertices & bct.cut_vertices)
-    bgraph, old = g.subgraph_on(b.vertices)
+    cuts = cut_vertices(g)
+    ws = [w for w in bits(block) if w in cuts]
+    bgraph, old = g.subgraph_on(bits(block))
     local = {w: old.index(w) for w in ws}
     table = census.connected_set_table(bgraph)
     size = 1 << bgraph.n
@@ -181,7 +172,7 @@ def block_expansion_count(g: Graph, block: Block | frozenset[int]) -> int:
     def f_block(req: tuple[int, ...]) -> int:
         return census._count_from_table(table, size, sum(1 << local[w] for w in req))
 
-    branches = {w: _branch_at(g, b, w) for w in ws}
+    branches = {w: _branch_at(g, block, w) for w in ws}
     memo: dict = {}
     fb = {}
     Fb = {}

@@ -10,16 +10,16 @@ safe to share across threads.
 inside it (relabelled, induced, edge-deleted, glued) are assembled from
 bitsets directly, mapping vertex masks through ``map_mask``.
 
-Blocks and cut vertices come from one bitset DFS, ``_blocks``: both
-``cut_vertices`` and ``block_cut_tree`` read its masks, and it is also the
-connectivity check that raises ``DisconnectedGraphError`` for them.
+Blocks are vertex masks.  They and the cut vertices come from one bitset
+DFS, ``_blocks``: both ``blocks`` and ``cut_vertices`` read it, and it is
+also the connectivity check that raises ``DisconnectedGraphError`` for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_VERTICES = 64
 
@@ -70,12 +70,6 @@ class Graph:
     def m(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter(bits(self.adj[v]))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
@@ -108,30 +102,6 @@ class Graph:
         for v, a in enumerate(self.adj):
             adj[p[v]] = map_mask(a, image)
         return Graph(self.n, tuple(adj))
-
-
-@dataclass(frozen=True)
-class Block:
-    """One block of a graph: a maximal 2-connected subgraph or a bridge (K2)."""
-
-    vertices: frozenset[int]
-
-
-@dataclass(frozen=True)
-class BlockCutTree:
-    blocks: tuple[Block, ...]
-    cut_vertices: frozenset[int]
-
-    def blocks_at(self, w: int) -> tuple[int, ...]:
-        """Indices of the blocks containing vertex ``w``."""
-        return tuple(i for i, b in enumerate(self.blocks) if w in b.vertices)
-
-    def pendant_block_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, b in enumerate(self.blocks)
-            if len(b.vertices & self.cut_vertices) == 1
-        )
 
 
 def bits(mask: int) -> list[int]:
@@ -230,17 +200,12 @@ def cut_vertices(g: Graph) -> frozenset[int]:
     return frozenset(bits(_blocks(g)[1]))
 
 
-def block_cut_tree(g: Graph) -> BlockCutTree:
-    """Decompose a connected graph into blocks and cut vertices.
-
-    Bridges appear as 2-vertex blocks; a single-vertex graph gets one
-    trivial block so that blocks always cover the vertex set.  Blocks are
-    ordered by their sorted vertex lists; each edge lies in the one block
-    holding both its ends.
-    """
-    masks, cut_mask = _blocks(g)
-    blocks = tuple(Block(frozenset(bits(mask))) for mask in sorted(masks, key=bits))
-    return BlockCutTree(blocks, frozenset(bits(cut_mask)))
+def blocks(g: Graph) -> list[int]:
+    """The vertex mask of every block of a connected graph, ordered by
+    sorted vertex list.  A bridge is a 2-vertex block and a single-vertex
+    graph is one trivial block, so the blocks always cover the vertex set;
+    each edge lies in the one block holding both its ends."""
+    return sorted(_blocks(g)[0], key=bits)
 
 
 def girth(g: Graph) -> int | None:
@@ -256,7 +221,7 @@ def girth(g: Graph) -> int | None:
             u = q.popleft()
             if best is not None and 2 * dist[u] >= best:
                 continue
-            for w in g.neighbors(u):
+            for w in bits(adj[u]):
                 if dist[w] == -1:
                     dist[w] = dist[u] + 1
                     par[w] = u

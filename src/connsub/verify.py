@@ -28,7 +28,7 @@ from .extremal import (
     subset_tables,
 )
 from .generate import canonize, connected_classes, glue, rooted_classes
-from .graph import block_cut_tree
+from .graph import bits, blocks, cut_vertices
 from .graphio import parse_graph6, serialize_graph6
 
 
@@ -78,70 +78,57 @@ def _superset_indices(n: int, mask: int):
 # theorem checks
 
 
-def _check_edge_monotonicity(n_max: int) -> VerdictReport:
-    """Deleting any edge strictly decreases the total count and every
-    per-vertex count."""
-    rep = VerdictReport("edge-monotonicity")
-    for n in range(2, n_max + 1):
-        bad = None
-        for g in connected_classes(n):
-            F = census.count_connected_subgraphs(g)
-            fs = [census.subgraph_number(g, v) for v in range(n)]
-            for u, v in g.edges:
-                h = g.remove_edge(u, v)
-                if census.count_connected_subgraphs(h) >= F:
-                    bad = f"{serialize_graph6(g)} edge ({u},{v}) total"
-                    break
-                if any(census.subgraph_number(h, x) >= fs[x] for x in range(n)):
-                    bad = f"{serialize_graph6(g)} edge ({u},{v}) vertex count"
-                    break
-            if bad:
-                break
-        rep.add(f"strict decrease for every edge, n={n}", bad is None, bad or "")
+def _check_per_n(
+    name: str, n_min: int, label: str, offence: Callable[[int], str | None], n_max: int
+) -> VerdictReport:
+    """One item per n from n_min to n_max, labelled by ``label`` formatted
+    with n; ``offence(n)`` is the first counterexample at n, or None."""
+    rep = VerdictReport(name)
+    for n in range(n_min, n_max + 1):
+        bad = offence(n)
+        rep.add(label.format(n=n), bad is None, bad or "")
     return rep
 
 
-def _check_cycle_pair_count(n_max: int) -> VerdictReport:
+def _edge_monotonicity_offence(n: int) -> str | None:
+    """Deleting any edge strictly decreases the total count and every
+    per-vertex count: the first edge whose deletion does not, or None."""
+    for g in connected_classes(n):
+        F = census.count_connected_subgraphs(g)
+        fs = [census.subgraph_number(g, v) for v in range(n)]
+        for u, v in g.edges:
+            h = g.remove_edge(u, v)
+            if census.count_connected_subgraphs(h) >= F:
+                return f"{serialize_graph6(g)} edge ({u},{v}) total"
+            if any(census.subgraph_number(h, x) >= fs[x] for x in range(n)):
+                return f"{serialize_graph6(g)} edge ({u},{v}) vertex count"
+    return None
+
+
+def _cycle_pair_offence(n: int) -> str | None:
     """On a cycle, the count of subgraphs containing two vertices at
     distance d is (n^2+2d^2-2nd+n+2)/2; maximal exactly at d=1, and the
-    floor (n^2+2n+4)/4 is met exactly at d=n/2 (so only for even n)."""
-    rep = VerdictReport("cycle-pair-count")
-    for n in range(3, n_max + 1):
-        g = families.build(families.spec("C", n=n))
-        ok = True
-        detail = ""
-        for d in range(1, n // 2 + 1):
-            got = census.count_containing(g, (0, d))
-            want = families.cycle_pair_count(n, d)
-            if got != want:
-                ok, detail = False, f"d={d}: {got} != {want}"
-                break
-            if 4 * got < n * n + 2 * n + 4 or got > (n * n - n + 4) // 2:
-                ok, detail = False, f"d={d}: bound violated"
-                break
-            if got == (n * n - n + 4) // 2 and d != 1:
-                ok, detail = False, f"d={d}: upper equality away from d=1"
-                break
-            if 4 * got == n * n + 2 * n + 4 and 2 * d != n:
-                ok, detail = False, f"d={d}: lower equality away from d=n/2"
-                break
-        rep.add(f"pair formula and equality cases, n={n}", ok, detail)
-    return rep
-
-
-def _check_block_pair_floor(n_max: int) -> VerdictReport:
-    """For graphs with k <= n-3 cut vertices, except the 4-star: any two
-    vertices of any block have pair count at least 2(n-k)-1."""
-    rep = VerdictReport("block-pair-floor")
-    star4 = _named_form("S:n=4")[0]
-    for n in range(3, n_max + 1):
-        bad = _block_pair_offence(n, star4)
-        rep.add(f"pair floor 2(n-k)-1 within blocks, n={n}", bad is None, bad or "")
-    return rep
+    floor (n^2+2n+4)/4 is met exactly at d=n/2 (so only for even n).  The
+    first distance that breaks this, or None."""
+    g = families.build(families.spec("C", n=n))
+    for d in range(1, n // 2 + 1):
+        got = census.count_containing(g, (0, d))
+        want = families.cycle_pair_count(n, d)
+        if got != want:
+            return f"d={d}: {got} != {want}"
+        if 4 * got < n * n + 2 * n + 4 or got > (n * n - n + 4) // 2:
+            return f"d={d}: bound violated"
+        if got == (n * n - n + 4) // 2 and d != 1:
+            return f"d={d}: upper equality away from d=1"
+        if 4 * got == n * n + 2 * n + 4 and 2 * d != n:
+            return f"d={d}: lower equality away from d=n/2"
+    return None
 
 
 def _block_pair_offence(n: int, star4: str) -> str | None:
-    """The first pair within a block whose count breaks the floor, or None."""
+    """For graphs with k <= n-3 cut vertices, except the 4-star (canonical
+    graph6 ``star4``): any two vertices of any block have pair count at
+    least 2(n-k)-1.  The first pair that breaks the floor, or None."""
     recs = catalog(n, "block") + catalog(n, "cut")
     for lo in range(0, len(recs), 512):
         chunk = recs[lo : lo + 512]
@@ -149,12 +136,25 @@ def _block_pair_offence(n: int, star4: str) -> str | None:
             if rec.k > n - 3 or (n == 4 and rec.g6 == star4):
                 continue
             bound = 2 * (n - rec.k) - 1
-            for blk in block_cut_tree(rec.graph).blocks:
-                for u, v in combinations(sorted(blk.vertices), 2):
+            for block in blocks(rec.graph):
+                for u, v in combinations(bits(block), 2):
                     got = int(row[_superset_indices(n, 1 << u | 1 << v)].sum())
                     if got < bound:
                         return f"{rec.g6} pair ({u},{v}): {got} < {bound}"
     return None
+
+
+_PER_N_CHECKS = {
+    name: (partial(_check_per_n, name, n_min, label, offence), cap)
+    for name, n_min, label, offence, cap in (
+        ("edge-monotonicity", 2, "strict decrease for every edge, n={n}",
+         _edge_monotonicity_offence, 6),
+        ("cycle-pair-count", 3, "pair formula and equality cases, n={n}",
+         _cycle_pair_offence, 12),
+        ("block-pair-floor", 3, "pair floor 2(n-k)-1 within blocks, n={n}",
+         lambda n: _block_pair_offence(n, _named_form("S:n=4")[0]), 8),
+    )
+}
 
 
 def _named_value(text: str, tag: str | None) -> int:
@@ -314,20 +314,20 @@ def _check_pendant_share_limit(n_max: int) -> VerdictReport:
 
 
 def _pendant_share_offence(report: SearchReport) -> str | None:
-    """The first minimizer whose argmin block breaks the sharer limit, or None."""
+    """The first minimizer whose argmin block breaks the sharer limit, or None.
+    A pendant edge is a 2-vertex block holding exactly one cut vertex."""
     for g6s, argmins in zip(report.minimizers, report.argmin_vertices):
-        bct = block_cut_tree(parse_graph6(g6s))
-        pend = set(bct.pendant_block_indices())
+        g = parse_graph6(g6s)
+        masks, cuts = blocks(g), cut_vertices(g)
         for v0 in argmins:
-            for bi, blk in enumerate(bct.blocks):
-                if v0 not in blk.vertices:
-                    continue
-                for w in sorted(blk.vertices & bct.cut_vertices):
-                    others = [j for j in bct.blocks_at(w) if j != bi]
+            for block in (b for b in masks if b >> v0 & 1):
+                for w in (w for w in bits(block) if w in cuts):
+                    others = [b for b in masks if b != block and b >> w & 1]
                     if len(others) > 4:
                         return f"{g6s}: {len(others)} other blocks at {w}"
                     if len(others) >= 2 and any(
-                        j not in pend or len(bct.blocks[j].vertices) != 2 for j in others
+                        b.bit_count() != 2 or len(cuts.intersection(bits(b))) != 1
+                        for b in others
                     ):
                         return f"{g6s}: non-pendant-edge sharer at {w}"
     return None
@@ -373,10 +373,10 @@ _FLOOR_CHECKS = {row.name: (partial(_check_floor, row), row.cap) for row in _FLO
 # a floor row already listed by name keeps its place when **_FLOOR_CHECKS
 # adds the rest
 _THEOREMS = {
-    "edge-monotonicity": (_check_edge_monotonicity, 6),
+    "edge-monotonicity": _PER_N_CHECKS["edge-monotonicity"],
     "two-connected-vertex-floor": _FLOOR_CHECKS["two-connected-vertex-floor"],
-    "cycle-pair-count": (_check_cycle_pair_count, 12),
-    "block-pair-floor": (_check_block_pair_floor, 8),
+    "cycle-pair-count": _PER_N_CHECKS["cycle-pair-count"],
+    "block-pair-floor": _PER_N_CHECKS["block-pair-floor"],
     "pendant-share-limit": (_check_pendant_share_limit, 9),
     **_FLOOR_CHECKS,
     "branch-move-decrease": (_check_branch_move_decrease, None),
@@ -470,7 +470,6 @@ class TierBResult:
     minimum: int | None
     minimizers: tuple[str, ...]
     class_size: int
-    printed_value: int | None
     printed_in_minimizers: bool
     value_matches_printed: bool
     remark: str = ""
@@ -483,12 +482,8 @@ class Table1Report:
     notes: list[str]
 
     @property
-    def tier_a_passed(self) -> bool:
-        return all(c.matches_printed for c in self.tier_a)
-
-    @property
     def passed(self) -> bool:
-        return self.tier_a_passed and all(
+        return all(c.matches_printed for c in self.tier_a) and all(
             b.printed_in_minimizers and b.value_matches_printed
             for b in self.tier_b
             if (b.n, b.k) not in PATH_LABELED_CELLS
@@ -559,7 +554,6 @@ def verify_table1(search_n_max: int = 9) -> Table1Report:
                 minimum=report.minimum,
                 minimizers=report.minimizers,
                 class_size=report.class_size,
-                printed_value=printed,
                 printed_in_minimizers=_named_form(spec_text)[0] in report.minimizers,
                 value_matches_printed=report.minimum == printed,
                 remark=remark,

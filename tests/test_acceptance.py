@@ -23,7 +23,7 @@ import pytest
 from connsub import census, decompose, families, verify
 from connsub.extremal import ClassSpec, search_min_F
 from connsub.generate import connected_classes
-from connsub.graph import Graph, block_cut_tree, cut_vertices
+from connsub.graph import Graph, blocks, cut_vertices
 from connsub.graphio import parse_graph6, serialize_graph6
 
 from helpers import canonical_key
@@ -161,7 +161,7 @@ def test_c4_exhaustive_up_to_seven():
                 assert decompose.subgraph_number_via_decomposition(
                     g, v
                 ) == census.subgraph_number(g, v)
-            for blk in block_cut_tree(g).blocks:
+            for blk in blocks(g):
                 assert decompose.block_expansion_count(g, blk) == want
             checked += 1
     assert checked == 456
@@ -196,7 +196,7 @@ def test_c4_random_up_to_ten():
             assert decompose.subgraph_number_via_decomposition(
                 g, v
             ) == census.subgraph_number(g, v)
-        for blk in block_cut_tree(g).blocks:
+        for blk in blocks(g):
             assert decompose.block_expansion_count(g, blk) == want
         checked += 1
 

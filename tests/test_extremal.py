@@ -248,3 +248,35 @@ class TestTheoremRegistry:
         row = replace(row, ks=lambda n: range(n - 1, n), expected=lambda n, k: ())
         rep = verify._check_floor(row, 4)
         assert [item.passed for item in rep.items] == [False, False]
+
+    def test_block_pair_floor_reports_the_four_star(self):
+        # the 4-star is the floor's one exception; named as any other graph,
+        # its centre-leaf pair (count 4) breaks the floor 2(4-1)-1 = 5
+        from connsub import verify
+
+        star4 = verify._named_form("S:n=4")[0]
+        assert verify._block_pair_offence(4, star4) is None
+        assert verify._block_pair_offence(4, star4="not the star") == f"{star4} pair (0,3): 4 < 5"
+
+    @pytest.mark.parametrize(
+        "edges,offence",
+        [
+            # three triangles at 0: the argmin triangle has two non-edge sharers
+            ([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5), (5, 6), (0, 6)],
+             "non-pendant-edge sharer at 0"),
+            # a triangle and five pendant edges at 0: five sharers are too many
+            ([(0, 1), (1, 2), (0, 2)] + [(0, v) for v in range(3, 8)], "5 other blocks at 0"),
+            # a triangle and two pendant edges at 0 keep the limit
+            ([(0, 1), (1, 2), (0, 2), (0, 3), (0, 4)], None),
+        ],
+    )
+    def test_pendant_share_offence(self, edges, offence):
+        from connsub import verify
+        from connsub.extremal import SearchReport
+        from connsub.graphio import serialize_graph6
+
+        g = Graph.from_edges(max(max(e) for e in edges) + 1, edges)
+        g6 = serialize_graph6(g)
+        report = SearchReport(ClassSpec(g.n, 1), "minf", 0, (g6,), ((1,),), 1, 0)
+        got = verify._pendant_share_offence(report)
+        assert got == (None if offence is None else f"{g6}: {offence}")

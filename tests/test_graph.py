@@ -11,7 +11,7 @@ from connsub.graph import (
     DisconnectedGraphError,
     Graph,
     bits,
-    block_cut_tree,
+    blocks,
     cut_vertices,
     girth,
     is_connected,
@@ -163,7 +163,7 @@ class TestCutVertices:
         cuts = cut_vertices(g)
         assert len(cuts) == 1
         (w,) = cuts
-        assert g.degree(w) == 3
+        assert g.adj[w].bit_count() == 3
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -197,50 +197,48 @@ def _connected_without(g, v):
 
 class TestBlockCutTree:
     def test_cycle_single_block(self):
-        bct = block_cut_tree(G("C:n=5"))
-        assert len(bct.blocks) == 1
-        assert bct.blocks[0].vertices == frozenset(range(5))
-        assert bct.cut_vertices == frozenset()
+        g = G("C:n=5")
+        assert blocks(g) == [0b11111]
+        assert cut_vertices(g) == frozenset()
 
     def test_lollipop_two_blocks(self):
         g = G("L:n=6,g=5")
-        bct = block_cut_tree(g)
-        sizes = sorted(len(b.vertices) for b in bct.blocks)
-        assert sizes == [2, 5]
-        (w,) = bct.cut_vertices
-        assert all(w in b.vertices for b in bct.blocks)
+        masks = blocks(g)
+        assert sorted(b.bit_count() for b in masks) == [2, 5]
+        (w,) = cut_vertices(g)
+        assert all(b >> w & 1 for b in masks)
 
     def test_path_blocks_are_edges(self):
-        bct = block_cut_tree(G("P:n=4"))
-        assert len(bct.blocks) == 3
-        assert all(len(b.vertices) == 2 for b in bct.blocks)
-        assert bct.cut_vertices == {1, 2}
+        g = G("P:n=4")
+        masks = blocks(g)
+        assert len(masks) == 3
+        assert all(b.bit_count() == 2 for b in masks)
+        assert cut_vertices(g) == {1, 2}
 
     def test_single_vertex(self):
-        bct = block_cut_tree(Graph.from_edges(1, []))
-        assert len(bct.blocks) == 1 and bct.cut_vertices == frozenset()
+        g = Graph.from_edges(1, [])
+        assert blocks(g) == [1] and cut_vertices(g) == frozenset()
 
     @given(connected_graphs(min_n=2, max_n=8))
     def test_invariants(self, g):
-        bct = block_cut_tree(g)
+        masks, cuts = blocks(g), cut_vertices(g)
         # every edge in exactly one block
-        all_edges = [e for b in bct.blocks for e in _block_edges(g, b)]
+        all_edges = [e for b in masks for e in _block_edges(g, b)]
         assert sorted(all_edges) == list(g.edges)
         # vertex in >= 2 blocks iff cut vertex
-        counts = {v: 0 for v in range(g.n)}
-        for b in bct.blocks:
-            for v in b.vertices:
-                counts[v] += 1
-        assert {v for v, c in counts.items() if c >= 2} == set(bct.cut_vertices)
-        assert bct.cut_vertices == {v for v in range(g.n) if not _connected_without(g, v)}
+        counts = {v: sum(b >> v & 1 for b in masks) for v in range(g.n)}
+        assert {v for v, c in counts.items() if c >= 2} == set(cuts)
+        assert cuts == {v for v in range(g.n) if not _connected_without(g, v)}
         # block/cut incidence forms a tree
-        nodes = len(bct.blocks) + len(bct.cut_vertices)
-        links = sum(len(bct.blocks_at(w)) for w in bct.cut_vertices)
+        nodes = len(masks) + len(cuts)
+        links = sum(counts[w] for w in cuts)
         assert links == nodes - 1
 
     def test_pendant_blocks(self):
-        bct = block_cut_tree(G("L:n=6,g=5"))
-        assert set(bct.pendant_block_indices()) == {0, 1}
+        g = G("L:n=6,g=5")
+        cut_mask = sum(1 << w for w in cut_vertices(g))
+        pendant = {i for i, b in enumerate(blocks(g)) if (b & cut_mask).bit_count() == 1}
+        assert pendant == {0, 1}
 
     def test_matches_brute_force_blocks(self):
         # every class with n <= 7, plus a relabelling so the DFS root moves
@@ -248,21 +246,20 @@ class TestBlockCutTree:
         for n in range(2, 8):
             for cls in connected_classes(n):
                 for g in (cls, cls.relabel(rng.sample(range(n), n))):
-                    bct = block_cut_tree(g)
+                    masks = blocks(g)
                     oracle = _blocks_oracle(g)
-                    assert [sorted(b.vertices) for b in bct.blocks] == oracle
+                    assert [bits(b) for b in masks] == oracle
                     # the blocks' edge sets partition the edges
-                    edges = sorted(e for b in bct.blocks for e in _block_edges(g, b))
+                    edges = sorted(e for b in masks for e in _block_edges(g, b))
                     assert edges == list(g.edges)
                     shared = [v for v in range(n) if sum(v in s for s in oracle) >= 2]
-                    assert sorted(bct.cut_vertices) == shared
-                    assert cut_vertices(g) == bct.cut_vertices
+                    assert sorted(cut_vertices(g)) == shared
 
 
 def _block_edges(g, block):
-    """The edges with both ends in ``block``: a block's edge set follows
-    from its vertex set."""
-    return [(u, v) for u, v in g.edges if u in block.vertices and v in block.vertices]
+    """The edges with both ends in the vertex mask ``block``: a block's edge
+    set follows from its vertex set."""
+    return [(u, v) for u, v in g.edges if block >> u & 1 and block >> v & 1]
 
 
 def _induces_connected(g, mask):
@@ -331,11 +328,11 @@ class TestSpecialVertices:
     def test_lollipop_tags(self):
         fs = spec("L", n=6, g=5)
         g = build(fs)
-        assert g.degree(special_vertex(fs, "pendant")) == 1
-        assert g.degree(special_vertex(fs, "cut")) == 3
+        assert g.adj[special_vertex(fs, "pendant")].bit_count() == 1
+        assert g.adj[special_vertex(fs, "cut")].bit_count() == 3
 
     def test_pathstar_tags(self):
         fs = spec("PS", k=4, m=3)
         g = build(fs)
-        assert g.degree(special_vertex(fs, "path_end")) == 1
-        assert g.degree(special_vertex(fs, "center")) == 4
+        assert g.adj[special_vertex(fs, "path_end")].bit_count() == 1
+        assert g.adj[special_vertex(fs, "center")].bit_count() == 4
