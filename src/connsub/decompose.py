@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import census
-from .graph import Graph, bits, blocks, components, cut_vertices, reach
+from .graph import DisconnectedGraphError, Graph, bits, blocks, components, cut_vertices, reach
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,17 @@ class SplitPart:
 
 def split_at(g: Graph, w: int) -> tuple[SplitPart, ...]:
     """Split at a cut vertex: one part per component of G - w, re-attached to w."""
-    if w not in cut_vertices(g):
+    if not 0 <= w < g.n:
+        raise ValueError(f"vertex {w} is not a cut vertex")
+    comps = components(g.adj, (1 << g.n) - 1 & ~(1 << w))
+    # G is connected iff every component of G - w holds a neighbour of w,
+    # and then w is a cut vertex iff there are at least two
+    if not all(comp & g.adj[w] for comp in comps):
+        raise DisconnectedGraphError("operation requires a connected graph")
+    if len(comps) < 2:
         raise ValueError(f"vertex {w} is not a cut vertex")
     parts = []
-    for comp in components(g.adj, (1 << g.n) - 1 & ~(1 << w)):
+    for comp in comps:
         sub, old = g.subgraph_on(bits(comp | 1 << w))
         parts.append(SplitPart(sub, old, old.index(w)))
     return tuple(parts)

@@ -1,13 +1,16 @@
 """Exhaustive minimizer searches over classes of small connected graphs.
 
 A class is fixed by vertex count, exact cut-vertex count, an optional girth
-floor, and a tree/non-tree restriction.  Search reads one canonical
-representative per isomorphism class, evaluates exact counts for all of
-them, and reports the full minimizer set.  Classes come from the two
-disjoint strata of ``generate``: k = 0 reads the classes without a cut
-vertex and k >= 1 the classes with one, so a search never generates the
-other stratum of its level.  Each stratum is evaluated once per vertex
-count and kept as a catalog of records.
+floor, and a tree/non-tree restriction.  Search reads one representative
+per isomorphism class, evaluates exact counts for all of them, and reports
+the full minimizer set.  Classes come from the two disjoint strata of
+``generate``: k = 0 reads the classes without a cut vertex and k >= 1 the
+classes with one, so a search never generates the other stratum of its
+level.  Each stratum is evaluated once per vertex count and kept as a
+catalog of records.  Counts do not depend on labels, so a record's graph
+need not be canonically labeled (at ``GENERATION_CAP`` the classes with one
+cut vertex are not); a report canonises only its minimizers and names each
+by its canonical graph6, with argmin vertices in canonical labels.
 
 Counting in the search loop runs through a batched version of the census
 subset table with machine integers.  Every count the kernel forms, table
@@ -29,6 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import decompose
+from .canon import canonical_labeling, positions
 from .generate import GENERATION_CAP, block_classes, classes_with_cut_vertices
 from .graph import Graph, bits, girth
 from .graphio import serialize_graph6
@@ -77,11 +81,23 @@ class _Record:
     f_min: int
     f_argmin: tuple[int, ...]
 
-    # graph6 and girth are built on first read: only minimisers, failure
-    # messages and girth-bounded classes need them
+    # the canonical labels, graph6 and girth are built on first read: only
+    # minimisers, failure messages and girth-bounded classes need them
+    @cached_property
+    def _positions(self) -> list[int]:
+        # the canonical label of each vertex of ``graph``, which is stored
+        # unlabeled when it has one cut vertex at the cap (see generate)
+        return positions(canonical_labeling(self.graph)[1])
+
     @cached_property
     def g6(self) -> str:
-        return serialize_graph6(self.graph)
+        """The canonical graph6, the form a report names a class by."""
+        return serialize_graph6(self.graph.relabel(self._positions))
+
+    @property
+    def argmin(self) -> tuple[int, ...]:
+        """``f_argmin`` in canonical labels."""
+        return tuple(sorted(self._positions[v] for v in self.f_argmin))
 
     @cached_property
     def girth(self) -> int | None:
@@ -310,7 +326,7 @@ def search_min_vertex_subgraph_number(spec: ClassSpec) -> SearchReport:
     graphs and their argmin vertex sets."""
     t0 = time.monotonic()
     records = _class_records(spec)
-    return _finalize(spec, "minf", records, lambda r: r.f_min, lambda r: r.f_argmin, t0)
+    return _finalize(spec, "minf", records, lambda r: r.f_min, lambda r: r.argmin, t0)
 
 
 def report_to_json_dict(report: SearchReport) -> dict:

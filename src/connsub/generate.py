@@ -7,8 +7,9 @@ has its own generator:
   connected graph with a cut vertex is two smaller connected graphs (each
   with >= 2 vertices) glued at one vertex, and every such gluing has a cut
   vertex.  Gluing orbit representatives of all smaller rooted classes
-  therefore enumerates exactly the classes with k >= 1; a canonical-form
-  set per level drops the repeated gluings.
+  therefore enumerates exactly the classes with k >= 1.  Repeated gluings
+  are dropped by canonical key, or, for the gluings with exactly one cut
+  vertex, by the bouquet certificate below, which needs no labeling.
 
 * ``block_classes(n)`` -- the classes without a cut vertex: K1 and K2 as
   seeds, and for n >= 3 the 2-connected classes by canonical augmentation
@@ -22,8 +23,8 @@ has its own generator:
   has degree below |S|.
 
 ``connected_classes(n)`` and ``rooted_classes(n)`` merge the two strata in
-canonical-key order; nothing stores the union, so each class is generated
-and stored once, in its own stratum.
+key order; nothing stores the union, so each class is generated and stored
+once, in its own stratum.
 
 Lemma (each 2-connected class is accepted exactly once).  For a child G,
 let m(G) be the vertex of minimum degree with the smallest canonical label,
@@ -51,15 +52,49 @@ the new vertex v lies in that orbit.
 Hence the accepted children are the 2-connected classes, each once, and
 no set of seen children is needed.
 
+Gluing (g1, r1) to (g2, r2) gives c1 + c2 + 1 cut vertices, where c_i
+counts the cut vertices of g_i other than r_i; so it gives exactly one, r1,
+iff cut(g1) <= {r1} and cut(g2) <= {r2}.  Such a rooted part has a bouquet:
+its blocks at the root, each as ``block key + bytes([root's orbit root in
+the block])``, sorted.  A K2 or 2-connected class at orbit root r is one
+block; a class with one cut vertex w carries the bouquet of the gluing that
+first built it, with w as its only root that has one.  The bouquet of a
+gluing with one cut vertex is the sorted union of its parts' bouquets, and
+their concatenation is its certificate (a block key's first byte fixes its
+length, so the concatenation parses back into the entries).
+
+Lemma (the certificate is complete).  A graph G with exactly one cut vertex
+w is determined up to isomorphism by the multiset of (block class,
+Aut(block)-orbit of w), so two such gluings are isomorphic iff their
+certificates are equal.  Every block of G holds w, since the block-cut tree
+is a star around it.  An isomorphism G -> G' sends w to w' (the only cut
+vertices) and blocks to blocks, so it pairs the blocks with equal classes
+and carries w to w' within each: the multisets agree.  Conversely, pair the
+blocks of equal entries.  In each pair B and B' have one canonical form, in
+which w and w' fall in one Aut-orbit, so some isomorphism B -> B' sends w
+to w'.  Distinct blocks meet only in w, where these maps all agree, so
+together they are an isomorphism G -> G'.
+
 Every class, in either stratum, is canonised by one step, ``canonize``: the
 canonical labeling, the canonically labeled copy and the orbit-root mask
-read off the automorphism generators of that same labeling.
+read off the automorphism generators of that same labeling.  The one
+exception is at ``GENERATION_CAP``, the level nothing glues: there a class
+with one cut vertex is kept as the graph of the first gluing with its
+certificate, unlabeled, so each costs no canonical labeling at all.  Its
+canonical form is computed only when read (``extremal`` does so for the
+minimisers it reports).
 
 The classes live in one store, per vertex count and stratum ("cut" or
-"block"): canonical keys in sorted order, with the canonical graph and the
-orbit-root mask of each.  Masks are kept only below ``GENERATION_CAP``, the
-sizes composition glues (it computes none at the cap); at the cap each is 0.
-``rooted_classes(n)`` expands the masks of level n on each call.
+"block"): keys in sorted order, with the graph, the orbit-root mask and the
+hub of each.  A key is the canonical key, except for the one-cut-vertex
+classes at the cap, which are keyed by certificate; these begin with a
+block's vertex count, below n, so they sort before the canonical keys and
+``connected_classes(GENERATION_CAP)`` is not in canonical-key order.
+Masks are kept only below the cap, the sizes composition glues (it computes
+none at the cap); at the cap each is 0.  The hub of a class with one cut
+vertex below the cap is (its cut vertex, its bouquet); it is None for every
+other class.  ``rooted_classes(n)`` expands the masks of level n on each
+call.
 """
 
 from __future__ import annotations
@@ -75,9 +110,15 @@ from .graph import MAX_VERTICES, Graph, bits, components, cut_vertices, map_mask
 # classes with a cut vertex from composition alone
 GENERATION_CAP = 9
 
-# the class store: (n, stratum) -> (sorted canonical keys, the canonical
-# graph of each, the orbit-root mask of each)
-_store: dict[tuple[int, str], tuple[tuple[bytes, ...], tuple[Graph, ...], tuple[int, ...]]] = {}
+# a one-cut-vertex class's hub: (its cut vertex, its bouquet there)
+_Hub = tuple[int, tuple[bytes, ...]]
+
+# the class store: (n, stratum) -> (sorted keys, the graph, the orbit-root
+# mask and the hub of each)
+_store: dict[
+    tuple[int, str],
+    tuple[tuple[bytes, ...], tuple[Graph, ...], tuple[int, ...], tuple[_Hub | None, ...]],
+] = {}
 
 
 def canonize(
@@ -104,14 +145,19 @@ def canonize(
 
 
 def _put(
-    n: int, stratum: str, graphs: dict[bytes, Graph], roots: dict[bytes, int]
+    n: int,
+    stratum: str,
+    graphs: dict[bytes, Graph],
+    roots: dict[bytes, int],
+    hubs: dict[bytes, _Hub] | None = None,
 ) -> tuple[Graph, ...]:
-    """Store level n of a stratum from its canonical graphs and orbit-root
-    masks, both by canonical key, in key order (masks only below the cap);
-    returns the graphs."""
+    """Store level n of a stratum from its graphs, orbit-root masks and hubs,
+    all by key, in key order (masks only below the cap); returns the
+    graphs."""
     keys = tuple(sorted(graphs))
     level = tuple(graphs[k] for k in keys)
-    _store[n, stratum] = (keys, level, tuple(roots[k] if n < GENERATION_CAP else 0 for k in keys))
+    masks = tuple(roots[k] if n < GENERATION_CAP else 0 for k in keys)
+    _store[n, stratum] = (keys, level, masks, tuple((hubs or {}).get(k) for k in keys))
     return level
 
 
@@ -124,7 +170,7 @@ def block_classes(n: int) -> tuple[Graph, ...]:
         if n <= 2:
             # K1 and K2: one class, one vertex orbit
             seed = Graph(n, (0,) if n == 1 else (0b10, 0b01))
-            _store[n, "block"] = ((labeled_key(seed),), (seed,), (1,))
+            _store[n, "block"] = ((labeled_key(seed),), (seed,), (1,), (None,))
         else:
             _put(n, "block", *_two_connected(n))
     return _store[n, "block"][1]
@@ -132,16 +178,17 @@ def block_classes(n: int) -> tuple[Graph, ...]:
 
 def _union(n: int) -> Iterator[tuple[bytes, Graph, int]]:
     """(key, graph, orbit-root mask) of every connected class on n vertices,
-    in canonical-key order: the two strata merged."""
+    in key order: the two strata merged."""
     block_classes(n)
     classes_with_cut_vertices(n)
-    strata = [zip(*_store[n, s]) for s in ("block", "cut") if (n, s) in _store]
+    strata = [zip(*_store[n, s][:3]) for s in ("block", "cut")]
     return heapq.merge(*strata, key=itemgetter(0))
 
 
 def connected_classes(n: int) -> tuple[Graph, ...]:
-    """All connected graphs on exactly n vertices, one canonical
-    representative per isomorphism class."""
+    """All connected graphs on exactly n vertices, one representative per
+    isomorphism class, canonically labeled except the classes with one cut
+    vertex at ``GENERATION_CAP``."""
     return tuple(g for _, g, _ in _union(n))
 
 
@@ -209,9 +256,28 @@ def rooted_classes(n: int) -> list[tuple[Graph, int]]:
     """(graph, root) pairs: each connected class on n vertices with one root
     per vertex orbit, the orbit's smallest vertex.  Kept for
     n < ``GENERATION_CAP``, the sizes composition glues."""
+    return [(g, root) for g, root, _ in _rooted_parts(n)]
+
+
+def _rooted_parts(n: int) -> list[tuple[Graph, int, tuple[bytes, ...] | None]]:
+    """(graph, root, bouquet) in the order of ``rooted_classes(n)``.  The
+    bouquet (see above) is None unless the root is the graph's only cut
+    vertex or the graph has none."""
     if not 1 <= n < GENERATION_CAP:
         raise ValueError(f"rooted classes are kept for n in 1..{GENERATION_CAP - 1}")
-    return [(g, root) for _, g, roots in _union(n) for root in bits(roots)]
+    block_classes(n)
+    classes_with_cut_vertices(n)
+    blocks = [
+        (key, g, r, (key + bytes([r]),))
+        for key, g, roots, _ in zip(*_store[n, "block"])
+        for r in bits(roots)
+    ]
+    cut = [
+        (key, g, r, hub[1] if hub is not None and hub[0] == r else None)
+        for key, g, roots, hub in zip(*_store[n, "cut"])
+        for r in bits(roots)
+    ]
+    return [part[1:] for part in heapq.merge(blocks, cut, key=itemgetter(0))]
 
 
 def glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
@@ -231,24 +297,46 @@ def glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
-    """All connected classes on n vertices having at least one cut vertex."""
-    if n < 3:
-        return ()
-    if (n, "cut") in _store:
-        return _store[n, "cut"][1]
-    orbits = n < GENERATION_CAP
-    found: dict[bytes, Graph] = {}
-    roots: dict[bytes, int] = {}
+def _gluings(n: int) -> Iterator[tuple[Graph, int, Graph, int, tuple[bytes, ...] | None]]:
+    """(g1, r1, g2, r2, bouquet) for every pair of rooted classes composition
+    glues into n vertices: n1 <= n2 and, when n1 == n2, each unordered pair
+    once.  The bouquet is the glued graph's own when it has exactly one cut
+    vertex, and None otherwise."""
     for n1 in range(2, (n + 1) // 2 + 1):
         n2 = n + 1 - n1
-        left = rooted_classes(n1)
-        right = left if n2 == n1 else rooted_classes(n2)
-        for i, (g1, r1) in enumerate(left):
-            start = i if n2 == n1 else 0
-            for g2, r2 in right[start:]:
-                key, canon, mask, _ = canonize(glue(g1, r1, g2, r2), orbits, found)
-                if canon is not None:
-                    found[key] = canon
-                    roots[key] = mask
-    return _put(n, "cut", found, roots)
+        left = _rooted_parts(n1)
+        right = left if n2 == n1 else _rooted_parts(n2)
+        for i, (g1, r1, b1) in enumerate(left):
+            for g2, r2, b2 in right[i if n2 == n1 else 0 :]:
+                yield g1, r1, g2, r2, None if b1 is None or b2 is None else tuple(sorted(b1 + b2))
+
+
+def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
+    """All connected classes on n vertices having at least one cut vertex.
+    Below ``GENERATION_CAP`` each is canonically labeled; at the cap those
+    with exactly one cut vertex are kept as first glued (see above)."""
+    if (n, "cut") in _store:
+        return _store[n, "cut"][1]
+    at_cap = n == GENERATION_CAP
+    found: dict[bytes, Graph] = {}
+    roots: dict[bytes, int] = {}
+    hubs: dict[bytes, _Hub] = {}
+    built: set[bytes] = set()  # certificates of the one-cut-vertex classes
+    for g1, r1, g2, r2, bouquet in _gluings(n):
+        if bouquet is not None:
+            cert = b"".join(bouquet)
+            if cert in built:
+                continue
+            built.add(cert)
+            if at_cap:
+                # no block key has n vertices, so no certificate is a canonical key
+                found[cert] = glue(g1, r1, g2, r2)
+                roots[cert] = 0
+                continue
+        key, canon, mask, orbit_of = canonize(glue(g1, r1, g2, r2), not at_cap, found)
+        if canon is not None:
+            found[key] = canon
+            roots[key] = mask
+            if bouquet is not None:
+                hubs[key] = orbit_of[r1], bouquet
+    return _put(n, "cut", found, roots, hubs)

@@ -47,6 +47,20 @@ class TestSplit:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             decompose.split_at(Graph.from_edges(4, [(0, 1), (2, 3)]), 1)
+        with pytest.raises(DisconnectedGraphError):
+            decompose.split_at(Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]), 1)
+
+    def test_single_vertex_and_out_of_range_rejected(self):
+        for g, w in ((Graph(1, (0,)), 0), (G("P:n=3"), 3), (G("P:n=3"), -1)):
+            with pytest.raises(ValueError, match="not a cut vertex"):
+                decompose.split_at(g, w)
+
+    def test_validates_without_the_block_dfs(self, monkeypatch):
+        # the components of G - w already decide both checks
+        monkeypatch.setattr(decompose, "cut_vertices", None)
+        assert len(decompose.split_at(G("S:n=5"), 0)) == 4
+        with pytest.raises(ValueError):
+            decompose.split_at(G("C:n=5"), 0)
 
 
 class TestMerge:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -226,6 +227,24 @@ class TestReports:
     def test_summary_line(self):
         line = report_summary_line(search_min_F(ClassSpec(6, 1)))
         assert line.startswith("min=37 minimizers=") and line.endswith("classes=33")
+
+    def test_cap_level_reports_are_pinned(self):
+        # every n = 9 search with k >= 1 reports the canonical graph6 and
+        # argmin labels of its minimisers, although the one-cut-vertex
+        # classes there are stored unlabeled; the digest was taken when
+        # every class was stored canonically labeled
+        digest = hashlib.sha256()
+        for k in range(1, 8):
+            for subset in ("all", "trees", "nontrees"):
+                for min_girth in (k, k + 3):
+                    spec = ClassSpec(9, k, min_girth=min_girth, subset=subset)
+                    for search in (search_min_F, search_min_vertex_subgraph_number):
+                        doc = report_to_json_dict(search(spec))
+                        del doc["wall_time_ms"]
+                        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "7f3b243b370a0093f5d3f751b799f4f823dda9a709a624cbf1676fd6ea7f9a89"
+        )
 
 
 class TestTheoremRegistry:

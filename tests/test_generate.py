@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -158,6 +159,49 @@ def test_cut_vertex_stratum_matches_filter():
         }
         composed = {canonical_key(g) for g in classes_with_cut_vertices(n)}
         assert composed == by_filter
+
+
+def test_bouquet_certificate_is_complete():
+    # the lemma in generate: a gluing has a bouquet iff it has exactly one
+    # cut vertex, and two such gluings share a certificate iff isomorphic
+    for n in range(3, 9):
+        key_of: dict[bytes, bytes] = {}
+        cert_of: dict[bytes, bytes] = {}
+        for g1, r1, g2, r2, bouquet in generate._gluings(n):
+            glued = glue(g1, r1, g2, r2)
+            assert (bouquet is not None) == (len(cut_vertices(glued)) == 1)
+            if bouquet is not None:
+                cert, key = b"".join(bouquet), canonical_key(glued)
+                assert key_of.setdefault(cert, key) == key
+                assert cert_of.setdefault(key, cert) == cert
+        assert len(key_of) == sum(len(cut_vertices(g)) == 1 for g in classes_with_cut_vertices(n))
+
+
+def test_cap_level_labels_only_gluings_with_two_cut_vertices(monkeypatch):
+    # at the cap a one-cut-vertex class is deduplicated by certificate and
+    # kept unlabeled; every other gluing is labeled once, as below the cap
+    want = Counter(len(cut_vertices(g)) for g in classes_with_cut_vertices(8))
+    monkeypatch.setattr(generate, "_store", {})
+    monkeypatch.setattr(generate, "GENERATION_CAP", 8)
+    for n in range(1, 8):
+        rooted_classes(n)
+    several = sum(
+        len(cut_vertices(glue(g1, r1, g2, r2))) >= 2
+        for g1, r1, g2, r2, _ in generate._gluings(8)
+    )
+    calls = 0
+    label = generate.canonical_labeling
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "canonical_labeling", counted)
+    composed = classes_with_cut_vertices(8)
+    assert calls == several
+    assert len(composed) == CONNECTED_COUNTS[8] - TWO_CONNECTED_COUNTS[8] == 3994
+    assert Counter(len(cut_vertices(g)) for g in composed) == want
 
 
 def test_rooted_classes_orbits():
