@@ -8,7 +8,7 @@ the full minimizer set.  Classes come from the two disjoint strata of
 classes with one, so a search never generates the other stratum of its
 level.  Each stratum is evaluated once per vertex count and kept as a
 catalog of records.  Counts do not depend on labels, so a record's graph
-need not be canonically labeled (at ``GENERATION_CAP`` the classes with one
+need not be canonically labeled (at ``GENERATION_CAP`` the classes with a
 cut vertex are not); a report canonises only its minimizers and names each
 by its canonical graph6, with argmin vertices in canonical labels.
 
@@ -16,8 +16,9 @@ Counting in the search loop runs through a batched version of the census
 subset table with machine integers.  Every count the kernel forms, table
 entries and their partial sums F and f(v) alike, is at most
 sum_S 2^{e(S)} <= 2^{n+m}, so int64 arithmetic is exact whenever
-n + m <= 62; the kernel checks that bound on every batch and refuses
-a batch that breaks it.  Equality with the census and decomposition routes
+n + m <= 62; the kernel checks that bound on every batch, counting the
+edges in the adjacency array it builds anyway, and refuses a batch that
+breaks it.  Equality with the census and decomposition routes
 is asserted exhaustively in the test suite, and each reported minimizer is
 re-checked through the decomposition path.
 """
@@ -86,7 +87,7 @@ class _Record:
     @cached_property
     def _positions(self) -> list[int]:
         # the canonical label of each vertex of ``graph``, which is stored
-        # unlabeled when it has one cut vertex at the cap (see generate)
+        # unlabeled when it has a cut vertex at the cap (see generate)
         return positions(canonical_labeling(self.graph)[1])
 
     @cached_property
@@ -148,14 +149,15 @@ def _tables(graphs: Sequence[Graph]) -> np.ndarray:
         raise ValueError("batch must share a vertex count")
     if n > _TABLE_MAX_N:
         raise ValueError(f"batched tables support n <= {_TABLE_MAX_N} only")
-    worst = max(g.m for g in graphs) + n
+    adj = np.asarray([g.adj for g in graphs], dtype=np.int64).T
+    # every edge is counted from both of its ends
+    worst = int(np.bitwise_count(adj).sum(axis=0).max()) // 2 + n
     if worst > _EXACT_MAX_N_PLUS_M:
         raise ValueError(
             f"int64 tables need n + m <= {_EXACT_MAX_N_PLUS_M}, batch has {worst}"
         )
     cnt = len(graphs)
     size = 1 << n
-    adj = np.asarray([g.adj for g in graphs], dtype=np.int64).T
     ecnt = np.zeros((size, cnt), dtype=np.int64)
     for S in range(1, size):
         low = S & -S

@@ -8,8 +8,9 @@ has its own generator:
   with >= 2 vertices) glued at one vertex, and every such gluing has a cut
   vertex.  Gluing orbit representatives of all smaller rooted classes
   therefore enumerates exactly the classes with k >= 1.  Repeated gluings
-  are dropped by canonical key, or, for the gluings with exactly one cut
-  vertex, by the bouquet certificate below, which needs no labeling.
+  are dropped by the block-cut tree certificate below, which needs no
+  canonical labeling, so each class below the cap is labeled once and
+  none at the cap.
 
 * ``block_classes(n)`` -- the classes without a cut vertex: K1 and K2 as
   seeds, and for n >= 3 the 2-connected classes by canonical augmentation
@@ -52,55 +53,92 @@ the new vertex v lies in that orbit.
 Hence the accepted children are the 2-connected classes, each once, and
 no set of seen children is needed.
 
-Gluing (g1, r1) to (g2, r2) gives c1 + c2 + 1 cut vertices, where c_i
-counts the cut vertices of g_i other than r_i; so it gives exactly one, r1,
-iff cut(g1) <= {r1} and cut(g2) <= {r2}.  Such a rooted part has a bouquet:
-its blocks at the root, each as ``block key + bytes([root's orbit root in
-the block])``, sorted.  A K2 or 2-connected class at orbit root r is one
-block; a class with one cut vertex w carries the bouquet of the gluing that
-first built it, with w as its only root that has one.  The bouquet of a
-gluing with one cut vertex is the sorted union of its parts' bouquets, and
-their concatenation is its certificate (a block key's first byte fixes its
-length, so the concatenation parses back into the entries).
+Every class below the cap carries its block list: per block, the block's
+class (K2 or a 2-connected class, with its orbit roots and automorphism
+generators in canonical labels) and its vertices in that class's canonical
+order.  A class without a cut vertex is its own single block.  Every block
+of a gluing is a block of one part, so the glued graph's list is the
+parts' lists with g2's vertices renamed as ``glue`` renames them, and the
+canonical relabeling renames them again: no block is ever labeled.
 
-Lemma (the certificate is complete).  A graph G with exactly one cut vertex
-w is determined up to isomorphism by the multiset of (block class,
-Aut(block)-orbit of w), so two such gluings are isomorphic iff their
-certificates are equal.  Every block of G holds w, since the block-cut tree
-is a star around it.  An isomorphism G -> G' sends w to w' (the only cut
-vertices) and blocks to blocks, so it pairs the blocks with equal classes
-and carries w to w' within each: the multisets agree.  Conversely, pair the
-blocks of equal entries.  In each pair B and B' have one canonical form, in
-which w and w' fall in one Aut-orbit, so some isomorphism B -> B' sends w
-to w'.  Distinct blocks meet only in w, where these maps all agree, so
-together they are an isomorphism G -> G'.
+The certificate of a gluing roots its block-cut tree at the centre.  Every
+leaf of that tree is a block, so any two leaves are an even distance apart
+and the centre is a single node.  A block B entered at cut vertex e (its
+neighbour towards the centre) is coded as its class key followed by
 
-Every class, in either stratum, is canonised by one step, ``canonize``: the
-canonical labeling, the canonically labeled copy and the orbit-root mask
+* the orbit root of e's label in B, if B is a leaf (e is its only cut
+  vertex), or else
+* the byte 0xfe and the least image under Aut(B) of B's colouring: 0xff at
+  e, and at every other vertex v the code of v, which is the number of
+  blocks at v other than B followed by their codes, sorted (a single 0 for
+  a vertex in no other block).
+
+The centre block is coded the same way with no vertex e.  A centre cut
+vertex w is coded as the sorted codes of its blocks, concatenated.  The
+certificate is the centre's code.  A key's first byte fixes its length, the
+byte after it tells a leaf (an orbit root, below 0xfe) from an inner block,
+and a vertex code's first byte counts the block codes that follow, so every
+code parses back into the tree it was made from (Aho, Hopcroft and Ullman's
+tree code, 1974, over blocks labeled up to automorphism).
+
+Lemma (the certificate is complete).  Two gluings are isomorphic iff their
+certificates are equal.  Call the piece of B at e the union of B and all
+blocks beyond B's vertices other than e, rooted at e; the piece of a cut
+vertex v under B, the union of the pieces of v's other blocks, rooted at v.
+By induction on height, two pieces have equal codes iff some isomorphism
+maps one onto the other, root to root.
+
+1. A leaf block: two leaves are isomorphic with e sent to e' iff they have
+   one class and, in its canonical form, e and e' lie in one Aut-orbit.
+2. An inner block: an isomorphism of pieces maps B onto B' (e's only block
+   in the piece) and the piece at each vertex v onto the piece at its
+   image, so read in canonical labels it is an automorphism of the class
+   carrying one colouring onto the other, and the least images agree.
+   Conversely, an automorphism carrying one colouring onto the other pairs
+   vertices with equal codes, whose pieces are isomorphic by induction;
+   the pieces meet B only at their roots, so these maps and the
+   automorphism agree where they meet and together map piece onto piece.
+3. A cut vertex: its piece is its blocks' pieces glued at v, so two are
+   isomorphic iff the blocks' codes agree as multisets.
+
+The centre is isomorphism-invariant, so an isomorphism maps centre to
+centre (cut vertex to cut vertex, block to block), and the whole graph is
+the piece of its centre.
+
+A gluing with exactly one cut vertex w takes the fast path.  Gluing
+(g1, r1) to (g2, r2) gives c1 + c2 + 1 cut vertices, where c_i counts the
+cut vertices of g_i other than r_i; so it gives exactly one, r1, iff
+cut(g1) <= {r1} and cut(g2) <= {r2}.  Its tree is a star of leaves around
+w, so its certificate is the concatenation of its sorted leaf codes,
+``block key + bytes([w's orbit root in the block])``: the bouquet.  A part
+whose cut set lies within its root carries its bouquet there, and the
+gluing's bouquet is the sorted union of its parts', built without the tree.
+
+Every class, in either stratum, is canonised by one step, ``canonize``:
+the canonical labeling, the canonically labeled copy and the orbit roots
 read off the automorphism generators of that same labeling.  The one
 exception is at ``GENERATION_CAP``, the level nothing glues: there a class
-with one cut vertex is kept as the graph of the first gluing with its
-certificate, unlabeled, so each costs no canonical labeling at all.  Its
-canonical form is computed only when read (``extremal`` does so for the
-minimisers it reports).
+with a cut vertex is kept as the graph of the first gluing with its
+certificate, unlabeled, so composing the cap costs no canonical labeling
+at all.  Its canonical form
+is computed only when read (``extremal`` does so for the minimisers it
+reports).
 
 The classes live in one store, per vertex count and stratum ("cut" or
 "block"): keys in sorted order, with the graph, the orbit-root mask and the
-hub of each.  A key is the canonical key, except for the one-cut-vertex
-classes at the cap, which are keyed by certificate; these begin with a
-block's vertex count, below n, so they sort before the canonical keys and
-``connected_classes(GENERATION_CAP)`` is not in canonical-key order.
-Masks are kept only below the cap, the sizes composition glues (it computes
-none at the cap); at the cap each is 0.  The hub of a class with one cut
-vertex below the cap is (its cut vertex, its bouquet); it is None for every
-other class.  ``rooted_classes(n)`` expands the masks of level n on each
-call.
+block list of each.  A key is the canonical key, except for the classes
+with a cut vertex at the cap, which are keyed by certificate; these begin
+with a block's vertex count, below n, so they sort before the canonical
+keys and ``connected_classes(GENERATION_CAP)`` is not in canonical-key
+order.  Masks and block lists are kept only below the cap, the sizes
+composition glues; at the cap each mask is 0 and each list empty.
+``rooted_classes(n)`` expands the masks of level n on each call.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Container, Iterator
+from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
 from .canon import canonical_labeling, labeled_key, orbit_least, positions
@@ -110,38 +148,84 @@ from .graph import MAX_VERTICES, Graph, bits, components, cut_vertices, map_mask
 # classes with a cut vertex from composition alone
 GENERATION_CAP = 9
 
-# a one-cut-vertex class's hub: (its cut vertex, its bouquet there)
-_Hub = tuple[int, tuple[bytes, ...]]
+
+class _BlockClass:
+    """K2 or a 2-connected class as a block of larger graphs: its key, per
+    canonical label the least label of its Aut-orbit, and generators of Aut
+    in canonical labels.  The group is enumerated on first use.  A gluing on
+    at most ``GENERATION_CAP`` vertices with two or more cut vertices has
+    no inner block above ``GENERATION_CAP - 2`` vertices, so larger classes
+    keep no generators."""
+
+    __slots__ = ("key", "roots", "gens", "_images")
+
+    def __init__(self, key: bytes, roots: bytes, gens: tuple[tuple[int, ...], ...]):
+        self.key = key
+        self.roots = roots
+        self.gens = gens
+        self._images: list[itemgetter] | None = None
+
+    def least(self, colours: list[bytes]) -> bytes:
+        """The least image under Aut of ``colours``, one per canonical label."""
+        if len(colours) == 2:
+            a, b = colours  # K2: the lesser of its two orders
+            return min(a + b, b + a)
+        if self._images is None:
+            self._images = [itemgetter(*p) for p in _group(self.gens, len(self.roots))]
+        return b"".join(min(image(colours) for image in self._images))
+
+
+def _group(gens: Sequence[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
+    """Every permutation of 0..n-1 that ``gens`` generate; a generator the
+    group so far already holds is skipped."""
+    group = {tuple(range(n))}
+    kept: list[tuple[int, ...]] = []
+    for s in gens:
+        if s in group:
+            continue
+        kept.append(s)
+        todo = list(group)
+        while todo:
+            p = todo.pop()
+            for t in kept:
+                q = tuple(p[i] for i in t)
+                if q not in group:
+                    group.add(q)
+                    todo.append(q)
+    return group
+
+
+# a block of a graph: its class and its vertices in the class's canonical order
+_Block = tuple[_BlockClass, bytes]
+# a rooted class as composition glues it: (graph, root, block list, bouquet)
+_Part = tuple[Graph, int, tuple[_Block, ...], tuple[bytes, ...] | None]
 
 # the class store: (n, stratum) -> (sorted keys, the graph, the orbit-root
-# mask and the hub of each)
+# mask and the block list of each)
 _store: dict[
     tuple[int, str],
-    tuple[tuple[bytes, ...], tuple[Graph, ...], tuple[int, ...], tuple[_Hub | None, ...]],
+    tuple[tuple[bytes, ...], tuple[Graph, ...], tuple[int, ...], tuple[tuple[_Block, ...], ...]],
 ] = {}
 
 
 def canonize(
-    g: Graph, orbits: bool = True, known: Container[bytes] = ()
-) -> tuple[bytes, Graph | None, int, tuple[int, ...]]:
-    """The canonical key of ``g``, its canonically labeled copy, the copy's
-    orbit-root mask (bit r set for the smallest canonical label r of each
-    Aut(g)-orbit) and ``orbit_of``: per vertex v of ``g``, the root r of
-    v's orbit.  Without ``orbits`` the mask is 0 and ``orbit_of`` is ().
-    A key in ``known`` is a class already built: only the key is returned,
-    with copy None."""
+    g: Graph,
+) -> tuple[bytes, Graph, list[int], list[int], list[tuple[int, ...]]]:
+    """The canonical key of ``g``, its canonically labeled copy, ``pos`` (vertex
+    v of ``g`` gets canonical label ``pos[v]``), ``orbit_of`` (per vertex v of
+    ``g``, the least canonical label in v's Aut(g)-orbit) and generators of
+    Aut(g) in ``g``'s labels."""
     key, order, gens = canonical_labeling(g)
-    if key in known:
-        return key, None, 0, ()
     pos = positions(order)
-    copy = g.relabel(pos)
-    if not orbits:
-        return key, copy, 0, ()
-    orbit_of = orbit_least(pos, gens)
+    return key, g.relabel(pos), pos, orbit_least(pos, gens), gens
+
+
+def _root_mask(orbit_of: Sequence[int]) -> int:
+    """Bit r set for every orbit root r."""
     mask = 0
     for r in orbit_of:
         mask |= 1 << r
-    return key, copy, mask, tuple(orbit_of)
+    return mask
 
 
 def _put(
@@ -149,15 +233,16 @@ def _put(
     stratum: str,
     graphs: dict[bytes, Graph],
     roots: dict[bytes, int],
-    hubs: dict[bytes, _Hub] | None = None,
+    blocks: dict[bytes, tuple[_Block, ...]],
 ) -> tuple[Graph, ...]:
-    """Store level n of a stratum from its graphs, orbit-root masks and hubs,
-    all by key, in key order (masks only below the cap); returns the
+    """Store level n of a stratum from its graphs and, below the cap, their
+    orbit-root masks and block lists, all by key, in key order; returns the
     graphs."""
     keys = tuple(sorted(graphs))
+    below = n < GENERATION_CAP
     level = tuple(graphs[k] for k in keys)
-    masks = tuple(roots[k] if n < GENERATION_CAP else 0 for k in keys)
-    _store[n, stratum] = (keys, level, masks, tuple((hubs or {}).get(k) for k in keys))
+    masks = tuple(roots[k] if below else 0 for k in keys)
+    _store[n, stratum] = (keys, level, masks, tuple(blocks[k] if below else () for k in keys))
     return level
 
 
@@ -170,7 +255,9 @@ def block_classes(n: int) -> tuple[Graph, ...]:
         if n <= 2:
             # K1 and K2: one class, one vertex orbit
             seed = Graph(n, (0,) if n == 1 else (0b10, 0b01))
-            _store[n, "block"] = ((labeled_key(seed),), (seed,), (1,), (None,))
+            key = labeled_key(seed)
+            cls = _BlockClass(key, bytes(n), ((1, 0),) if n == 2 else ())
+            _store[n, "block"] = ((key,), (seed,), (1,), (((cls, bytes(range(n))),),))
         else:
             _put(n, "block", *_two_connected(n))
     return _store[n, "block"][1]
@@ -187,18 +274,22 @@ def _union(n: int) -> Iterator[tuple[bytes, Graph, int]]:
 
 def connected_classes(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, one representative per
-    isomorphism class, canonically labeled except the classes with one cut
+    isomorphism class, canonically labeled except the classes with a cut
     vertex at ``GENERATION_CAP``."""
     return tuple(g for _, g, _ in _union(n))
 
 
-def _two_connected(n: int) -> tuple[dict[bytes, Graph], dict[bytes, int]]:
-    """The canonical graph and the orbit-root mask, by canonical key, of
-    every 2-connected class on n >= 3 vertices, by canonical augmentation
-    (see the lemma above)."""
+def _two_connected(
+    n: int,
+) -> tuple[dict[bytes, Graph], dict[bytes, int], dict[bytes, tuple[_Block, ...]]]:
+    """The canonical graph, the orbit-root mask and (below the cap) the block
+    list, by canonical key, of every 2-connected class on n >= 3 vertices,
+    by canonical augmentation (see the lemma above)."""
     new = n - 1
+    own = bytes(range(n))  # a class is its own block, on its canonical labels
     graphs: dict[bytes, Graph] = {}
     roots: dict[bytes, int] = {}
+    blocks: dict[bytes, tuple[_Block, ...]] = {}
     for parent in connected_classes(n - 1):
         _, _, gens = canonical_labeling(parent)
         for subset in _subset_orbit_reps(parent, gens):
@@ -206,14 +297,34 @@ def _two_connected(n: int) -> tuple[dict[bytes, Graph], dict[bytes, int]]:
             # the new vertex n - 1 joined to every vertex of the subset
             adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
             adj.append(subset)
-            key, child, mask, orbit_of = canonize(Graph(n, tuple(adj)))
+            key, child, pos, orbit_of, auts = canonize(Graph(n, tuple(adj)))
             # m(child) is the first canonical label of the minimum degree |S|;
             # no smaller label shares its orbit, so it is its orbit's root
             deleted = next(v for v, a in enumerate(child.adj) if a.bit_count() == size)
             if orbit_of[new] == deleted:
                 graphs[key] = child
-                roots[key] = mask
-    return graphs, roots
+                roots[key] = _root_mask(orbit_of)
+                if n < GENERATION_CAP:
+                    blocks[key] = ((_own_class(key, pos, orbit_of, auts), own),)
+    return graphs, roots, blocks
+
+
+def _own_class(
+    key: bytes, pos: list[int], orbit_of: list[int], gens: list[tuple[int, ...]]
+) -> _BlockClass:
+    """The block class of a 2-connected class from ``canonize``'s output,
+    its orbit roots and generators moved to canonical labels."""
+    n = len(pos)
+    roots = bytearray(n)
+    for v, r in enumerate(orbit_of):
+        roots[pos[v]] = r
+    moved = []
+    for a in gens if n <= GENERATION_CAP - 2 else ():
+        perm = [0] * n
+        for v, w in enumerate(a):
+            perm[pos[v]] = pos[w]
+        moved.append(tuple(perm))
+    return _BlockClass(key, bytes(roots), tuple(moved))
 
 
 def _subset_orbit_reps(p: Graph, gens: list[tuple[int, ...]]) -> list[int]:
@@ -256,28 +367,49 @@ def rooted_classes(n: int) -> list[tuple[Graph, int]]:
     """(graph, root) pairs: each connected class on n vertices with one root
     per vertex orbit, the orbit's smallest vertex.  Kept for
     n < ``GENERATION_CAP``, the sizes composition glues."""
-    return [(g, root) for g, root, _ in _rooted_parts(n)]
+    return [(g, root) for g, root, _, _ in _rooted_parts(n)]
 
 
-def _rooted_parts(n: int) -> list[tuple[Graph, int, tuple[bytes, ...] | None]]:
-    """(graph, root, bouquet) in the order of ``rooted_classes(n)``.  The
-    bouquet (see above) is None unless the root is the graph's only cut
-    vertex or the graph has none."""
+def _rooted_parts(n: int) -> list[_Part]:
+    """(graph, root, block list, bouquet) in the order of
+    ``rooted_classes(n)``.  The bouquet (see above) is None unless the
+    graph's cut vertices lie within the root."""
     if not 1 <= n < GENERATION_CAP:
         raise ValueError(f"rooted classes are kept for n in 1..{GENERATION_CAP - 1}")
     block_classes(n)
     classes_with_cut_vertices(n)
-    blocks = [
-        (key, g, r, (key + bytes([r]),))
-        for key, g, roots, _ in zip(*_store[n, "block"])
-        for r in bits(roots)
-    ]
-    cut = [
-        (key, g, r, hub[1] if hub is not None and hub[0] == r else None)
-        for key, g, roots, hub in zip(*_store[n, "cut"])
-        for r in bits(roots)
-    ]
-    return [part[1:] for part in heapq.merge(blocks, cut, key=itemgetter(0))]
+    strata = [_parts_of(*_store[n, s]) for s in ("block", "cut")]
+    return [part for _, part in heapq.merge(*strata, key=itemgetter(0))]
+
+
+def _parts_of(
+    keys: tuple[bytes, ...],
+    graphs: tuple[Graph, ...],
+    masks: tuple[int, ...],
+    lists: tuple[tuple[_Block, ...], ...],
+) -> Iterator[tuple[bytes, _Part]]:
+    """(key, part) for each orbit root of each class of one stored level."""
+    for key, g, mask, blocks in zip(keys, graphs, masks, lists):
+        # the cut vertices: the vertices in two or more blocks
+        seen = cut = 0
+        for _, verts in blocks:
+            for v in verts:
+                cut |= seen & 1 << v
+                seen |= 1 << v
+        for r in bits(mask):
+            bouquet = None
+            if not cut & ~(1 << r):
+                bouquet = tuple(
+                    sorted(cls.key + bytes([cls.roots[verts.index(r)]]) for cls, verts in blocks)
+                )
+            yield key, (g, r, blocks, bouquet)
+
+
+def _labels(n1: int, r1: int, n2: int, r2: int) -> list[int]:
+    """Where ``glue`` puts each vertex of g2."""
+    label = [n1 + v - (v > r2) for v in range(n2)]
+    label[r2] = r1
+    return label
 
 
 def glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
@@ -288,55 +420,117 @@ def glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
     n = g1.n + g2.n - 1
     if n > MAX_VERTICES:
         raise ValueError(f"glued graph has {n} > {MAX_VERTICES} vertices")
-    label = [g1.n + v - (v > r2) for v in range(g2.n)]
-    label[r2] = r1
-    image = [1 << x for x in label]
+    n1, low = g1.n, (1 << r2) - 1
     adj = list(g1.adj) + [0] * (g2.n - 1)
-    for v, a in enumerate(g2.adj):
-        adj[label[v]] |= map_mask(a, image)
+    for v, a in zip(_labels(n1, r1, g2.n, r2), g2.adj):
+        # g2's vertices below r2 move up by n1, those above it by n1 - 1
+        adj[v] |= (a & low) << n1 | (a >> r2 + 1) << n1 + r2 | (a >> r2 & 1) << r1
     return Graph(n, tuple(adj))
 
 
-def _gluings(n: int) -> Iterator[tuple[Graph, int, Graph, int, tuple[bytes, ...] | None]]:
-    """(g1, r1, g2, r2, bouquet) for every pair of rooted classes composition
-    glues into n vertices: n1 <= n2 and, when n1 == n2, each unordered pair
-    once.  The bouquet is the glued graph's own when it has exactly one cut
-    vertex, and None otherwise."""
+def _glued_blocks(p1: _Part, p2: _Part) -> list[_Block]:
+    """The block list of the two parts glued, in ``glue``'s labels."""
+    g1, r1, blocks1, _ = p1
+    g2, r2, blocks2, _ = p2
+    label = _labels(g1.n, r1, g2.n, r2)
+    return [*blocks1, *((cls, bytes(map(label.__getitem__, verts))) for cls, verts in blocks2)]
+
+
+def _certificate(blocks: list[_Block], n: int) -> bytes:
+    """The certificate (see above) of a graph on n vertices with two or more
+    cut vertices, from its block list."""
+    at: list[list[int]] = [[] for _ in range(n)]  # the blocks at each vertex
+    for i, (_, verts) in enumerate(blocks):
+        for v in verts:
+            at[v].append(i)
+    # the block-cut tree: block i is node i, cut vertex v is node nb + v
+    nb = len(blocks)
+    cuts = [v for v in range(n) if len(at[v]) > 1]
+    nbrs: list[list[int]] = [[] for _ in range(nb)]
+    for v in cuts:
+        for i in at[v]:
+            nbrs[i].append(nb + v)
+    nbrs += at
+    # strip the leaves, layer by layer, down to the centre
+    deg = [len(ids) for ids in nbrs]
+    layer = [i for i in range(nb) if deg[i] == 1]
+    left = nb + len(cuts)
+    while left > len(layer):
+        left -= len(layer)
+        nxt = []
+        for u in layer:
+            deg[u] = 0
+            for w in nbrs[u]:
+                if deg[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    centre = layer[0]
+
+    def block_code(i: int, entry: int) -> bytes:
+        cls, verts = blocks[i]
+        if len(nbrs[i]) == 1:  # a leaf, entered at its one cut vertex
+            return cls.key + bytes([cls.roots[verts.index(entry)]])
+        colours = [
+            b"\xff" if v == entry else vertex_code(v, i) if len(at[v]) > 1 else b"\x00"
+            for v in verts
+        ]
+        return cls.key + b"\xfe" + cls.least(colours)
+
+    def vertex_code(v: int, parent: int) -> bytes:
+        codes = sorted([block_code(j, v) for j in at[v] if j != parent])
+        return bytes([len(codes)]) + b"".join(codes)
+
+    if centre < nb:
+        return block_code(centre, -1)
+    w = centre - nb
+    return b"".join(sorted([block_code(j, w) for j in at[w]]))
+
+
+def _gluings(n: int) -> Iterator[tuple[_Part, _Part, bytes]]:
+    """(part 1, part 2, certificate) for every pair of rooted classes
+    composition glues into n vertices: n1 <= n2 and, when n1 == n2, each
+    unordered pair once.  A gluing with one cut vertex is certified by its
+    parts' bouquets, any other by its block-cut tree."""
     for n1 in range(2, (n + 1) // 2 + 1):
         n2 = n + 1 - n1
         left = _rooted_parts(n1)
         right = left if n2 == n1 else _rooted_parts(n2)
-        for i, (g1, r1, b1) in enumerate(left):
-            for g2, r2, b2 in right[i if n2 == n1 else 0 :]:
-                yield g1, r1, g2, r2, None if b1 is None or b2 is None else tuple(sorted(b1 + b2))
+        for i, p1 in enumerate(left):
+            b1 = p1[3]
+            for p2 in right[i if n2 == n1 else 0 :]:
+                b2 = p2[3]
+                if b1 is not None and b2 is not None:
+                    cert = b"".join(sorted(b1 + b2))
+                else:
+                    cert = _certificate(_glued_blocks(p1, p2), n)
+                yield p1, p2, cert
 
 
 def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
     """All connected classes on n vertices having at least one cut vertex.
-    Below ``GENERATION_CAP`` each is canonically labeled; at the cap those
-    with exactly one cut vertex are kept as first glued (see above)."""
+    Below ``GENERATION_CAP`` each is canonically labeled; at the cap each is
+    kept as first glued (see above)."""
     if (n, "cut") in _store:
         return _store[n, "cut"][1]
     at_cap = n == GENERATION_CAP
-    found: dict[bytes, Graph] = {}
+    graphs: dict[bytes, Graph] = {}
     roots: dict[bytes, int] = {}
-    hubs: dict[bytes, _Hub] = {}
-    built: set[bytes] = set()  # certificates of the one-cut-vertex classes
-    for g1, r1, g2, r2, bouquet in _gluings(n):
-        if bouquet is not None:
-            cert = b"".join(bouquet)
-            if cert in built:
-                continue
-            built.add(cert)
-            if at_cap:
-                # no block key has n vertices, so no certificate is a canonical key
-                found[cert] = glue(g1, r1, g2, r2)
-                roots[cert] = 0
-                continue
-        key, canon, mask, orbit_of = canonize(glue(g1, r1, g2, r2), not at_cap, found)
-        if canon is not None:
-            found[key] = canon
-            roots[key] = mask
-            if bouquet is not None:
-                hubs[key] = orbit_of[r1], bouquet
-    return _put(n, "cut", found, roots, hubs)
+    blocks: dict[bytes, tuple[_Block, ...]] = {}
+    built: set[bytes] = set()  # the certificates met so far
+    for p1, p2, cert in _gluings(n):
+        if cert in built:
+            continue
+        built.add(cert)
+        glued = glue(p1[0], p1[1], p2[0], p2[1])
+        if at_cap:
+            # no block key has n vertices, so no certificate is a canonical key
+            graphs[cert] = glued
+            continue
+        key, graphs[key], pos, orbit_of, _ = canonize(glued)
+        roots[key] = _root_mask(orbit_of)
+        blocks[key] = tuple(
+            (cls, bytes(pos[v] for v in verts)) for cls, verts in _glued_blocks(p1, p2)
+        )
+    return _put(n, "cut", graphs, roots, blocks)

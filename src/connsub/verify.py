@@ -65,8 +65,8 @@ def _named_form(text: str) -> tuple[str, tuple[int, ...]]:
     """The canonical graph6 of a named graph, the form in which a search
     reports its minimizers, and per vertex the canonical label of its
     orbit's root."""
-    _, g, _, orbit_of = canonize(families.build(families.parse_family_spec(text)))
-    return serialize_graph6(g), orbit_of
+    _, g, _, orbit_of, _ = canonize(families.build(families.parse_family_spec(text)))
+    return serialize_graph6(g), tuple(orbit_of)
 
 
 @lru_cache(maxsize=None)

@@ -161,45 +161,44 @@ def test_cut_vertex_stratum_matches_filter():
         assert composed == by_filter
 
 
-def test_bouquet_certificate_is_complete():
-    # the lemma in generate: a gluing has a bouquet iff it has exactly one
-    # cut vertex, and two such gluings share a certificate iff isomorphic
-    for n in range(3, 9):
+def test_certificate_is_complete():
+    # the lemma in generate: every pair-loop gluing, with one cut vertex
+    # (its bouquet) or more (its block-cut tree), shares its certificate
+    # exactly with the gluings isomorphic to it
+    for n, want in {3: 1, 4: 3, 5: 11, 6: 56, 7: 385, 8: 3994}.items():
         key_of: dict[bytes, bytes] = {}
         cert_of: dict[bytes, bytes] = {}
-        for g1, r1, g2, r2, bouquet in generate._gluings(n):
+        for (g1, r1, _, b1), (g2, r2, _, b2), cert in generate._gluings(n):
             glued = glue(g1, r1, g2, r2)
-            assert (bouquet is not None) == (len(cut_vertices(glued)) == 1)
-            if bouquet is not None:
-                cert, key = b"".join(bouquet), canonical_key(glued)
-                assert key_of.setdefault(cert, key) == key
-                assert cert_of.setdefault(key, cert) == cert
-        assert len(key_of) == sum(len(cut_vertices(g)) == 1 for g in classes_with_cut_vertices(n))
+            assert (b1 is not None and b2 is not None) == (len(cut_vertices(glued)) == 1)
+            key = canonical_key(glued)
+            assert key_of.setdefault(cert, key) == key
+            assert cert_of.setdefault(key, cert) == cert
+        assert len(key_of) == want
 
 
-def test_cap_level_labels_only_gluings_with_two_cut_vertices(monkeypatch):
-    # at the cap a one-cut-vertex class is deduplicated by certificate and
-    # kept unlabeled; every other gluing is labeled once, as below the cap
+def test_composition_labels_each_class_once_below_the_cap_and_none_at_it(monkeypatch):
+    # below the cap the first gluing of each certificate is labeled and the
+    # rest are dropped; at the cap every class with a cut vertex is kept
+    # unlabeled, keyed by its certificate
     want = Counter(len(cut_vertices(g)) for g in classes_with_cut_vertices(8))
     monkeypatch.setattr(generate, "_store", {})
-    monkeypatch.setattr(generate, "GENERATION_CAP", 8)
     for n in range(1, 8):
         rooted_classes(n)
-    several = sum(
-        len(cut_vertices(glue(g1, r1, g2, r2))) >= 2
-        for g1, r1, g2, r2, _ in generate._gluings(8)
-    )
-    calls = 0
+    labeled = []
     label = generate.canonical_labeling
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return label(*args, **kwargs)
+    def counted(g):
+        labeled.append(g.n)
+        return label(g)
 
     monkeypatch.setattr(generate, "canonical_labeling", counted)
+    assert len(classes_with_cut_vertices(8)) == len(labeled) == 3994
+    del generate._store[8, "cut"]
+    labeled.clear()
+    monkeypatch.setattr(generate, "GENERATION_CAP", 8)
     composed = classes_with_cut_vertices(8)
-    assert calls == several
+    assert labeled == []
     assert len(composed) == CONNECTED_COUNTS[8] - TWO_CONNECTED_COUNTS[8] == 3994
     assert Counter(len(cut_vertices(g)) for g in composed) == want
 
