@@ -9,8 +9,6 @@ highly symmetric graphs stay cheap.  Intended for n <= ~12.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .graph import Graph
 
 
@@ -153,22 +151,40 @@ def positions(order: tuple[int, ...]) -> list[int]:
     return pos
 
 
+# one shared object per orbit-root pattern: the 11,117 classes on 8
+# vertices have 137 patterns, and the class store keeps every class's roots
+_roots_of_pattern: dict[bytes, bytes] = {}
+
+
+def canonize(g: Graph) -> tuple[bytes, Graph, list[int], bytes, list[tuple[int, ...]]]:
+    """The canonical key of ``g``, its canonically labeled copy, ``pos``
+    (vertex v of ``g`` gets canonical label ``pos[v]``), ``roots`` (per
+    canonical label, the least label of its Aut-orbit) and generators of
+    Aut(g) in canonical labels."""
+    key, order, gens = canonical_labeling(g)
+    pos = positions(order)
+    # a generator v -> a[v] of g reads, in canonical labels, i -> pos[a[order[i]]]
+    auts = [tuple([pos[a[v]] for v in order]) for a in gens]
+    roots = bytes(orbit_least(g.n, auts))
+    return key, g.relabel(pos), pos, _roots_of_pattern.setdefault(roots, roots), auts
+
+
 def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:
     """Orbits of the automorphism group, each sorted, in order of their
     smallest vertex; the generators discovered during canonical labeling
     suffice to generate the group."""
     groups: dict[int, list[int]] = {}
-    for v, r in enumerate(orbit_least(range(g.n), canonical_labeling(g)[2])):
+    for v, r in enumerate(orbit_least(g.n, canonical_labeling(g)[2])):
         groups.setdefault(r, []).append(v)
     return [tuple(vs) for vs in groups.values()]
 
 
-def orbit_least(labels: Sequence[int], gens: list[tuple[int, ...]]) -> list[int]:
-    """Per vertex v, the least ``labels[u]`` over the vertices u in v's orbit
-    under the group generated by the permutations ``gens``."""
+def orbit_least(n: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """Per vertex v of 0..n-1, the least vertex in v's orbit under the
+    group generated by the permutations ``gens``."""
     # each vertex takes the lesser label across every generator edge until
     # none changes, so every orbit carries its least label throughout
-    least = list(labels)
+    least = list(range(n))
     changed = bool(gens)
     while changed:
         changed = False

@@ -13,19 +13,14 @@ remain, where brute-force census takes over.  The pair count f_{G1}(v, w)
 of the vertex rule does not recurse: census counts it on the whole part G1
 around v, which may itself hold cut vertices and be far larger than v's
 block.
-
-``block_expansion_count`` evaluates the full expansion of F(G) around one
-block, given as a vertex mask, with s cut vertices (2^s terms over subsets
-of its cut vertices).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import census
-from .graph import DisconnectedGraphError, Graph, bits, blocks, components, cut_vertices, reach
+from .graph import DisconnectedGraphError, Graph, bits, components, cut_vertices, reach
 
 
 @dataclass(frozen=True)
@@ -148,52 +143,3 @@ def _pair(g: Graph, u: int, v: int, memo: dict) -> int:
     memo[key] = val
     return val
 
-
-def _branch_at(g: Graph, block: int, w: int) -> SplitPart:
-    """The maximal subgraph hanging off the block with vertex mask ``block``
-    at its cut vertex w (everything reachable from w without entering the
-    block)."""
-    branch = reach(g.adj, w, (1 << g.n) - 1 & ~block | 1 << w)
-    sub, old = g.subgraph_on(bits(branch))
-    return SplitPart(sub, old, old.index(w))
-
-
-def block_expansion_count(g: Graph, block: int) -> int:
-    """F(G) via the expansion around one block B, given as its vertex mask,
-    with cut vertices w1..ws:
-
-        F(B) + sum_i (F(G_i) - 1) + sum_i (f_B(w_i) - 1)(f_i - 1)
-             + sum over subsets S with |S| >= 2 of f_B(S) prod_{i in S} (f_i - 1)
-
-    where G_i is the branch at w_i and f_i = f_{G_i}(w_i).
-    """
-    if block not in blocks(g):
-        raise ValueError("not a block of the graph")
-    cuts = cut_vertices(g)
-    ws = [w for w in bits(block) if w in cuts]
-    bgraph, old = g.subgraph_on(bits(block))
-    local = {w: old.index(w) for w in ws}
-    table = census.connected_set_table(bgraph)
-    size = 1 << bgraph.n
-
-    def f_block(req: tuple[int, ...]) -> int:
-        return census._count_from_table(table, size, sum(1 << local[w] for w in req))
-
-    branches = {w: _branch_at(g, block, w) for w in ws}
-    memo: dict = {}
-    fb = {}
-    Fb = {}
-    for w, part in branches.items():
-        fb[w] = _f(part.graph, part.w_local, memo)
-        Fb[w] = _F(part.graph, memo)
-
-    total = sum(table) + sum(Fb[w] - 1 for w in ws)
-    for w in ws:
-        total += (f_block((w,)) - 1) * (fb[w] - 1)
-    for r in range(2, len(ws) + 1):
-        for subset in combinations(ws, r):
-            term = f_block(subset)
-            for w in subset:
-                term *= fb[w] - 1
-            total += term
-    return total

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import decompose
-from .canon import canonical_labeling, positions
+from .canon import canonize
 from .generate import GENERATION_CAP, block_classes, classes_with_cut_vertices
 from .graph import Graph, bits, girth
 from .graphio import serialize_graph6
@@ -82,23 +82,23 @@ class _Record:
     f_min: int
     f_argmin: tuple[int, ...]
 
-    # the canonical labels, graph6 and girth are built on first read: only
+    # the canonical form, graph6 and girth are built on first read: only
     # minimisers, failure messages and girth-bounded classes need them
     @cached_property
-    def _positions(self) -> list[int]:
-        # the canonical label of each vertex of ``graph``, which is stored
-        # unlabeled when it has a cut vertex at the cap (see generate)
-        return positions(canonical_labeling(self.graph)[1])
+    def _canonical(self) -> tuple:
+        # ``graph`` is unlabeled when it has a cut vertex at the cap (see generate)
+        return canonize(self.graph)
 
     @cached_property
     def g6(self) -> str:
         """The canonical graph6, the form a report names a class by."""
-        return serialize_graph6(self.graph.relabel(self._positions))
+        return serialize_graph6(self._canonical[1])
 
     @property
     def argmin(self) -> tuple[int, ...]:
         """``f_argmin`` in canonical labels."""
-        return tuple(sorted(self._positions[v] for v in self.f_argmin))
+        pos = self._canonical[2]
+        return tuple(sorted(pos[v] for v in self.f_argmin))
 
     @cached_property
     def girth(self) -> int | None:

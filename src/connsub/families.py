@@ -45,11 +45,10 @@ class FamilySpec:
 
     def __post_init__(self):
         fam = _FAMILIES.get(self.name)
-        order = fam.params if fam else ()
-        if tuple(k for k, _ in self.params) != order:
-            raise ValueError(f"family {self.name} takes parameters {order}")
         if fam is None:
             raise ValueError(f"unknown family {self.name!r}")
+        if tuple(k for k, _ in self.params) != fam.params:
+            raise ValueError(f"family {self.name} takes parameters {fam.params}")
         for holds, message in fam.rules:
             if not holds(**dict(self.params)):
                 raise ValueError(message)

@@ -114,25 +114,25 @@ w, so its certificate is the concatenation of its sorted leaf codes,
 whose cut set lies within its root carries its bouquet there, and the
 gluing's bouquet is the sorted union of its parts', built without the tree.
 
-Every class, in either stratum, is canonised by one step, ``canonize``:
-the canonical labeling, the canonically labeled copy and the orbit roots
-read off the automorphism generators of that same labeling.  The one
-exception is at ``GENERATION_CAP``, the level nothing glues: there a class
-with a cut vertex is kept as the graph of the first gluing with its
-certificate, unlabeled, so composing the cap costs no canonical labeling
-at all.  Its canonical form
-is computed only when read (``extremal`` does so for the minimisers it
-reports).
+Every class, in either stratum, is canonised by one step,
+``canon.canonize``: the canonical key and copy, and the orbit roots and
+automorphism generators of that same labeling, already in canonical labels,
+so nothing here translates them.  The one exception is at
+``GENERATION_CAP``, the level nothing glues: there a class with a cut
+vertex is kept as the graph of the first gluing with its certificate,
+unlabeled, so composing the cap costs no canonical labeling at all.  Its
+canonical form is computed only when read (``extremal`` does so for the
+minimisers it reports).
 
 The classes live in one store, per vertex count and stratum ("cut" or
-"block"): keys in sorted order, with the graph, the orbit-root mask and the
+"block"): keys in sorted order, with the graph, the orbit roots and the
 block list of each.  A key is the canonical key, except for the classes
 with a cut vertex at the cap, which are keyed by certificate; these begin
 with a block's vertex count, below n, so they sort before the canonical
 keys and ``connected_classes(GENERATION_CAP)`` is not in canonical-key
-order.  Masks and block lists are kept only below the cap, the sizes
-composition glues; at the cap each mask is 0 and each list empty.
-``rooted_classes(n)`` expands the masks of level n on each call.
+order.  Orbit roots and block lists are kept only below the cap, the sizes
+composition glues; at the cap each is empty.  ``rooted_classes(n)`` reads
+the distinct roots of level n on each call.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ import heapq
 from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
-from .canon import canonical_labeling, labeled_key, orbit_least, positions
-from .graph import MAX_VERTICES, Graph, bits, components, cut_vertices, map_mask
+from .canon import canonical_labeling, canonize, labeled_key
+from .graph import MAX_VERTICES, Graph, components, cut_vertices, map_mask
 
 # largest n an exhaustive search generates; n = 10 would need about 2 M
 # classes with a cut vertex from composition alone
@@ -200,49 +200,29 @@ _Block = tuple[_BlockClass, bytes]
 # a rooted class as composition glues it: (graph, root, block list, bouquet)
 _Part = tuple[Graph, int, tuple[_Block, ...], tuple[bytes, ...] | None]
 
-# the class store: (n, stratum) -> (sorted keys, the graph, the orbit-root
-# mask and the block list of each)
+# the class store: (n, stratum) -> (sorted keys, the graph, the orbit roots
+# and the block list of each)
 _store: dict[
     tuple[int, str],
-    tuple[tuple[bytes, ...], tuple[Graph, ...], tuple[int, ...], tuple[tuple[_Block, ...], ...]],
+    tuple[tuple[bytes, ...], tuple[Graph, ...], tuple[bytes, ...], tuple[tuple[_Block, ...], ...]],
 ] = {}
-
-
-def canonize(
-    g: Graph,
-) -> tuple[bytes, Graph, list[int], list[int], list[tuple[int, ...]]]:
-    """The canonical key of ``g``, its canonically labeled copy, ``pos`` (vertex
-    v of ``g`` gets canonical label ``pos[v]``), ``orbit_of`` (per vertex v of
-    ``g``, the least canonical label in v's Aut(g)-orbit) and generators of
-    Aut(g) in ``g``'s labels."""
-    key, order, gens = canonical_labeling(g)
-    pos = positions(order)
-    return key, g.relabel(pos), pos, orbit_least(pos, gens), gens
-
-
-def _root_mask(orbit_of: Sequence[int]) -> int:
-    """Bit r set for every orbit root r."""
-    mask = 0
-    for r in orbit_of:
-        mask |= 1 << r
-    return mask
 
 
 def _put(
     n: int,
     stratum: str,
     graphs: dict[bytes, Graph],
-    roots: dict[bytes, int],
+    roots: dict[bytes, bytes],
     blocks: dict[bytes, tuple[_Block, ...]],
 ) -> tuple[Graph, ...]:
     """Store level n of a stratum from its graphs and, below the cap, their
-    orbit-root masks and block lists, all by key, in key order; returns the
+    orbit roots and block lists, all by key, in key order; returns the
     graphs."""
     keys = tuple(sorted(graphs))
     below = n < GENERATION_CAP
     level = tuple(graphs[k] for k in keys)
-    masks = tuple(roots[k] if below else 0 for k in keys)
-    _store[n, stratum] = (keys, level, masks, tuple(blocks[k] if below else () for k in keys))
+    kept = tuple(roots[k] if below else b"" for k in keys)
+    _store[n, stratum] = (keys, level, kept, tuple(blocks[k] if below else () for k in keys))
     return level
 
 
@@ -257,38 +237,32 @@ def block_classes(n: int) -> tuple[Graph, ...]:
             seed = Graph(n, (0,) if n == 1 else (0b10, 0b01))
             key = labeled_key(seed)
             cls = _BlockClass(key, bytes(n), ((1, 0),) if n == 2 else ())
-            _store[n, "block"] = ((key,), (seed,), (1,), (((cls, bytes(range(n))),),))
+            _store[n, "block"] = ((key,), (seed,), (cls.roots,), (((cls, bytes(range(n))),),))
         else:
             _put(n, "block", *_two_connected(n))
     return _store[n, "block"][1]
 
 
-def _union(n: int) -> Iterator[tuple[bytes, Graph, int]]:
-    """(key, graph, orbit-root mask) of every connected class on n vertices,
-    in key order: the two strata merged."""
-    block_classes(n)
-    classes_with_cut_vertices(n)
-    strata = [zip(*_store[n, s][:3]) for s in ("block", "cut")]
-    return heapq.merge(*strata, key=itemgetter(0))
-
-
 def connected_classes(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, one representative per
     isomorphism class, canonically labeled except the classes with a cut
-    vertex at ``GENERATION_CAP``."""
-    return tuple(g for _, g, _ in _union(n))
+    vertex at ``GENERATION_CAP``; the two strata merged in key order."""
+    block_classes(n)
+    classes_with_cut_vertices(n)
+    strata = [zip(*_store[n, s][:2]) for s in ("block", "cut")]
+    return tuple(g for _, g in heapq.merge(*strata, key=itemgetter(0)))
 
 
 def _two_connected(
     n: int,
-) -> tuple[dict[bytes, Graph], dict[bytes, int], dict[bytes, tuple[_Block, ...]]]:
-    """The canonical graph, the orbit-root mask and (below the cap) the block
+) -> tuple[dict[bytes, Graph], dict[bytes, bytes], dict[bytes, tuple[_Block, ...]]]:
+    """The canonical graph, the orbit roots and (below the cap) the block
     list, by canonical key, of every 2-connected class on n >= 3 vertices,
     by canonical augmentation (see the lemma above)."""
     new = n - 1
     own = bytes(range(n))  # a class is its own block, on its canonical labels
     graphs: dict[bytes, Graph] = {}
-    roots: dict[bytes, int] = {}
+    roots: dict[bytes, bytes] = {}
     blocks: dict[bytes, tuple[_Block, ...]] = {}
     for parent in connected_classes(n - 1):
         _, _, gens = canonical_labeling(parent)
@@ -297,34 +271,17 @@ def _two_connected(
             # the new vertex n - 1 joined to every vertex of the subset
             adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
             adj.append(subset)
-            key, child, pos, orbit_of, auts = canonize(Graph(n, tuple(adj)))
+            key, child, pos, child_roots, auts = canonize(Graph(n, tuple(adj)))
             # m(child) is the first canonical label of the minimum degree |S|;
             # no smaller label shares its orbit, so it is its orbit's root
             deleted = next(v for v, a in enumerate(child.adj) if a.bit_count() == size)
-            if orbit_of[new] == deleted:
+            if child_roots[pos[new]] == deleted:
                 graphs[key] = child
-                roots[key] = _root_mask(orbit_of)
                 if n < GENERATION_CAP:
-                    blocks[key] = ((_own_class(key, pos, orbit_of, auts), own),)
+                    roots[key] = child_roots
+                    kept = tuple(auts) if n <= GENERATION_CAP - 2 else ()
+                    blocks[key] = ((_BlockClass(key, child_roots, kept), own),)
     return graphs, roots, blocks
-
-
-def _own_class(
-    key: bytes, pos: list[int], orbit_of: list[int], gens: list[tuple[int, ...]]
-) -> _BlockClass:
-    """The block class of a 2-connected class from ``canonize``'s output,
-    its orbit roots and generators moved to canonical labels."""
-    n = len(pos)
-    roots = bytearray(n)
-    for v, r in enumerate(orbit_of):
-        roots[pos[v]] = r
-    moved = []
-    for a in gens if n <= GENERATION_CAP - 2 else ():
-        perm = [0] * n
-        for v, w in enumerate(a):
-            perm[pos[v]] = pos[w]
-        moved.append(tuple(perm))
-    return _BlockClass(key, bytes(roots), tuple(moved))
 
 
 def _subset_orbit_reps(p: Graph, gens: list[tuple[int, ...]]) -> list[int]:
@@ -385,18 +342,18 @@ def _rooted_parts(n: int) -> list[_Part]:
 def _parts_of(
     keys: tuple[bytes, ...],
     graphs: tuple[Graph, ...],
-    masks: tuple[int, ...],
+    roots: tuple[bytes, ...],
     lists: tuple[tuple[_Block, ...], ...],
 ) -> Iterator[tuple[bytes, _Part]]:
     """(key, part) for each orbit root of each class of one stored level."""
-    for key, g, mask, blocks in zip(keys, graphs, masks, lists):
+    for key, g, class_roots, blocks in zip(keys, graphs, roots, lists):
         # the cut vertices: the vertices in two or more blocks
         seen = cut = 0
         for _, verts in blocks:
             for v in verts:
                 cut |= seen & 1 << v
                 seen |= 1 << v
-        for r in bits(mask):
+        for r in sorted(set(class_roots)):
             bouquet = None
             if not cut & ~(1 << r):
                 bouquet = tuple(
@@ -516,7 +473,7 @@ def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
         return _store[n, "cut"][1]
     at_cap = n == GENERATION_CAP
     graphs: dict[bytes, Graph] = {}
-    roots: dict[bytes, int] = {}
+    roots: dict[bytes, bytes] = {}
     blocks: dict[bytes, tuple[_Block, ...]] = {}
     built: set[bytes] = set()  # the certificates met so far
     for p1, p2, cert in _gluings(n):
@@ -528,8 +485,7 @@ def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
             # no block key has n vertices, so no certificate is a canonical key
             graphs[cert] = glued
             continue
-        key, graphs[key], pos, orbit_of, _ = canonize(glued)
-        roots[key] = _root_mask(orbit_of)
+        key, graphs[key], pos, roots[key], _ = canonize(glued)
         blocks[key] = tuple(
             (cls, bytes(pos[v] for v in verts)) for cls, verts in _glued_blocks(p1, p2)
         )

@@ -27,7 +27,8 @@ from .extremal import (
     search_min_vertex_subgraph_number,
     subset_tables,
 )
-from .generate import canonize, connected_classes, glue, rooted_classes
+from .canon import canonize
+from .generate import connected_classes, glue, rooted_classes
 from .graph import bits, blocks, cut_vertices
 from .graphio import parse_graph6, serialize_graph6
 
@@ -48,9 +49,6 @@ class VerdictReport:
     def passed(self) -> bool:
         return all(item.passed for item in self.items)
 
-    def add(self, label: str, passed: bool, detail: str = "") -> None:
-        self.items.append(CheckItem(label, passed, detail))
-
     def lines(self) -> list[str]:
         out = []
         for item in self.items:
@@ -65,8 +63,8 @@ def _named_form(text: str) -> tuple[str, tuple[int, ...]]:
     """The canonical graph6 of a named graph, the form in which a search
     reports its minimizers, and per vertex the canonical label of its
     orbit's root."""
-    _, g, _, orbit_of, _ = canonize(families.build(families.parse_family_spec(text)))
-    return serialize_graph6(g), tuple(orbit_of)
+    _, g, pos, roots, _ = canonize(families.build(families.parse_family_spec(text)))
+    return serialize_graph6(g), tuple(roots[p] for p in pos)
 
 
 @lru_cache(maxsize=None)
@@ -75,19 +73,17 @@ def _superset_indices(n: int, mask: int):
 
 
 # ---------------------------------------------------------------------------
-# theorem checks
+# theorem checks: each is a function of n_max that yields its report items
 
 
-def _check_per_n(
-    name: str, n_min: int, label: str, offence: Callable[[int], str | None], n_max: int
-) -> VerdictReport:
+def _per_n(
+    n_min: int, label: str, offence: Callable[[int], str | None], n_max: int
+) -> Iterator[CheckItem]:
     """One item per n from n_min to n_max, labelled by ``label`` formatted
     with n; ``offence(n)`` is the first counterexample at n, or None."""
-    rep = VerdictReport(name)
     for n in range(n_min, n_max + 1):
         bad = offence(n)
-        rep.add(label.format(n=n), bad is None, bad or "")
-    return rep
+        yield CheckItem(label.format(n=n), bad is None, bad or "")
 
 
 def _edge_monotonicity_offence(n: int) -> str | None:
@@ -144,19 +140,6 @@ def _block_pair_offence(n: int, star4: str) -> str | None:
     return None
 
 
-_PER_N_CHECKS = {
-    name: (partial(_check_per_n, name, n_min, label, offence), cap)
-    for name, n_min, label, offence, cap in (
-        ("edge-monotonicity", 2, "strict decrease for every edge, n={n}",
-         _edge_monotonicity_offence, 6),
-        ("cycle-pair-count", 3, "pair formula and equality cases, n={n}",
-         _cycle_pair_offence, 12),
-        ("block-pair-floor", 3, "pair floor 2(n-k)-1 within blocks, n={n}",
-         lambda n: _block_pair_offence(n, _named_form("S:n=4")[0]), 8),
-    )
-}
-
-
 def _named_value(text: str, tag: str | None) -> int:
     """The closed-form F of a named graph, or f of its tagged vertex."""
     fs = families.parse_family_spec(text)
@@ -209,108 +192,58 @@ def _girth_count_graphs(n: int, k: int) -> _Named:
 
 @dataclass(frozen=True)
 class _Floor:
-    """A search-and-compare check: for every n from n_min to the cap and k
+    """A search-and-compare check: for every n from n_min to n_max and k
     in ks(n), the searched minimum of spec(n, k) is the closed form of each
     graph in expected(n, k), and the minimizer set (by canonical graph6) is
     exactly those graphs.  An empty class fails its item unless the row's
     ``empty_iff`` (rule text, predicate) predicts it.  With ``argmin``, each
     named minimizer's argmin vertices must also be exactly its tagged vertex."""
 
-    name: str
     search: Callable[[ClassSpec], SearchReport]
     n_min: int
     ks: Callable[[int], range]
     spec: Callable[[int, int], ClassSpec]
     expected: Callable[[int, int], _Named]
     label: str  # the item label, formatted with n, k and want
-    cap: int = 9
     empty_iff: tuple[str, Callable[[int, int], bool]] | None = None
     argmin: bool = False
 
-
-_FLOORS = (
-    # over 2-connected graphs every vertex count is at least (n^2+n+2)/2,
-    # with equality exactly on the cycle
-    _Floor(
-        "two-connected-vertex-floor", search_min_vertex_subgraph_number, 3,
-        lambda n: range(0, 1), ClassSpec, lambda n, k: ((f"C:n={n}", "any"),),
-        "floor (n^2+n+2)/2 with cycle equality, n={n}", cap=8,
-    ),
-    # over non-trees the vertex-count floor is ((n-k)^2+n+k+2)/2, attained
-    # only by the lollipop at its pendant
-    _Floor(
-        "vertex-floor-nontree", search_min_vertex_subgraph_number, 4,
-        lambda n: range(1, n - 2), lambda n, k: ClassSpec(n, k, subset="nontrees"),
-        _lollipop_pendant, "n={n} k={k}: floor {want} uniquely lollipop at pendant",
-        argmin=True,
-    ),
-    # the vertex-count minimum over all of C_{n,k}, in three regimes
-    _Floor(
-        "vertex-floor-three-regime", search_min_vertex_subgraph_number, 4,
-        lambda n: range(1, n - 2), ClassSpec, _vertex_floor_graphs,
-        "n={n} k={k}: floor {want} with exact minimizer set",
-    ),
-    # over trees the vertex-count floor is 2^{n-k-1}+k, only at the broom
-    _Floor(
-        "tree-vertex-floor", search_min_vertex_subgraph_number, 3,
-        lambda n: range(1, n - 1), lambda n, k: ClassSpec(n, k, subset="trees"),
-        _broom_end, "n={n} k={k}: tree floor {want} uniquely broom",
-    ),
-    # over trees with k >= 2 the total-count floor is the balanced double broom
-    _Floor(
-        "tree-count-floor", search_min_F, 4,
-        lambda n: range(2, n - 1), lambda n, k: ClassSpec(n, k, subset="trees"),
-        _balanced_double_broom, "n={n} k={k}: balanced double broom floor {want}",
-    ),
-    # over non-trees with girth >= k the total-count floor is the lollipop
-    _Floor(
-        "count-floor-girth", search_min_F, 4,
-        lambda n: range(1, n - 2),
-        lambda n, k: ClassSpec(n, k, min_girth=k, subset="nontrees"),
-        _girth_count_graphs, "n={n} k={k}: girth-floored count minimum {want}",
-        empty_iff=("n < k + max(3,k)", lambda n, k: n < k + max(3, k)),
-    ),
-)
-
-
-def _check_floor(row: _Floor, n_max: int) -> VerdictReport:
-    rep = VerdictReport(row.name)
-    for n in range(row.n_min, n_max + 1):
-        for k in row.ks(n):
-            report = row.search(row.spec(n, k))
-            if row.empty_iff and (report.class_size == 0 or row.empty_iff[1](n, k)):
-                rule, empty = row.empty_iff
-                rep.add(
-                    f"n={n} k={k}: class empty iff {rule}",
-                    (report.class_size == 0) == empty(n, k),
-                    f"classes={report.class_size}",
+    def __call__(self, n_max: int) -> Iterator[CheckItem]:
+        for n in range(self.n_min, n_max + 1):
+            for k in self.ks(n):
+                report = self.search(self.spec(n, k))
+                if self.empty_iff and (report.class_size == 0 or self.empty_iff[1](n, k)):
+                    rule, empty = self.empty_iff
+                    yield CheckItem(
+                        f"n={n} k={k}: class empty iff {rule}",
+                        (report.class_size == 0) == empty(n, k),
+                        f"classes={report.class_size}",
+                    )
+                    continue
+                named = self.expected(n, k)
+                values = {_named_value(text, tag) for text, tag in named}
+                want = {_named_form(text)[0] for text, _ in named}
+                ok = values == {report.minimum} and set(report.minimizers) == want
+                if ok and self.argmin:
+                    ok = all(_argmin_at_tag(report, text, tag) for text, tag in named)
+                detail = "" if ok else f"got {report.minimum} at {report.minimizers}"
+                yield CheckItem(
+                    self.label.format(n=n, k=k, want=min(values, default=None)), ok, detail
                 )
-                continue
-            named = row.expected(n, k)
-            values = {_named_value(text, tag) for text, tag in named}
-            want = {_named_form(text)[0] for text, _ in named}
-            ok = values == {report.minimum} and set(report.minimizers) == want
-            if ok and row.argmin:
-                ok = all(_argmin_at_tag(report, text, tag) for text, tag in named)
-            detail = "" if ok else f"got {report.minimum} at {report.minimizers}"
-            rep.add(row.label.format(n=n, k=k, want=min(values, default=None)), ok, detail)
-    return rep
 
 
-def _check_pendant_share_limit(n_max: int) -> VerdictReport:
+def _pendant_share_limit(n_max: int) -> Iterator[CheckItem]:
     """On every vertex-count minimizer over non-trees, the block holding
     the argmin vertex shares each of its cut vertices with at most four
     other blocks, and with two or more only if all of them are pendant
     edges."""
-    rep = VerdictReport("pendant-share-limit")
     for n in range(5, n_max + 1):
         for k in range(1, n - 2):
             report = search_min_vertex_subgraph_number(ClassSpec(n, k, subset="nontrees"))
             if report.class_size == 0:
                 continue
             bad = _pendant_share_offence(report)
-            rep.add(f"n={n} k={k}: sharer limit on minimizers", bad is None, bad or "")
-    return rep
+            yield CheckItem(f"n={n} k={k}: sharer limit on minimizers", bad is None, bad or "")
 
 
 def _pendant_share_offence(report: SearchReport) -> str | None:
@@ -338,10 +271,9 @@ _BRANCH_MOVE_PAIRS = 60
 _BRANCH_MOVE_SEED = 7
 
 
-def _check_branch_move_decrease() -> VerdictReport:
+def _branch_move_decrease() -> Iterator[CheckItem]:
     """Moving a whole branch from a shared cut vertex to a deeper vertex
     strictly decreases every vertex count in the untouched part."""
-    rep = VerdictReport("branch-move-decrease")
     rng = random.Random(_BRANCH_MOVE_SEED)
     pool = []
     for n in (2, 3, 4):
@@ -364,22 +296,62 @@ def _check_branch_move_decrease() -> VerdictReport:
                 bad = f"{serialize_graph6(g_orig)} -> {serialize_graph6(g_star)} at v={v}: {fs_} !< {fo}"
                 break
         tested += 1
-    rep.add(f"strict decrease on {tested} constructed pairs", bad is None, bad or "")
-    return rep
+    yield CheckItem(f"strict decrease on {tested} constructed pairs", bad is None, bad or "")
 
 
-_FLOOR_CHECKS = {row.name: (partial(_check_floor, row), row.cap) for row in _FLOORS}
-
-# a floor row already listed by name keeps its place when **_FLOOR_CHECKS
-# adds the rest
-_THEOREMS = {
-    "edge-monotonicity": _PER_N_CHECKS["edge-monotonicity"],
-    "two-connected-vertex-floor": _FLOOR_CHECKS["two-connected-vertex-floor"],
-    "cycle-pair-count": _PER_N_CHECKS["cycle-pair-count"],
-    "block-pair-floor": _PER_N_CHECKS["block-pair-floor"],
-    "pendant-share-limit": (_check_pendant_share_limit, 9),
-    **_FLOOR_CHECKS,
-    "branch-move-decrease": (_check_branch_move_decrease, None),
+# every theorem check in report order: (items, default n_max); a check with
+# no n_max is called with no argument
+_THEOREMS: dict[str, tuple[Callable[..., Iterator[CheckItem]], int | None]] = {
+    "edge-monotonicity": (
+        partial(_per_n, 2, "strict decrease for every edge, n={n}", _edge_monotonicity_offence), 6
+    ),
+    # over 2-connected graphs every vertex count is at least (n^2+n+2)/2,
+    # with equality exactly on the cycle
+    "two-connected-vertex-floor": (_Floor(
+        search_min_vertex_subgraph_number, 3, lambda n: range(0, 1), ClassSpec,
+        lambda n, k: ((f"C:n={n}", "any"),), "floor (n^2+n+2)/2 with cycle equality, n={n}",
+    ), 8),
+    "cycle-pair-count": (
+        partial(_per_n, 3, "pair formula and equality cases, n={n}", _cycle_pair_offence), 12
+    ),
+    "block-pair-floor": (partial(
+        _per_n, 3, "pair floor 2(n-k)-1 within blocks, n={n}",
+        lambda n: _block_pair_offence(n, _named_form("S:n=4")[0]),
+    ), 8),
+    "pendant-share-limit": (_pendant_share_limit, 9),
+    # over non-trees the vertex-count floor is ((n-k)^2+n+k+2)/2, attained
+    # only by the lollipop at its pendant
+    "vertex-floor-nontree": (_Floor(
+        search_min_vertex_subgraph_number, 4,
+        lambda n: range(1, n - 2), lambda n, k: ClassSpec(n, k, subset="nontrees"),
+        _lollipop_pendant, "n={n} k={k}: floor {want} uniquely lollipop at pendant",
+        argmin=True,
+    ), 9),
+    # the vertex-count minimum over all of C_{n,k}, in three regimes
+    "vertex-floor-three-regime": (_Floor(
+        search_min_vertex_subgraph_number, 4, lambda n: range(1, n - 2), ClassSpec,
+        _vertex_floor_graphs, "n={n} k={k}: floor {want} with exact minimizer set",
+    ), 9),
+    # over trees the vertex-count floor is 2^{n-k-1}+k, only at the broom
+    "tree-vertex-floor": (_Floor(
+        search_min_vertex_subgraph_number, 3,
+        lambda n: range(1, n - 1), lambda n, k: ClassSpec(n, k, subset="trees"),
+        _broom_end, "n={n} k={k}: tree floor {want} uniquely broom",
+    ), 9),
+    # over trees with k >= 2 the total-count floor is the balanced double broom
+    "tree-count-floor": (_Floor(
+        search_min_F, 4,
+        lambda n: range(2, n - 1), lambda n, k: ClassSpec(n, k, subset="trees"),
+        _balanced_double_broom, "n={n} k={k}: balanced double broom floor {want}",
+    ), 9),
+    # over non-trees with girth >= k the total-count floor is the lollipop
+    "count-floor-girth": (_Floor(
+        search_min_F, 4, lambda n: range(1, n - 2),
+        lambda n, k: ClassSpec(n, k, min_girth=k, subset="nontrees"),
+        _girth_count_graphs, "n={n} k={k}: girth-floored count minimum {want}",
+        empty_iff=("n < k + max(3,k)", lambda n, k: n < k + max(3, k)),
+    ), 9),
+    "branch-move-decrease": (_branch_move_decrease, None),
 }
 
 
@@ -390,10 +362,10 @@ def theorem_names() -> tuple[str, ...]:
 def verify_theorem(name: str, n_max: int | None = None) -> VerdictReport:
     if name not in _THEOREMS:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(_THEOREMS)}")
-    fn, default_max = _THEOREMS[name]
-    if default_max is None:
-        return fn()
-    return fn(min(n_max, default_max) if n_max is not None else default_max)
+    items, default_max = _THEOREMS[name]
+    if default_max is not None:
+        items = partial(items, default_max if n_max is None else min(n_max, default_max))
+    return VerdictReport(name, list(items()))
 
 
 # ---------------------------------------------------------------------------
@@ -589,5 +561,5 @@ def verify_formulas(n_max: int = 12) -> VerdictReport:
             for tag, want, got in compare_family(fs)
             if want != got
         )
-        rep.add(str(fs), not detail, detail)
+        rep.items.append(CheckItem(str(fs), not detail, detail))
     return rep

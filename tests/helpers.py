@@ -1,8 +1,10 @@
 """Test-side wrappers over package internals, used as oracles and keys."""
 
-from connsub import census
+from itertools import combinations
+
+from connsub import census, decompose
 from connsub.canon import canonical_labeling
-from connsub.graph import bits
+from connsub.graph import bits, blocks, cut_vertices, reach
 
 
 def canonical_key(g):
@@ -19,3 +21,35 @@ def enumerate_connected_subgraphs(g, req, visitor):
         sum(1 << v for v in set(req)),
         lambda sel, vmask: visitor(tuple(bits(vmask)), tuple(edges[i] for i in bits(sel))),
     )
+
+
+def block_expansion_count(g, block):
+    """F(G) by the paper's expansion around one block B, given as its vertex
+    mask, with cut vertices w1..ws:
+
+        F(B) + sum_i (F(G_i) - 1) + sum_i (f_B(w_i) - 1)(f_i - 1)
+             + sum over subsets S with |S| >= 2 of f_B(S) prod_{i in S} (f_i - 1)
+
+    where G_i is the branch at w_i (everything reachable from w_i without
+    entering B) and f_i = f_{G_i}(w_i): 2^s terms, an oracle for the
+    pairwise merge rule of ``decompose``."""
+    if block not in blocks(g):
+        raise ValueError("not a block of the graph")
+    cuts = cut_vertices(g)
+    ws = [w for w in bits(block) if w in cuts]
+    bgraph, old = g.subgraph_on(bits(block))
+    total = census.count_connected_subgraphs(bgraph)
+    gain = {}  # f_i - 1
+    for w in ws:
+        branch, bold = g.subgraph_on(bits(reach(g.adj, w, (1 << g.n) - 1 & ~block | 1 << w)))
+        total += decompose.count_via_decomposition(branch) - 1
+        gain[w] = decompose.subgraph_number_via_decomposition(branch, bold.index(w)) - 1
+    for w in ws:
+        total += (census.subgraph_number(bgraph, old.index(w)) - 1) * gain[w]
+    for r in range(2, len(ws) + 1):
+        for subset in combinations(ws, r):
+            term = census.count_containing(bgraph, [old.index(w) for w in subset])
+            for w in subset:
+                term *= gain[w]
+            total += term
+    return total

@@ -12,6 +12,7 @@ fail; the companion test right below them pins the computed values to the
 closed forms so the disagreement is machine-checked from both sides.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -26,7 +27,7 @@ from connsub.generate import connected_classes
 from connsub.graph import Graph, blocks, cut_vertices
 from connsub.graphio import parse_graph6, serialize_graph6
 
-from helpers import canonical_key
+from helpers import block_expansion_count, canonical_key
 
 
 def build(text):
@@ -162,7 +163,7 @@ def test_c4_exhaustive_up_to_seven():
                     g, v
                 ) == census.subgraph_number(g, v)
             for blk in blocks(g):
-                assert decompose.block_expansion_count(g, blk) == want
+                assert block_expansion_count(g, blk) == want
             checked += 1
     assert checked == 456
 
@@ -197,7 +198,7 @@ def test_c4_random_up_to_ten():
                 g, v
             ) == census.subgraph_number(g, v)
         for blk in blocks(g):
-            assert decompose.block_expansion_count(g, blk) == want
+            assert block_expansion_count(g, blk) == want
         checked += 1
 
 
@@ -277,6 +278,37 @@ def test_c8_graph6_roundtrip_exhaustive():
     for n in range(1, 8):
         for g in connected_classes(n):
             assert parse_graph6(serialize_graph6(g)).edges == g.edges
+
+
+# SHA-256 of the newline-joined report lines: each theorem check at n <= 7,
+# and the formula suite at its default size
+THEOREM_REPORT_DIGESTS = {
+    "edge-monotonicity": "777ef9a001a2cdbbf95ba11f9d5c44790fd46a4ab1982f903cc99b226d1b6ea4",
+    "two-connected-vertex-floor": "6037040e7fb55abdece786a455d7f13e634414d478dccab33a464ca9532f5307",
+    "cycle-pair-count": "a12e790dfa578f7680dfad38ecccbc4cc9c91dfab4046c9c0ef77276c4d2e415",
+    "block-pair-floor": "ee56730686e51f077374618fee82297df582af85180e59377fd536b6db430669",
+    "pendant-share-limit": "ccc620ecc1637f0bd385dafe8d5ebcd37157b6fb32c7f053500ed20c433f82e7",
+    "vertex-floor-nontree": "5ce06c65b2add2f60c1fa47b07fa5c290fb61bbd4929145439fa1a7a4b3bfa24",
+    "vertex-floor-three-regime": "1c041f1f72482e66ce7c06552d2299988f9faeb1c04e0463b037032a2c8ef41b",
+    "tree-vertex-floor": "cf6aea8cd5962dd4d11bb00f55777a18bac45c7e0b919d95dbd7331f263addc7",
+    "tree-count-floor": "83e0a11de3979ddc1d612efe6e038127903002289be5a7efb1a100dda9c27268",
+    "count-floor-girth": "b1daea24d1829b25297287f848d2a8215aba414e2433bed62d866ceb86d47f13",
+    "branch-move-decrease": "9927fce59333c99bdab9bf2c7ecd9d34ad372c1aaa3241043a7134053bdabc74",
+}
+FORMULA_REPORT_DIGEST = "889c197fc223e86e0ac1245505a85ebf550b3712978c3aa7e0c4bf8b4b887c03"
+
+
+def _digest(rep):
+    return hashlib.sha256("\n".join(rep.lines()).encode()).hexdigest()
+
+
+def test_c8_theorem_reports_are_pinned():
+    got = {name: _digest(verify.verify_theorem(name, 7)) for name in verify.theorem_names()}
+    assert got == THEOREM_REPORT_DIGESTS
+
+
+def test_c8_formula_report_is_pinned():
+    assert _digest(verify.verify_formulas()) == FORMULA_REPORT_DIGEST
 
 
 def _run_search_subprocess(n, k, out_path):

@@ -4,9 +4,9 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from connsub.canon import vertex_orbits
+from connsub.canon import canonize, labeled_key, vertex_orbits
 from connsub.families import build, parse_family_spec
-from connsub.generate import canonize, connected_classes
+from connsub.generate import connected_classes
 
 from helpers import canonical_key
 from strategies import any_graphs
@@ -71,6 +71,32 @@ def test_orbits_match_brute_force_random_six():
     pool = list(connected_classes(6))
     for g in rnd.sample(pool, 25):
         assert vertex_orbits(g) == _orbits_brute(g)
+
+
+def _assert_canonize_contract(g):
+    key, c, pos, roots, auts = canonize(g)
+    assert c == g.relabel(pos) and key == labeled_key(c)
+    # every generator maps the canonical copy onto itself
+    assert all(c.relabel(list(a)) == c for a in auts)
+    # roots[i] is the least label of i's orbit
+    orbits = _orbits_brute(c)
+    assert list(roots) == [min(o) for i in range(g.n) for o in orbits if i in o]
+    # read through pos, the roots group g's vertices into its orbits
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(roots[pos[v]], []).append(v)
+    assert [tuple(vs) for vs in groups.values()] == vertex_orbits(g)
+
+
+def test_canonize_contract_on_every_class_up_to_six():
+    for n in range(1, 7):
+        for g in connected_classes(n):
+            _assert_canonize_contract(g)
+
+
+@given(any_graphs(max_n=7))
+def test_canonize_contract(g):
+    _assert_canonize_contract(g)
 
 
 def test_star_orbits():

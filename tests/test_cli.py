@@ -114,6 +114,12 @@ class TestFamily:
         rc, _, err = run(capsys, ["family", "--spec", "L:n=6,g=6"])
         assert rc == 2
 
+    def test_unknown_family_exits_two(self, capsys):
+        # the family is checked before its parameter names
+        rc, _, err = run(capsys, ["family", "--spec", "Z:n=3"])
+        assert rc == 2
+        assert err == "error: unknown family 'Z'\n"
+
     def test_check_tags_counted_by_decomposition(self, capsys):
         # the 30-vertex lollipop is past census, but not its tag counts
         rc, out, _ = run(capsys, ["family", "--spec", "L:n=30,g=5", "--check"])

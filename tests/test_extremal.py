@@ -263,10 +263,10 @@ class TestTheoremRegistry:
 
         from connsub import verify
 
-        row = next(r for r in verify._FLOORS if r.name == "tree-vertex-floor")
+        row = verify._THEOREMS["tree-vertex-floor"][0]
         row = replace(row, ks=lambda n: range(n - 1, n), expected=lambda n, k: ())
-        rep = verify._check_floor(row, 4)
-        assert [item.passed for item in rep.items] == [False, False]
+        items = list(row(4))
+        assert [item.passed for item in items] == [False, False]
 
     def test_block_pair_floor_reports_the_four_star(self):
         # the 4-star is the floor's one exception; named as any other graph,

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import connsub
-from connsub import extremal, generate
+from connsub import canon, extremal, generate
 from connsub.canon import (
     canonical_labeling,
     labeled_key,
@@ -102,6 +102,8 @@ def test_augmentation_canonisation_count(monkeypatch):
         return label(*args, **kwargs)
 
     monkeypatch.setattr(generate, "canonical_labeling", counted)
+    # every class is labeled by canon.canonize, each parent by generate itself
+    monkeypatch.setattr(canon, "canonical_labeling", counted)
     assert len(generate.connected_classes(8)) == CONNECTED_COUNTS[8]
     assert calls < 25_000
 
@@ -193,6 +195,7 @@ def test_composition_labels_each_class_once_below_the_cap_and_none_at_it(monkeyp
         return label(g)
 
     monkeypatch.setattr(generate, "canonical_labeling", counted)
+    monkeypatch.setattr(canon, "canonical_labeling", counted)
     assert len(classes_with_cut_vertices(8)) == len(labeled) == 3994
     del generate._store[8, "cut"]
     labeled.clear()
