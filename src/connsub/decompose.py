@@ -8,6 +8,13 @@ three rules:
 * vertex:    f_G(v) = f_{G1}(v) + f_{G1}(v, w) (f_{G2}(w) - 1)   for v in G1
 * product:   f_G(w) = prod over parts of f_part(w)
 
+The vertex rule at v = w is the product rule for two parts, since
+f_{G1}(w, w) = f_{G1}(w).  ``merge_count`` and ``vertex_count`` are the
+one implementation of the first two: the recursion below calls them on
+Python integers, and ``extremal`` calls them on int64 arrays to evaluate
+every class with a cut vertex at ``GENERATION_CAP`` from the two rooted
+parts it is glued from.
+
 F(G) and the single-vertex counts recurse until only 2-connected blocks
 remain, where brute-force census takes over.  The pair count f_{G1}(v, w)
 of the vertex rule does not recurse: census counts it on the whole part G1
@@ -51,9 +58,16 @@ def split_at(g: Graph, w: int) -> tuple[SplitPart, ...]:
     return tuple(parts)
 
 
-def merge_count(F1: int, F2: int, f1w: int, f2w: int) -> int:
-    """Total count of two parts glued at one shared vertex."""
+def merge_count(F1, F2, f1w, f2w):
+    """Total count of two parts glued at one shared vertex w, from each
+    part's total and its count at w; integers or arrays alike."""
     return F1 + F2 - 1 + (f1w - 1) * (f2w - 1)
+
+
+def vertex_count(f1v, f1vw, f2w):
+    """The count at a vertex v of part 1 after gluing at w, from v's count
+    and v's pair count with w in part 1 and w's count in part 2."""
+    return f1v + f1vw * (f2w - 1)
 
 
 # Memo keys: ("F", graph), ("f", graph, v), ("pair", graph, u, v).  One memo
@@ -130,7 +144,7 @@ def _f(g: Graph, v: int, memo: dict) -> int:
         for part in parts:
             if part is not mine:
                 f2 *= _f(part.graph, part.w_local, memo)
-        val = f1 + f1vw * (f2 - 1)
+        val = vertex_count(f1, f1vw, f2)
     memo[key] = val
     return val
 

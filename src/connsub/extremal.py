@@ -12,15 +12,36 @@ need not be canonically labeled (at ``GENERATION_CAP`` the classes with a
 cut vertex are not); a report canonises only its minimizers and names each
 by its canonical graph6, with argmin vertices in canonical labels.
 
-Counting in the search loop runs through a batched version of the census
-subset table with machine integers.  Every count the kernel forms, table
-entries and their partial sums F and f(v) alike, is at most
-sum_S 2^{e(S)} <= 2^{n+m}, so int64 arithmetic is exact whenever
-n + m <= 62; the kernel checks that bound on every batch, counting the
-edges in the adjacency array it builds anyway, and refuses a batch that
-breaks it.  Equality with the census and decomposition routes
-is asserted exhaustively in the test suite, and each reported minimizer is
-re-checked through the decomposition path.
+Below ``GENERATION_CAP``, and for the classes without a cut vertex at it,
+counting runs through a batched version of the census subset table with
+machine integers.  Every count the kernel forms, table entries and their
+partial sums F and f(v) alike, is at most sum_S 2^{e(S)} <= 2^{n+m}, so
+int64 arithmetic is exact whenever n + m <= 62; the kernel checks that
+bound on every batch, counting the edges in the adjacency array it builds
+anyway, and refuses a batch that breaks it.
+
+The classes with a cut vertex at the cap never reach the kernel.  Each is
+kept by ``generate`` as the rooted parts (G1, r1), (G2, r2) of one gluing,
+and is evaluated from them, all classes at once on int64 arrays.  Each
+part's class values (F, every f(x) and pair count f(x, y), its cut
+vertices, edge count and girth) are read off its own subset table, once
+per order below the cap and only when the cap is evaluated.  Then,
+with a = f1(r1) and b = f2(r2), ``decompose.merge_count`` gives
+F = F1 + F2 - 1 + (a - 1)(b - 1) and ``decompose.vertex_count`` gives
+f(x) = f1(x) + f1(x, r1)(b - 1) for x in G1 (at x = r1 this is ab), and
+symmetrically for G2.  The glued graph has k = c1 + c2 + 1 cut vertices,
+c_i counting those of G_i other than r_i; every cycle lies in one part, so
+its girth is the lesser of theirs; and it is a tree iff m1 + m2 = n - 1.
+Exactness: every value these rules form is a connected-subgraph count of
+the glued graph or a term of one, since (a - 1)(b - 1) < F and
+f1(x, r1)(b - 1) <= f(x), so each is at most 2^{n + m1 + m2}, and the
+evaluation refuses a batch with n + m1 + m2 > 62 exactly as the kernel
+does.  At n = 9 the largest is 9 + 29 = 38.
+
+Equality with the census and decomposition routes is asserted exhaustively
+in the test suite (at the cap, on every class against the kernel on its
+glued graph), and each reported minimizer is re-checked through the
+decomposition path.
 """
 
 from __future__ import annotations
@@ -34,7 +55,7 @@ import numpy as np
 
 from . import decompose
 from .canon import canonize
-from .generate import GENERATION_CAP, block_classes, classes_with_cut_vertices
+from .generate import GENERATION_CAP, block_classes, classes_with_cut_vertices, glue
 from .graph import Graph, bits, girth
 from .graphio import serialize_graph6
 
@@ -82,8 +103,8 @@ class _Record:
     f_min: int
     f_argmin: tuple[int, ...]
 
-    # the canonical form, graph6 and girth are built on first read: only
-    # minimisers, failure messages and girth-bounded classes need them
+    # the canonical form, graph6, girth and tree flag are built on first
+    # read: only minimisers, failure messages and filtered classes need them
     @cached_property
     def _canonical(self) -> tuple:
         # ``graph`` is unlabeled when it has a cut vertex at the cap (see generate)
@@ -104,9 +125,25 @@ class _Record:
     def girth(self) -> int | None:
         return girth(self.graph)
 
-    @property
+    @cached_property
     def is_tree(self) -> bool:
         return self.graph.m == self.graph.n - 1
+
+
+class _GluedRecord(_Record):
+    """A class with a cut vertex at ``GENERATION_CAP``, evaluated from the
+    rooted parts (g1, r1, g2, r2) of its first gluing: its girth and tree
+    flag come with its counts, and its graph is glued on first read."""
+
+    def __init__(self, parts, k, total, f_min, f_argmin, girth, is_tree):
+        self.parts = parts
+        self.k, self.total, self.f_min, self.f_argmin = k, total, f_min, f_argmin
+        # instance values shadow the base's cached properties
+        self.girth, self.is_tree = girth, is_tree
+
+    @cached_property
+    def graph(self) -> Graph:
+        return glue(*self.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +179,14 @@ _EXACT_MAX_N_PLUS_M = 62
 _TABLE_MAX_N = 12
 
 
+def _check_exact(worst: int) -> None:
+    """Refuse a batch whose largest n + m breaks the int64 bound."""
+    if worst > _EXACT_MAX_N_PLUS_M:
+        raise ValueError(
+            f"int64 tables need n + m <= {_EXACT_MAX_N_PLUS_M}, batch has {worst}"
+        )
+
+
 def _tables(graphs: Sequence[Graph]) -> np.ndarray:
     """Census subset tables stored subset-major, as ``[subset, graph]``."""
     n = graphs[0].n
@@ -151,11 +196,7 @@ def _tables(graphs: Sequence[Graph]) -> np.ndarray:
         raise ValueError(f"batched tables support n <= {_TABLE_MAX_N} only")
     adj = np.asarray([g.adj for g in graphs], dtype=np.int64).T
     # every edge is counted from both of its ends
-    worst = int(np.bitwise_count(adj).sum(axis=0).max()) // 2 + n
-    if worst > _EXACT_MAX_N_PLUS_M:
-        raise ValueError(
-            f"int64 tables need n + m <= {_EXACT_MAX_N_PLUS_M}, batch has {worst}"
-        )
+    _check_exact(int(np.bitwise_count(adj).sum(axis=0).max()) // 2 + n)
     cnt = len(graphs)
     size = 1 << n
     ecnt = np.zeros((size, cnt), dtype=np.int64)
@@ -195,7 +236,6 @@ def evaluate_counts(
         return out
     n = graphs[0].n
     full = (1 << n) - 1
-    weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))[:, None]
     for lo in range(0, len(graphs), _CHUNK):
         chunk = graphs[lo : lo + _CHUNK]
         table = _tables(chunk)
@@ -210,8 +250,7 @@ def evaluate_counts(
                 for v in range(n)
             ]
         )
-        fmin = fvals.min(axis=0)
-        argmasks = ((fvals == fmin) * weights).sum(axis=0)
+        fmin, argmasks = _minima(fvals)
         if n >= 2:
             cuts = (table[[full ^ (1 << v) for v in range(n)]] == 0).sum(axis=0)
         else:
@@ -221,6 +260,136 @@ def evaluate_counts(
         ):
             out.append((total, f_min, tuple(bits(mask)), k))
     return out
+
+
+def _minima(fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per graph, a column of ``fvals`` (``[vertex, graph]``): the least
+    value and the mask of the vertices that attain it."""
+    fmin = fvals.min(axis=0)
+    weights = np.left_shift(np.int64(1), np.arange(len(fvals), dtype=np.int64))[:, None]
+    return fmin, ((fvals == fmin) * weights).sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# the cap level, from its parts
+
+# the girth of an acyclic part: above every cycle length, so the lesser of
+# two parts' girths is their gluing's
+_NO_CYCLE = 1 << 8
+
+
+def _pair_counts(table: np.ndarray, n: int) -> np.ndarray:
+    """``[graph, x, y]``: the sum of ``table[S]`` over the S holding both x
+    and y, f(x, y) for x != y and f(x) for x == y."""
+    cnt = table.shape[1]
+    pair = np.empty((cnt, n, n), dtype=np.int64)
+    for y in range(n):
+        # rows S with bit y set, as one reshape: S = (hi, bit y, lo)
+        with_y = table.reshape(1 << (n - 1 - y), 2, 1 << y, cnt)[:, 1]
+        pair[:, y, y] = with_y.sum(axis=(0, 1))
+        for x in range(y):
+            # and bit x of lo: lo = (mid, bit x, low)
+            both = with_y.reshape(1 << (n - 1 - y), 1 << (y - 1 - x), 2, 1 << x, cnt)[:, :, 1]
+            pair[:, x, y] = pair[:, y, x] = both.sum(axis=(0, 1, 2))
+    return pair
+
+
+def _class_values(graphs: Sequence[Graph]) -> tuple[np.ndarray, ...]:
+    """(F, f, pair, cut, m, girth) for connected classes of one order n,
+    from their subset tables: F per class, f as ``[class, x]``, the pair
+    counts f(x, y) as ``[class, x, y]``, the cut vertices as a mask, the
+    edge count and the girth (``_NO_CYCLE`` if acyclic).
+
+    ``table[S]`` is 1 when G[S] is a tree and at least 2 exactly when G[S]
+    is connected with a cycle; a shortest cycle induces itself, so the girth
+    is the least |S| with ``table[S] >= 2``."""
+    n = graphs[0].n
+    full = (1 << n) - 1
+    size = np.bitwise_count(np.arange(1 << n)).astype(np.int64)[:, None]
+    weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
+    parts = []
+    for lo in range(0, len(graphs), _CHUNK):
+        chunk = graphs[lo : lo + _CHUNK]
+        table = _tables(chunk)
+        cut = (table[[full ^ 1 << v for v in range(n)]] == 0).T @ weights
+        girths = np.where(table >= 2, size, _NO_CYCLE).min(axis=0)
+        m = np.asarray([g.m for g in chunk], dtype=np.int64)
+        parts.append((table.sum(axis=0), _pair_counts(table, n), cut, m, girths))
+    F, pair, cut, m, girths = (np.concatenate(column) for column in zip(*parts))
+    f = pair[:, np.arange(n), np.arange(n)]
+    return F, f, pair, cut, m, girths
+
+
+def _evaluate_gluings(pairs: Sequence[tuple[Graph, int, Graph, int]]) -> tuple[np.ndarray, ...]:
+    """(F, f, k, girth, tree) of each gluing (g1, r1, g2, r2) of connected
+    classes into one order n, from the parts' class values by the rules in
+    the module docstring: F, the f-vector as ``[gluing, x]`` in ``glue``'s
+    labels, the cut-vertex count, the girth (``_NO_CYCLE`` if acyclic) and
+    whether it is a tree.  The values of each order are computed once, for
+    the classes the gluings use."""
+    g1s, r1s, g2s, r2s = zip(*pairs)
+    n = g1s[0].n + g2s[0].n - 1
+    # each class's row among the classes of its order, by identity: every
+    # part of a class is the one graph the class store holds for it
+    row: dict[int, int] = {}
+    classes: dict[int, list[Graph]] = {}
+    for key, g in dict(zip(map(id, g1s + g2s), g1s + g2s)).items():
+        order = classes.setdefault(g.n, [])
+        row[key] = len(order)
+        order.append(g)
+    values = {order: _class_values(graphs) for order, graphs in classes.items()}
+    j1s, j2s = (
+        np.fromiter(map(row.__getitem__, map(id, gs)), np.int64, len(gs)) for gs in (g1s, g2s)
+    )
+    r1s, r2s = np.asarray(r1s), np.asarray(r2s)
+    n1s = np.fromiter((g.n for g in g1s), np.int64, len(g1s))
+    total = np.empty(len(pairs), dtype=np.int64)
+    fvec = np.empty((len(pairs), n), dtype=np.int64)
+    k = np.empty(len(pairs), dtype=np.int64)
+    girths = np.empty(len(pairs), dtype=np.int64)
+    tree = np.empty(len(pairs), dtype=bool)
+    for n1 in np.unique(n1s).tolist():
+        n2 = n + 1 - n1
+        i = np.flatnonzero(n1s == n1)
+        j1, r1, j2, r2 = j1s[i], r1s[i], j2s[i], r2s[i]
+        F1, f1, pair1, cut1, m1, girth1 = values[n1]
+        F2, f2, pair2, cut2, m2, girth2 = values[n2]
+        m = m1[j1] + m2[j2]
+        _check_exact(n + int(m.max()))
+        # f_i(x, r_i) for every x of part i, and a = f1(r1), b = f2(r2)
+        at1, at2 = pair1[j1, r1], pair2[j2, r2]
+        a, b = f1[j1, r1], f2[j2, r2]
+        total[i] = decompose.merge_count(F1[j1], F2[j2], a, b)
+        side1 = decompose.vertex_count(f1[j1], at1, b[:, None])
+        side2 = decompose.vertex_count(f2[j2], at2, a[:, None])
+        # glue drops g2's root and keeps its other vertices in order
+        kept = side2[np.arange(n2) != r2[:, None]].reshape(len(i), n2 - 1)
+        fvec[i] = np.concatenate([side1, kept], axis=1)
+        others1 = np.bitwise_count(cut1[j1] & ~(1 << r1))
+        others2 = np.bitwise_count(cut2[j2] & ~(1 << r2))
+        k[i] = others1 + others2 + 1
+        girths[i] = np.minimum(girth1[j1], girth2[j2])
+        tree[i] = m == n - 1
+    return total, fvec, k, girths, tree
+
+
+def _glued_records(pairs: Sequence[tuple[Graph, int, Graph, int]]) -> list[_Record]:
+    """Records for the classes with a cut vertex at the cap, each given as
+    the rooted parts of one gluing, evaluated from the parts."""
+    total, fvec, k, girths, tree = _evaluate_gluings(pairs)
+    fmin, argmasks = _minima(fvec.T)
+    return [
+        _GluedRecord(pair, kk, t, f, tuple(bits(mask)), None if g == _NO_CYCLE else g, tr)
+        for pair, kk, t, f, mask, g, tr in zip(
+            pairs,
+            k.tolist(),
+            total.tolist(),
+            fmin.tolist(),
+            argmasks.tolist(),
+            girths.tolist(),
+            tree.tolist(),
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +415,14 @@ def catalog(n: int, stratum: str) -> list[_Record]:
     if stratum not in ("cut", "block"):
         raise ValueError("stratum must be 'cut' or 'block'")
     if (n, stratum) not in _catalog_cache:
-        graphs = classes_with_cut_vertices(n) if stratum == "cut" else block_classes(n)
-        _catalog_cache[n, stratum] = _build_records(graphs)
+        if stratum == "block":
+            records = _build_records(block_classes(n))
+        elif n < GENERATION_CAP:
+            records = _build_records(classes_with_cut_vertices(n))
+        else:
+            # the cap's classes are kept as part pairs (see the module docstring)
+            records = _glued_records(classes_with_cut_vertices(n).pairs)
+        _catalog_cache[n, stratum] = records
     return _catalog_cache[n, stratum]
 
 

@@ -119,20 +119,24 @@ Every class, in either stratum, is canonised by one step,
 automorphism generators of that same labeling, already in canonical labels,
 so nothing here translates them.  The one exception is at
 ``GENERATION_CAP``, the level nothing glues: there a class with a cut
-vertex is kept as the graph of the first gluing with its certificate,
-unlabeled, so composing the cap costs no canonical labeling at all.  Its
-canonical form is computed only when read (``extremal`` does so for the
-minimisers it reports).
+vertex is kept as the rooted parts (g1, r1, g2, r2) of the first gluing
+with its certificate.  No graph is built and nothing is labeled, so
+composing the cap costs neither a canonical labeling nor a ``glue``.
+``classes_with_cut_vertices(GENERATION_CAP)`` is a sequence that glues a
+class when it is read and holds the parts as ``pairs``; ``extremal``
+evaluates the level from the parts' counts and glues and canonises only
+the minimisers it reports.
 
 The classes live in one store, per vertex count and stratum ("cut" or
-"block"): keys in sorted order, with the graph, the orbit roots and the
-block list of each.  A key is the canonical key, except for the classes
-with a cut vertex at the cap, which are keyed by certificate; these begin
-with a block's vertex count, below n, so they sort before the canonical
-keys and ``connected_classes(GENERATION_CAP)`` is not in canonical-key
-order.  Orbit roots and block lists are kept only below the cap, the sizes
-composition glues; at the cap each is empty.  ``rooted_classes(n)`` reads
-the distinct roots of level n on each call.
+"block"): keys in sorted order, with the graph (at the cap, the parts of
+each class with a cut vertex), the orbit roots and the block list of each.
+A key is the canonical key, except for the classes with a cut vertex at the
+cap, which are keyed by certificate; these begin with a block's vertex
+count, below n, so they sort before the canonical keys and
+``connected_classes(GENERATION_CAP)`` is not in canonical-key order.  Orbit
+roots and block lists are kept only below the cap, the sizes composition
+glues; at the cap each is empty.  ``rooted_classes(n)`` reads the distinct
+roots of level n on each call.
 """
 
 from __future__ import annotations
@@ -199,28 +203,48 @@ def _group(gens: Sequence[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
 _Block = tuple[_BlockClass, bytes]
 # a rooted class as composition glues it: (graph, root, block list, bouquet)
 _Part = tuple[Graph, int, tuple[_Block, ...], tuple[bytes, ...] | None]
+# the rooted parts (g1, r1, g2, r2) that ``glue`` takes
+_Pair = tuple[Graph, int, Graph, int]
+
+
+class _Gluings(Sequence[Graph]):
+    """The classes with a cut vertex at ``GENERATION_CAP``, each kept as the
+    rooted parts of its first gluing, in ``pairs``, and glued when read."""
+
+    def __init__(self, pairs: tuple[_Pair, ...]):
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i: int) -> Graph:
+        return glue(*self.pairs[i])
+
 
 # the class store: (n, stratum) -> (sorted keys, the graph, the orbit roots
-# and the block list of each)
+# and the block list of each); the graphs of the cap's cut stratum are a
+# ``_Gluings``
 _store: dict[
     tuple[int, str],
-    tuple[tuple[bytes, ...], tuple[Graph, ...], tuple[bytes, ...], tuple[tuple[_Block, ...], ...]],
+    tuple[tuple[bytes, ...], Sequence[Graph], tuple[bytes, ...], tuple[tuple[_Block, ...], ...]],
 ] = {}
 
 
 def _put(
     n: int,
     stratum: str,
-    graphs: dict[bytes, Graph],
+    graphs: dict[bytes, Graph | _Pair],
     roots: dict[bytes, bytes],
     blocks: dict[bytes, tuple[_Block, ...]],
-) -> tuple[Graph, ...]:
-    """Store level n of a stratum from its graphs and, below the cap, their
-    orbit roots and block lists, all by key, in key order; returns the
-    graphs."""
+) -> Sequence[Graph]:
+    """Store level n of a stratum from its graphs (at the cap, the parts of
+    each class with a cut vertex) and, below the cap, their orbit roots and
+    block lists, all by key, in key order; returns the graphs."""
     keys = tuple(sorted(graphs))
     below = n < GENERATION_CAP
     level = tuple(graphs[k] for k in keys)
+    if stratum == "cut" and not below:
+        level = _Gluings(level)
     kept = tuple(roots[k] if below else b"" for k in keys)
     _store[n, stratum] = (keys, level, kept, tuple(blocks[k] if below else () for k in keys))
     return level
@@ -465,14 +489,14 @@ def _gluings(n: int) -> Iterator[tuple[_Part, _Part, bytes]]:
                 yield p1, p2, cert
 
 
-def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
+def classes_with_cut_vertices(n: int) -> Sequence[Graph]:
     """All connected classes on n vertices having at least one cut vertex.
     Below ``GENERATION_CAP`` each is canonically labeled; at the cap each is
-    kept as first glued (see above)."""
+    kept as the parts of its first gluing and glued when read (see above)."""
     if (n, "cut") in _store:
         return _store[n, "cut"][1]
     at_cap = n == GENERATION_CAP
-    graphs: dict[bytes, Graph] = {}
+    graphs: dict[bytes, Graph | _Pair] = {}
     roots: dict[bytes, bytes] = {}
     blocks: dict[bytes, tuple[_Block, ...]] = {}
     built: set[bytes] = set()  # the certificates met so far
@@ -480,12 +504,12 @@ def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
         if cert in built:
             continue
         built.add(cert)
-        glued = glue(p1[0], p1[1], p2[0], p2[1])
+        pair = (p1[0], p1[1], p2[0], p2[1])
         if at_cap:
             # no block key has n vertices, so no certificate is a canonical key
-            graphs[cert] = glued
+            graphs[cert] = pair
             continue
-        key, graphs[key], pos, roots[key], _ = canonize(glued)
+        key, graphs[key], pos, roots[key], _ = canonize(glue(*pair))
         blocks[key] = tuple(
             (cls, bytes(pos[v] for v in verts)) for cls, verts in _glued_blocks(p1, p2)
         )

@@ -2,7 +2,7 @@ import pytest
 
 from connsub import census, decompose
 from connsub.families import build, parse_family_spec
-from connsub.generate import connected_classes
+from connsub.generate import connected_classes, glue, rooted_classes
 from connsub.graph import DisconnectedGraphError, Graph, blocks, cut_vertices
 
 from helpers import block_expansion_count, canonical_key
@@ -72,6 +72,32 @@ class TestMerge:
 
     def test_two_triangles(self):
         assert decompose.merge_count(10, 10, 7, 7) == 55
+
+    def test_rules_match_census_on_every_small_gluing(self):
+        # every gluing of two rooted classes into n <= 6 vertices, both
+        # orders: the merge rule gives F and the vertex rule every f(x),
+        # each from census values of the parts alone
+        pool = [pair for n in range(1, 6) for pair in rooted_classes(n)]
+        glued = 0
+        for g1, r1 in pool:
+            for g2, r2 in pool:
+                if g1.n + g2.n - 1 > 6:
+                    continue
+                g = glue(g1, r1, g2, r2)
+                a, b = census.subgraph_number(g1, r1), census.subgraph_number(g2, r2)
+                F1, F2 = census.count_connected_subgraphs(g1), census.count_connected_subgraphs(g2)
+                assert decompose.merge_count(F1, F2, a, b) == census.count_connected_subgraphs(g)
+                # glue keeps g1's labels and puts g2's other vertices after them
+                label = [g1.n + v - (v > r2) for v in range(g2.n)]
+                label[r2] = r1
+                for part, root, other, where in ((g1, r1, b, range(g1.n)), (g2, r2, a, label)):
+                    for x, y in enumerate(where):
+                        f = census.subgraph_number(part, x)
+                        pair = f if x == root else census.count_containing(part, (x, root))
+                        got = decompose.vertex_count(f, pair, other)
+                        assert got == census.subgraph_number(g, y), (g1, r1, g2, r2, x)
+                glued += 1
+        assert glued == 367  # ordered pairs of the 74 rooted classes on 1..5 vertices
 
 
 def _product_over_parts(g, w):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from connsub import census, extremal, generate
@@ -15,7 +16,7 @@ from connsub.extremal import (
     subset_tables,
 )
 from connsub.families import build, parse_family_spec
-from connsub.generate import connected_classes
+from connsub.generate import GENERATION_CAP, connected_classes, glue
 from connsub.graph import Graph, cut_vertices, girth, is_connected
 
 from helpers import canonical_key
@@ -161,6 +162,73 @@ class TestBatchKernel:
             subset_tables([k11])
         with pytest.raises(ValueError):
             subset_tables([G("P:n=13")])
+
+
+class TestCapFromParts:
+    def test_parts_match_the_kernel_on_every_cap_class(self):
+        # every class with a cut vertex at the cap, evaluated from its parts,
+        # against the kernel and graph.girth on its glued graph
+        n = GENERATION_CAP
+        records = extremal.catalog(n, "cut")
+        assert len(records) == 67014
+        _, fvec, _, _, _ = extremal._evaluate_gluings([r.parts for r in records])
+        member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+        for lo in range(0, len(records), 2048):
+            chunk = records[lo : lo + 2048]
+            graphs = [glue(*r.parts) for r in chunk]
+            tables = subset_tables(graphs)
+            want = np.stack([tables[:, member[:, x]].sum(axis=1) for x in range(n)], axis=1)
+            assert (fvec[lo : lo + 2048] == want).all()
+            for g, rec, (total, f_min, argmin, k) in zip(graphs, chunk, evaluate_counts(graphs)):
+                assert (rec.total, rec.f_min, rec.f_argmin, rec.k) == (total, f_min, argmin, k)
+                assert rec.girth == girth(g)
+                assert rec.is_tree == (g.m == n - 1)
+
+    def test_refuses_a_cap_batch_beyond_the_int64_bound(self, monkeypatch):
+        # the parts' tables (n + m <= 8 + 28) pass a bound of 37; the largest
+        # gluing, K8 with a pendant edge (9 + 29), does not
+        pairs = generate.classes_with_cut_vertices(GENERATION_CAP).pairs
+        monkeypatch.setattr(extremal, "_EXACT_MAX_N_PLUS_M", 37)
+        with pytest.raises(ValueError, match=r"n \+ m <= 37, batch has 38"):
+            extremal._evaluate_gluings(pairs)
+
+    def test_cap_search_builds_no_graph_but_its_minimisers(self, monkeypatch):
+        # composing and evaluating the cap glues nothing and runs no kernel
+        # at the cap; a search glues only the minimisers it reports, and a
+        # search below the cap computes no part values
+        store = dict(generate._store)
+        store.pop((GENERATION_CAP, "cut"), None)
+        monkeypatch.setattr(generate, "_store", store)
+        monkeypatch.setattr(extremal, "_catalog_cache", {})
+        kernel_orders, glued, valued = set(), [], []
+        kernel, values = extremal.evaluate_counts, extremal._class_values
+
+        def kernel_spy(graphs):
+            kernel_orders.update(g.n for g in graphs)
+            return kernel(graphs)
+
+        def glue_spy(*parts):
+            glued.append(parts)
+            return glue(*parts)
+
+        def values_spy(graphs):
+            valued.append(graphs[0].n)
+            return values(graphs)
+
+        monkeypatch.setattr(extremal, "evaluate_counts", kernel_spy)
+        monkeypatch.setattr(generate, "glue", glue_spy)
+        monkeypatch.setattr(extremal, "glue", glue_spy)
+        monkeypatch.setattr(extremal, "_class_values", values_spy)
+        assert len(extremal.catalog(GENERATION_CAP, "cut")) == 67014
+        assert glued == []
+        report = search_min_F(ClassSpec(GENERATION_CAP, 1))
+        assert len(glued) == len(report.minimizers) == 1
+        assert GENERATION_CAP not in kernel_orders
+        assert sorted(valued) == list(range(2, GENERATION_CAP))
+        valued.clear()
+        for k in range(7):
+            search_min_F(ClassSpec(GENERATION_CAP - 1, k))
+        assert valued == []
 
 
 class TestSearches:
