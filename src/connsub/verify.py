@@ -16,20 +16,23 @@ from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Iterator
 
-import numpy as np
-
 from . import census, decompose, families
 from .extremal import (
     ClassSpec,
     SearchReport,
-    catalog,
+    evaluate_counts,
     search_min_F,
     search_min_vertex_subgraph_number,
-    subset_tables,
 )
 from .canon import canonize
-from .generate import connected_classes, glue, rooted_classes
-from .graph import bits, blocks, cut_vertices
+from .generate import (
+    block_classes,
+    classes_with_cut_vertices,
+    connected_classes,
+    glue,
+    rooted_classes,
+)
+from .graph import Graph, bits, blocks, cut_vertices
 from .graphio import parse_graph6, serialize_graph6
 
 
@@ -65,11 +68,6 @@ def _named_form(text: str) -> tuple[str, tuple[int, ...]]:
     orbit's root."""
     _, g, pos, roots, _ = canonize(families.build(families.parse_family_spec(text)))
     return serialize_graph6(g), tuple(roots[p] for p in pos)
-
-
-@lru_cache(maxsize=None)
-def _superset_indices(n: int, mask: int):
-    return np.asarray([S for S in range(1 << n) if S & mask == mask])
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +123,21 @@ def _block_pair_offence(n: int, star4: str) -> str | None:
     """For graphs with k <= n-3 cut vertices, except the 4-star (canonical
     graph6 ``star4``): any two vertices of any block have pair count at
     least 2(n-k)-1.  The first pair that breaks the floor, or None."""
-    recs = catalog(n, "block") + catalog(n, "cut")
-    for lo in range(0, len(recs), 512):
-        chunk = recs[lo : lo + 512]
-        for row, rec in zip(subset_tables([r.graph for r in chunk]), chunk):
-            if rec.k > n - 3 or (n == 4 and rec.g6 == star4):
-                continue
-            bound = 2 * (n - rec.k) - 1
-            for block in blocks(rec.graph):
-                for u, v in combinations(bits(block), 2):
-                    got = int(row[_superset_indices(n, 1 << u | 1 << v)].sum())
-                    if got < bound:
-                        return f"{rec.g6} pair ({u},{v}): {got} < {bound}"
+    graphs = [*block_classes(n), *classes_with_cut_vertices(n)]
+    _, _, cuts, _, _, pair = evaluate_counts(graphs, True)
+
+    def g6(g: Graph) -> str:
+        return serialize_graph6(canonize(g)[1])
+
+    for g, cut, counts in zip(graphs, cuts.tolist(), pair):
+        k = cut.bit_count()
+        if k > n - 3 or (n == 4 and g6(g) == star4):
+            continue
+        bound = 2 * (n - k) - 1
+        for block in blocks(g):
+            for u, v in combinations(bits(block), 2):
+                if counts[u, v] < bound:
+                    return f"{g6(g)} pair ({u},{v}): {counts[u, v]} < {bound}"
     return None
 
 

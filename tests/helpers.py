@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from connsub import census, decompose
+from connsub import census, decompose, extremal
 from connsub.canon import canonical_labeling
 from connsub.graph import bits, blocks, cut_vertices, reach
 
@@ -53,3 +53,9 @@ def block_expansion_count(g, block):
                 term *= gain[w]
             total += term
     return total
+
+
+def subset_tables(graphs):
+    """Census subset tables for a batch of same-order graphs from the batched
+    kernel, int64-exact, one ``[graph, subset]`` row per graph."""
+    return extremal._tables(graphs).T

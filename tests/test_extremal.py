@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,19 +8,18 @@ import pytest
 from connsub import census, extremal, generate
 from connsub.extremal import (
     ClassSpec,
-    _class_records,
+    _class_rows,
     evaluate_counts,
     report_summary_line,
     report_to_json_dict,
     search_min_F,
     search_min_vertex_subgraph_number,
-    subset_tables,
 )
 from connsub.families import build, parse_family_spec
 from connsub.generate import GENERATION_CAP, connected_classes, glue
-from connsub.graph import Graph, cut_vertices, girth, is_connected
+from connsub.graph import Graph, bits, cut_vertices, girth, is_connected
 
-from helpers import canonical_key
+from helpers import canonical_key, subset_tables
 
 
 def G(text):
@@ -51,7 +51,8 @@ class TestClassSpec:
 
 
 def class_graphs(spec):
-    return [rec.graph for rec in _class_records(spec)]
+    cat, rows = _class_rows(spec)
+    return [cat.graphs[i] for i in rows]
 
 
 class TestGenerate:
@@ -69,14 +70,14 @@ class TestGenerate:
         assert len(class_graphs(ClassSpec(5, 4))) == 0
 
     def test_no_class_has_n_or_n_minus_one_cut_vertices(self):
-        # the lemma behind _class_records' early return, checked on every
+        # the lemma behind _class_rows' early return, checked on every
         # class rather than assumed: an end vertex of a longest path is no
         # cut vertex, and a connected graph on n >= 2 vertices has two; the
-        # kernel's cut count also puts each record in its generator's stratum
+        # kernel's cut count also puts each class in its generator's stratum
         for n in range(2, 9):
             block, cut = extremal.catalog(n, "block"), extremal.catalog(n, "cut")
-            assert all(r.k == 0 for r in block) and all(r.k >= 1 for r in cut)
-            assert max(r.k for r in block + cut) <= n - 2
+            assert (block.k == 0).all() and (cut.k >= 1).all()
+            assert np.concatenate([block.k, cut.k]).max() <= n - 2
 
     def test_catalog_takes_only_the_two_strata(self):
         for stratum in ("all", "2-connected", ""):
@@ -134,17 +135,17 @@ class TestBatchKernel:
             for row, g in zip(tables, graphs):
                 assert list(row) == census.connected_set_table(g)
 
-    def test_evaluate_counts_matches_census(self):
-        graphs = list(connected_classes(6))
-        for g, (total, fmin, argmin, _) in zip(graphs, evaluate_counts(graphs)):
-            assert total == census.count_connected_subgraphs(g)
-            fs = [census.subgraph_number(g, v) for v in range(g.n)]
-            assert fmin == min(fs)
-            assert argmin == tuple(v for v in range(g.n) if fs[v] == fmin)
-        for n in range(1, 8):
+    def test_pair_and_edge_counts_match_census(self):
+        for n in range(2, 7):
             graphs = list(connected_classes(n))
-            for g, (_, _, _, k) in zip(graphs, evaluate_counts(graphs)):
-                assert k == len(cut_vertices(g))
+            _, f, _, m, _, pair = evaluate_counts(graphs, True)
+            assert (f == evaluate_counts(graphs)[1]).all()
+            assert m.tolist() == [g.m for g in graphs]
+            assert (pair == pair.transpose(0, 2, 1)).all()
+            for g, row in zip(graphs, pair):
+                for x in range(n):
+                    for y in range(x, n):
+                        assert row[x, y] == census.count_containing(g, {x, y})
 
     def test_evaluate_counts_rejects_disconnected(self):
         with pytest.raises(ValueError):
@@ -164,25 +165,52 @@ class TestBatchKernel:
             subset_tables([G("P:n=13")])
 
 
+class TestCatalogColumns:
+    def test_structure_columns_match_the_graph_oracles(self):
+        # below the cap, k, girth and the tree flag are read off the subset
+        # table; cut_vertices, graph.girth and g.m are the oracles
+        for n in range(1, GENERATION_CAP):
+            for stratum in ("block", "cut"):
+                cat = extremal.catalog(n, stratum)
+                assert cat.k.tolist() == [len(cut_vertices(g)) for g in cat.graphs]
+                assert cat.girth.tolist() == [girth(g) or extremal._NO_CYCLE for g in cat.graphs]
+                assert cat.tree.tolist() == [g.m == n - 1 for g in cat.graphs]
+
+    def test_count_columns_match_census(self):
+        for n in range(1, 8):
+            for stratum in ("block", "cut"):
+                cat = extremal.catalog(n, stratum)
+                for g, total, f_min, argmin in zip(
+                    cat.graphs, cat.total.tolist(), cat.f_min.tolist(), cat.argmin.tolist()
+                ):
+                    assert total == census.count_connected_subgraphs(g)
+                    fs = [census.subgraph_number(g, v) for v in range(n)]
+                    assert f_min == min(fs)
+                    assert bits(argmin) == [v for v in range(n) if fs[v] == f_min]
+
+
 class TestCapFromParts:
     def test_parts_match_the_kernel_on_every_cap_class(self):
         # every class with a cut vertex at the cap, evaluated from its parts,
         # against the kernel and graph.girth on its glued graph
         n = GENERATION_CAP
-        records = extremal.catalog(n, "cut")
-        assert len(records) == 67014
-        _, fvec, _, _, _ = extremal._evaluate_gluings([r.parts for r in records])
+        cat = extremal.catalog(n, "cut")
+        assert len(cat) == 67014
+        _, fvec, _, _, _ = extremal._evaluate_gluings(cat.graphs.pairs)
         member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
-        for lo in range(0, len(records), 2048):
-            chunk = records[lo : lo + 2048]
-            graphs = [glue(*r.parts) for r in chunk]
+        for lo in range(0, len(cat), 2048):
+            rows = slice(lo, lo + 2048)
+            graphs = [glue(*parts) for parts in cat.graphs.pairs[rows]]
             tables = subset_tables(graphs)
             want = np.stack([tables[:, member[:, x]].sum(axis=1) for x in range(n)], axis=1)
-            assert (fvec[lo : lo + 2048] == want).all()
-            for g, rec, (total, f_min, argmin, k) in zip(graphs, chunk, evaluate_counts(graphs)):
-                assert (rec.total, rec.f_min, rec.f_argmin, rec.k) == (total, f_min, argmin, k)
-                assert rec.girth == girth(g)
-                assert rec.is_tree == (g.m == n - 1)
+            assert (fvec[rows] == want).all()
+            total, f, cut, m, girths = evaluate_counts(graphs)
+            f_min, argmin = extremal._minima(f)
+            assert (cat.total[rows] == total).all()
+            assert (cat.f_min[rows] == f_min).all() and (cat.argmin[rows] == argmin).all()
+            assert (cat.k[rows] == np.bitwise_count(cut)).all()
+            assert (cat.tree[rows] == (m == n - 1)).all() and (cat.girth[rows] == girths).all()
+            assert cat.girth[rows].tolist() == [girth(g) or extremal._NO_CYCLE for g in graphs]
 
     def test_refuses_a_cap_batch_beyond_the_int64_bound(self, monkeypatch):
         # the parts' tables (n + m <= 8 + 28) pass a bound of 37; the largest
@@ -200,35 +228,30 @@ class TestCapFromParts:
         store.pop((GENERATION_CAP, "cut"), None)
         monkeypatch.setattr(generate, "_store", store)
         monkeypatch.setattr(extremal, "_catalog_cache", {})
-        kernel_orders, glued, valued = set(), [], []
-        kernel, values = extremal.evaluate_counts, extremal._class_values
+        kernel_calls, glued = [], []
+        kernel = extremal.evaluate_counts
 
-        def kernel_spy(graphs):
-            kernel_orders.update(g.n for g in graphs)
-            return kernel(graphs)
+        def kernel_spy(graphs, *pairs):
+            kernel_calls.append((graphs[0].n, *pairs))
+            return kernel(graphs, *pairs)
 
         def glue_spy(*parts):
             glued.append(parts)
             return glue(*parts)
 
-        def values_spy(graphs):
-            valued.append(graphs[0].n)
-            return values(graphs)
-
         monkeypatch.setattr(extremal, "evaluate_counts", kernel_spy)
         monkeypatch.setattr(generate, "glue", glue_spy)
-        monkeypatch.setattr(extremal, "glue", glue_spy)
-        monkeypatch.setattr(extremal, "_class_values", values_spy)
         assert len(extremal.catalog(GENERATION_CAP, "cut")) == 67014
         assert glued == []
         report = search_min_F(ClassSpec(GENERATION_CAP, 1))
-        assert len(glued) == len(report.minimizers) == 1
-        assert GENERATION_CAP not in kernel_orders
-        assert sorted(valued) == list(range(2, GENERATION_CAP))
-        valued.clear()
+        # glued to be named and again to be re-checked
+        assert len(set(glued)) == len(report.minimizers) == 1
+        # the part values: one pair-count evaluation per order below the cap
+        assert sorted(kernel_calls) == [(order, True) for order in range(2, GENERATION_CAP)]
+        kernel_calls.clear()
         for k in range(7):
             search_min_F(ClassSpec(GENERATION_CAP - 1, k))
-        assert valued == []
+        assert kernel_calls and all(call == (GENERATION_CAP - 1,) for call in kernel_calls)
 
 
 class TestSearches:
@@ -270,14 +293,37 @@ class TestSearches:
         assert len(set(report.minimizers)) == len(report.minimizers)
         assert len(report.argmin_vertices) == len(report.minimizers)
 
-    def test_records_serialise_only_when_read(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(extremal, "serialize_graph6", lambda g: calls.append(g) or "x")
-        records = extremal._build_records(connected_classes(5))
-        assert calls == []
-        assert records[3].g6 == "x" and records[3].g6 == "x"
-        assert calls == [records[3].graph]
-        assert all(r.girth == girth(r.graph) for r in records)
+    @pytest.mark.parametrize(
+        "spec", [ClassSpec(5, 1), ClassSpec(GENERATION_CAP, 4)], ids=["n5", "cap"]
+    )
+    def test_search_canonises_and_serialises_only_its_minimisers(self, monkeypatch, spec):
+        # at the cap the minimum vertex count over k = 4 has two minimisers;
+        # a class is canonised once, when a report first names it
+        cat = extremal.catalog(spec.n, "cut")
+        monkeypatch.setitem(extremal._catalog_cache, (spec.n, "cut"), replace(cat, names={}))
+        canonised, serialised = [], []
+        canonize, serialize = extremal.canonize, extremal.serialize_graph6
+        monkeypatch.setattr(extremal, "canonize", lambda g: canonised.append(g) or canonize(g))
+        monkeypatch.setattr(
+            extremal, "serialize_graph6", lambda g: serialised.append(g) or serialize(g)
+        )
+        named = set()
+        for search in (search_min_F, search_min_vertex_subgraph_number, search_min_F):
+            report = search(spec)
+            assert report.class_size > len(report.minimizers)
+            named.update(report.minimizers)
+            assert len(canonised) == len(serialised) == len(named)
+            assert set(map(serialize, serialised)) == named
+
+    @pytest.mark.parametrize(
+        "search,column", [(search_min_F, "total"), (search_min_vertex_subgraph_number, "f_min")]
+    )
+    def test_decomposition_recheck_catches_a_wrong_column(self, monkeypatch, search, column):
+        cat = extremal.catalog(6, "cut")
+        wrong = replace(cat, **{column: getattr(cat, column) - 1})
+        monkeypatch.setitem(extremal._catalog_cache, (6, "cut"), wrong)
+        with pytest.raises(AssertionError, match="decomposition disagrees"):
+            search(ClassSpec(6, 1))
 
 
 class TestReports:

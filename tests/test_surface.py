@@ -4,6 +4,7 @@ benchmark's tracer and worker call."""
 import importlib
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import connsub
@@ -18,12 +19,17 @@ def test_package_root_re_exports_nothing():
     assert all(sys.modules.get(f"connsub.{k}") is getattr(connsub, k) for k in names)
 
 
-def test_every_tracer_target_is_a_callable_module_attribute():
-    # the tracer looks each target up with getattr and no default, so a
-    # renamed or deleted function breaks `perfbench/run.py --trace`
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_target_is_a_callable_module_attribute():
+    # the tracer looks each target up with getattr and no default, so a
+    # renamed or deleted function breaks `perfbench/run.py --trace`
+    tracer = _load_tracer()
     assert tracer.TARGETS
     for modname, attr, _span in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)
@@ -35,3 +41,21 @@ def test_benchmark_cut_catalog_call():
     # stratum must fail here, not in the benchmark
     assert len(extremal.catalog(6, "cut")) == 56
     assert len(extremal.catalog(7, "cut")) == 385
+
+
+def test_tracer_notes_a_traced_search(monkeypatch):
+    # the tracer's notes read the wrapped calls' arguments by position (the
+    # kernel's graphs are args[0]); a changed call shape breaks them only
+    # when a traced round runs
+    monkeypatch.setattr(extremal, "_catalog_cache", {})
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        extremal.search_min_F(extremal.ClassSpec(6, 1))
+        wall_s = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(wall_s)
+    assert metrics["extremal.kernel_graphs"] > 0
+    assert metrics["extremal.minimisers_rechecked"] == 1
