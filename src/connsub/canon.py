@@ -5,6 +5,12 @@ are refined to equitability, the first non-singleton cell is branched on,
 and the lexicographically smallest relabeled adjacency key over all leaves
 is the canonical form.  Discovered automorphisms prune sibling branches, so
 highly symmetric graphs stay cheap.  Intended for n <= ~12.
+
+Each recorded automorphism keeps the mask of the vertices it fixes.  A
+search node keeps the automorphisms that fix its branch prefix and the
+images of its explored siblings under them; before each sibling it tests
+only the automorphisms recorded since the last one, one mask test each,
+so no node rescans the whole list.
 """
 
 from __future__ import annotations
@@ -76,11 +82,13 @@ class _Canonizer:
         self.first_key: bytes | None = None
         self.first_order: list[int] | None = None
         self.automorphisms: list[tuple[int, ...]] = []
+        # per automorphism, the mask of the vertices it fixes
+        self.fixes: list[int] = []
 
     def run(self) -> None:
-        self._search(_refine(self.adj, [tuple(range(self.n))]), [])
+        self._search(_refine(self.adj, [tuple(range(self.n))]), 0)
 
-    def _search(self, cells: list[tuple[int, ...]], fixed: list[int]) -> None:
+    def _search(self, cells: list[tuple[int, ...]], prefix: int) -> None:
         target = None
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
@@ -100,14 +108,28 @@ class _Canonizer:
                 self._record(self.best_order, order)
             return
         cell = cells[target]
+        # skip v if a known automorphism fixing the branch prefix maps an
+        # already-explored sibling onto it: ``stab`` holds the automorphisms
+        # recorded so far that fix the prefix, ``images`` what they make of
+        # the explored siblings
         explored: list[int] = []
+        stab: list[tuple[int, ...]] = []
+        images: set[int] = set()
+        seen = 0
         for v in cell:
-            if self._pruned(v, explored, fixed):
+            for i in range(seen, len(self.automorphisms)):
+                if self.fixes[i] & prefix == prefix:
+                    a = self.automorphisms[i]
+                    stab.append(a)
+                    images.update(a[u] for u in explored)
+            seen = len(self.automorphisms)
+            if v in images:
                 continue
             rest = tuple(u for u in cell if u != v)
             child = cells[:target] + [(v,), rest] + cells[target + 1 :]
-            self._search(_refine(self.adj, child), fixed + [v])
+            self._search(_refine(self.adj, child), prefix | 1 << v)
             explored.append(v)
+            images.update(a[v] for a in stab)
 
     def _record(self, ref: list[int], order: list[int]) -> None:
         # two equal-key leaves give an automorphism (ref[i] -> order[i])
@@ -115,16 +137,7 @@ class _Canonizer:
         for i, v in enumerate(order):
             perm[ref[i]] = v
         self.automorphisms.append(tuple(perm))
-
-    def _pruned(self, v: int, explored: list[int], fixed: list[int]) -> bool:
-        # skip v if a known automorphism fixing the branch prefix maps an
-        # already-explored sibling onto it
-        for a in self.automorphisms:
-            if all(a[b] == b for b in fixed):
-                for u in explored:
-                    if a[u] == v:
-                        return True
-        return False
+        self.fixes.append(sum(1 << v for v, w in enumerate(perm) if v == w))
 
 
 def canonical_labeling(g: Graph) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:

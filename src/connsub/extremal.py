@@ -160,7 +160,8 @@ def _tables(graphs: Sequence[Graph]) -> np.ndarray:
         if rest:
             v = low.bit_length() - 1
             ecnt[S] = ecnt[rest] + np.bitwise_count(adj[v] & rest)
-    npow = np.left_shift(np.int64(1), ecnt)
+    # 2^e(S), written over e(S): one 2^n-row array fewer held at once
+    npow = np.left_shift(1, ecnt, out=ecnt)
     table = np.zeros((size, cnt), dtype=np.int64)
     for v in range(n):
         table[1 << v] = 1

@@ -27,21 +27,24 @@ has its own generator:
 key order; nothing stores the union, so each class is generated and stored
 once, in its own stratum.
 
-Lemma (each 2-connected class is accepted exactly once).  For a child G,
-let m(G) be the vertex of minimum degree with the smallest canonical label,
-and call its Aut(G)-orbit the canonical deletion orbit.  Accept (P, S) iff
-the new vertex v lies in that orbit.
+Lemma (each 2-connected class is accepted exactly once).  For a vertex v
+of a child G, let I(v) be the sorted degrees of v's neighbours and the
+number of edges among them.  Let B(G) be the vertices of minimum degree
+whose I is greatest, m(G) the vertex of B(G) with the smallest canonical
+label, and call its Aut(G)-orbit the canonical deletion orbit.  Accept
+(P, S) iff the new vertex lies in that orbit.
 
 1. Every 2-connected G on n vertices is (G - w) + w for any vertex w, and
    G - w is connected.  Take w = m(G): G - w is isomorphic to some class P,
    and w's neighbourhood maps to a subset S of P that passes the three
    screens (G is 2-connected, and w has the minimum degree |S|).  So P plus
    a vertex joined to S is isomorphic to G with the new vertex sent to w.
-2. The canonical deletion orbit is isomorphism-invariant: the canonical
-   labeling, hence m(G), depends only on the isomorphism class, up to an
-   automorphism.  Any isomorphism G -> G' therefore maps the orbit of m(G)
-   onto the orbit of m(G'), and a pair is accepted iff every pair
-   isomorphic to it (as graph plus new vertex) is accepted.
+2. The canonical deletion orbit is isomorphism-invariant.  I is read from
+   degrees and adjacency alone, so any isomorphism G -> G' maps B(G) onto
+   B(G'); the canonical labeling depends only on the isomorphism class, up
+   to an automorphism, so it maps the orbit of m(G) onto the orbit of
+   m(G').  A pair is therefore accepted iff every pair isomorphic to it (as
+   graph plus new vertex) is accepted.
 3. Subsets in one Aut(P)-orbit give isomorphic (child, new vertex) pairs,
    so keeping one S per orbit loses nothing by (1) and (2).  Conversely, let
    (P, S) and (P', S') both be accepted with isomorphic children.  By (2)
@@ -52,6 +55,14 @@ the new vertex v lies in that orbit.
 
 Hence the accepted children are the 2-connected classes, each once, and
 no set of seen children is needed.
+
+B(G) is Aut-invariant, so the deletion orbit lies inside it and m(G) is
+the least label of its orbit.  A child whose new vertex is not in B(G) is
+therefore rejected before it is labeled; otherwise one labeling gives
+m(G) as the least canonical label in B(G) and accepts iff that is the
+orbit root of the new vertex.  The parents' automorphism generators are
+read from the store, where their own labeling left them, so no parent is
+labeled again.
 
 Every class below the cap carries its block list: per block, the block's
 class (K2 or a 2-connected class, with its orbit roots and automorphism
@@ -129,14 +140,15 @@ the minimisers it reports.
 
 The classes live in one store, per vertex count and stratum ("cut" or
 "block"): keys in sorted order, with the graph (at the cap, the parts of
-each class with a cut vertex), the orbit roots and the block list of each.
+each class with a cut vertex), the orbit roots, the block list and the
+Aut generators (in canonical labels, as ``canonize`` gave them) of each.
 A key is the canonical key, except for the classes with a cut vertex at the
 cap, which are keyed by certificate; these begin with a block's vertex
 count, below n, so they sort before the canonical keys and
 ``connected_classes(GENERATION_CAP)`` is not in canonical-key order.  Orbit
-roots and block lists are kept only below the cap, the sizes composition
-glues; at the cap each is empty.  ``rooted_classes(n)`` reads the distinct
-roots of level n on each call.
+roots, block lists and generators are kept only below the cap, the sizes
+composition glues and augmentation extends; at the cap each is empty.
+``rooted_classes(n)`` reads the distinct roots of level n on each call.
 """
 
 from __future__ import annotations
@@ -145,7 +157,7 @@ import heapq
 from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
-from .canon import canonical_labeling, canonize, labeled_key
+from .canon import canonize, labeled_key
 from .graph import MAX_VERTICES, Graph, components, cut_vertices, map_mask
 
 # largest n an exhaustive search generates; n = 10 would need about 2 M
@@ -156,10 +168,9 @@ GENERATION_CAP = 9
 class _BlockClass:
     """K2 or a 2-connected class as a block of larger graphs: its key, per
     canonical label the least label of its Aut-orbit, and generators of Aut
-    in canonical labels.  The group is enumerated on first use.  A gluing on
-    at most ``GENERATION_CAP`` vertices with two or more cut vertices has
-    no inner block above ``GENERATION_CAP - 2`` vertices, so larger classes
-    keep no generators."""
+    in canonical labels (the store's, so none at the cap).  The group is
+    enumerated on first use, and only for an inner block of a gluing, which
+    has at most ``GENERATION_CAP - 2`` vertices."""
 
     __slots__ = ("key", "roots", "gens", "_images")
 
@@ -221,13 +232,31 @@ class _Gluings(Sequence[Graph]):
         return glue(*self.pairs[i])
 
 
-# the class store: (n, stratum) -> (sorted keys, the graph, the orbit roots
-# and the block list of each); the graphs of the cap's cut stratum are a
-# ``_Gluings``
+# Aut generators in canonical labels, as the store keeps them
+_Gens = tuple[tuple[int, ...], ...]
+
+# the class store: (n, stratum) -> (sorted keys, the graph, the orbit roots,
+# the block list and the Aut generators of each); the graphs of the cap's
+# cut stratum are a ``_Gluings``
 _store: dict[
     tuple[int, str],
-    tuple[tuple[bytes, ...], Sequence[Graph], tuple[bytes, ...], tuple[tuple[_Block, ...], ...]],
+    tuple[
+        tuple[bytes, ...],
+        Sequence[Graph],
+        tuple[bytes, ...],
+        tuple[tuple[_Block, ...], ...],
+        tuple[_Gens, ...],
+    ],
 ] = {}
+
+# one shared tuple per permutation and per generator list: the 12,112
+# classes on at most 8 vertices hold 577 distinct lists of 1,176 permutations
+_shared: dict[tuple, tuple] = {}
+
+
+def _intern(auts: list[tuple[int, ...]]) -> _Gens:
+    gens = tuple(_shared.setdefault(a, a) for a in auts)
+    return _shared.setdefault(gens, gens)
 
 
 def _put(
@@ -236,17 +265,24 @@ def _put(
     graphs: dict[bytes, Graph | _Pair],
     roots: dict[bytes, bytes],
     blocks: dict[bytes, tuple[_Block, ...]],
+    gens: dict[bytes, _Gens],
 ) -> Sequence[Graph]:
     """Store level n of a stratum from its graphs (at the cap, the parts of
-    each class with a cut vertex) and, below the cap, their orbit roots and
-    block lists, all by key, in key order; returns the graphs."""
+    each class with a cut vertex) and, below the cap, their orbit roots,
+    block lists and Aut generators, all by key, in key order; returns the
+    graphs."""
     keys = tuple(sorted(graphs))
     below = n < GENERATION_CAP
     level = tuple(graphs[k] for k in keys)
     if stratum == "cut" and not below:
         level = _Gluings(level)
-    kept = tuple(roots[k] if below else b"" for k in keys)
-    _store[n, stratum] = (keys, level, kept, tuple(blocks[k] if below else () for k in keys))
+    _store[n, stratum] = (
+        keys,
+        level,
+        tuple(roots[k] if below else b"" for k in keys),
+        tuple(blocks[k] if below else () for k in keys),
+        tuple(gens[k] if below else () for k in keys),
+    )
     return level
 
 
@@ -260,8 +296,14 @@ def block_classes(n: int) -> tuple[Graph, ...]:
             # K1 and K2: one class, one vertex orbit
             seed = Graph(n, (0,) if n == 1 else (0b10, 0b01))
             key = labeled_key(seed)
-            cls = _BlockClass(key, bytes(n), ((1, 0),) if n == 2 else ())
-            _store[n, "block"] = ((key,), (seed,), (cls.roots,), (((cls, bytes(range(n))),),))
+            cls = _BlockClass(key, bytes(n), _intern([(1, 0)] if n == 2 else []))
+            _store[n, "block"] = (
+                (key,),
+                (seed,),
+                (cls.roots,),
+                (((cls, bytes(range(n))),),),
+                (cls.gens,),
+            )
         else:
             _put(n, "block", *_two_connected(n))
     return _store[n, "block"][1]
@@ -279,36 +321,65 @@ def connected_classes(n: int) -> tuple[Graph, ...]:
 
 def _two_connected(
     n: int,
-) -> tuple[dict[bytes, Graph], dict[bytes, bytes], dict[bytes, tuple[_Block, ...]]]:
-    """The canonical graph, the orbit roots and (below the cap) the block
-    list, by canonical key, of every 2-connected class on n >= 3 vertices,
-    by canonical augmentation (see the lemma above)."""
+) -> tuple[
+    dict[bytes, Graph], dict[bytes, bytes], dict[bytes, tuple[_Block, ...]], dict[bytes, _Gens]
+]:
+    """The canonical graph and, below the cap, the orbit roots, block list
+    and Aut generators, by canonical key, of every 2-connected class on
+    n >= 3 vertices, by canonical augmentation (see the lemma above)."""
     new = n - 1
     own = bytes(range(n))  # a class is its own block, on its canonical labels
     graphs: dict[bytes, Graph] = {}
     roots: dict[bytes, bytes] = {}
     blocks: dict[bytes, tuple[_Block, ...]] = {}
-    for parent in connected_classes(n - 1):
-        _, _, gens = canonical_labeling(parent)
-        for subset in _subset_orbit_reps(parent, gens):
-            size = subset.bit_count()
-            # the new vertex n - 1 joined to every vertex of the subset
-            adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
-            adj.append(subset)
-            key, child, pos, child_roots, auts = canonize(Graph(n, tuple(adj)))
-            # m(child) is the first canonical label of the minimum degree |S|;
-            # no smaller label shares its orbit, so it is its orbit's root
-            deleted = next(v for v, a in enumerate(child.adj) if a.bit_count() == size)
-            if child_roots[pos[new]] == deleted:
-                graphs[key] = child
-                if n < GENERATION_CAP:
-                    roots[key] = child_roots
-                    kept = tuple(auts) if n <= GENERATION_CAP - 2 else ()
-                    blocks[key] = ((_BlockClass(key, child_roots, kept), own),)
-    return graphs, roots, blocks
+    gens: dict[bytes, _Gens] = {}
+    connected_classes(n - 1)  # stores both strata of the parents' level
+    for stratum in ("block", "cut"):
+        _, parents, _, _, parent_gens = _store[n - 1, stratum]
+        for parent, pgens in zip(parents, parent_gens):
+            for subset in _subset_orbit_reps(parent, pgens):
+                # the new vertex n - 1 joined to every vertex of the subset
+                adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
+                adj.append(subset)
+                best = _deletion_candidates(adj, subset.bit_count())
+                if best is None:
+                    continue
+                key, child, pos, child_roots, auts = canonize(Graph(n, tuple(adj)))
+                # m(child), the least canonical label in the Aut-invariant
+                # set ``best``, is the least label of its orbit
+                if child_roots[pos[new]] == min(pos[v] for v in best):
+                    graphs[key] = child
+                    if n < GENERATION_CAP:
+                        roots[key] = child_roots
+                        gens[key] = _intern(auts)
+                        blocks[key] = ((_BlockClass(key, child_roots, gens[key]), own),)
+    return graphs, roots, blocks, gens
 
 
-def _subset_orbit_reps(p: Graph, gens: list[tuple[int, ...]]) -> list[int]:
+def _deletion_candidates(adj: list[int], size: int) -> list[int] | None:
+    """The vertices of minimum degree ``size`` whose invariant I (see the
+    lemma above) is greatest, or None if the last vertex is not among them."""
+    deg = [a.bit_count() for a in adj]
+
+    def invariant(v: int) -> tuple[tuple[int, ...], int]:
+        nbrs = [u for u in range(len(adj)) if adj[v] >> u & 1]
+        inner = sum((adj[u] & adj[v]).bit_count() for u in nbrs) // 2
+        return tuple(sorted(deg[u] for u in nbrs)), inner
+
+    new = len(adj) - 1
+    own = invariant(new)
+    best = [new]
+    for v in range(new):
+        if deg[v] == size:
+            other = invariant(v)
+            if other > own:
+                return None
+            if other == own:
+                best.append(v)
+    return best
+
+
+def _subset_orbit_reps(p: Graph, gens: _Gens) -> list[int]:
     """One subset S of p's vertices per Aut(p)-orbit such that p plus a
     vertex joined to S is 2-connected with minimum degree |S|; ``gens``
     generate Aut(p) in p's labels."""
@@ -359,7 +430,7 @@ def _rooted_parts(n: int) -> list[_Part]:
         raise ValueError(f"rooted classes are kept for n in 1..{GENERATION_CAP - 1}")
     block_classes(n)
     classes_with_cut_vertices(n)
-    strata = [_parts_of(*_store[n, s]) for s in ("block", "cut")]
+    strata = [_parts_of(*_store[n, s][:4]) for s in ("block", "cut")]
     return [part for _, part in heapq.merge(*strata, key=itemgetter(0))]
 
 
@@ -499,6 +570,7 @@ def classes_with_cut_vertices(n: int) -> Sequence[Graph]:
     graphs: dict[bytes, Graph | _Pair] = {}
     roots: dict[bytes, bytes] = {}
     blocks: dict[bytes, tuple[_Block, ...]] = {}
+    gens: dict[bytes, _Gens] = {}
     built: set[bytes] = set()  # the certificates met so far
     for p1, p2, cert in _gluings(n):
         if cert in built:
@@ -509,8 +581,9 @@ def classes_with_cut_vertices(n: int) -> Sequence[Graph]:
             # no block key has n vertices, so no certificate is a canonical key
             graphs[cert] = pair
             continue
-        key, graphs[key], pos, roots[key], _ = canonize(glue(*pair))
+        key, graphs[key], pos, roots[key], auts = canonize(glue(*pair))
+        gens[key] = _intern(auts)
         blocks[key] = tuple(
             (cls, bytes(pos[v] for v in verts)) for cls, verts in _glued_blocks(p1, p2)
         )
-    return _put(n, "cut", graphs, roots, blocks)
+    return _put(n, "cut", graphs, roots, blocks, gens)

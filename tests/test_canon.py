@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from connsub.canon import canonize, labeled_key, vertex_orbits
+from connsub.canon import canonical_labeling, canonize, labeled_key, vertex_orbits
 from connsub.families import build, parse_family_spec
 from connsub.generate import connected_classes
+from connsub.graph import Graph
+from connsub.graphio import parse_graph6
 
 from helpers import canonical_key
 from strategies import any_graphs
@@ -105,3 +108,23 @@ def test_star_orbits():
 
 def test_cycle_single_orbit():
     assert vertex_orbits(G("C:n=7")) == [tuple(range(7))]
+
+
+def test_search_traversal_is_pinned():
+    # the key, the order and every recorded generator, in order, of every
+    # class with n <= 7 and of K1,8, K8, C9 and the Petersen graph: a
+    # change to refinement, branching or pruning moves this digest
+    graphs = [g for n in range(1, 8) for g in connected_classes(n)]
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    graphs += [
+        parse_graph6("H????B~"),
+        Graph.from_edges(8, list(itertools.combinations(range(8), 2))),
+        Graph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)]),
+        Graph.from_edges(10, outer + spokes + inner),
+    ]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr(canonical_labeling(g)).encode())
+    assert digest.hexdigest() == "efbac54cd0af13cfed8b507c7ac490b274fe614622501bab435a587751a24fa9"

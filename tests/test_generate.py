@@ -36,11 +36,24 @@ def test_connected_class_counts():
 
 
 def naive_connected_classes(n: int) -> tuple[Graph, ...]:
-    """Completeness oracle: scan all labeled graphs on n <= 6 vertices."""
-    pairs = list(combinations(range(n), 2))
+    """Completeness oracle: scan all labeled graphs on n <= 6 vertices.  For
+    n = 7, join a new vertex to every nonempty subset of every naive class
+    on 6 vertices: deleting a leaf of a spanning tree leaves a connected
+    graph, so every connected class arises."""
+    if n == 7:
+        labeled = [
+            Graph(n, (*(a | (s >> v & 1) << 6 for v, a in enumerate(p.adj)), s))
+            for p in naive_connected_classes(6)
+            for s in range(1, 1 << 6)
+        ]
+    else:
+        pairs = list(combinations(range(n), 2))
+        labeled = [
+            Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            for mask in range(1 << len(pairs))
+        ]
     found: dict[bytes, Graph] = {}
-    for mask in range(1 << len(pairs)):
-        g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+    for g in labeled:
         if not is_connected(g):
             continue
         key, order, _ = canonical_labeling(g)
@@ -60,7 +73,7 @@ def test_all_connected_and_distinct():
 
 
 def test_matches_naive_oracle():
-    for n in range(1, 7):
+    for n in range(1, 8):
         fast = {canonical_key(g) for g in connected_classes(n)}
         naive = {canonical_key(g) for g in naive_connected_classes(n)}
         assert fast == naive
@@ -90,22 +103,47 @@ def test_block_classes_seed_k1_and_k2():
 
 
 def test_augmentation_canonisation_count(monkeypatch):
-    # screening subsets and keeping one per Aut(parent) orbit keeps the
-    # labelings near the class count; one per (parent, subset) is 116,146
+    # screening subsets, keeping one per Aut(parent) orbit and rejecting a
+    # child on its invariant keep the labelings near the class count (12,349
+    # through n = 8); one per (parent, subset) is 116,146
     monkeypatch.setattr(generate, "_store", {})
     calls = 0
-    label = generate.canonical_labeling
+    label = canon.canonical_labeling
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return label(*args, **kwargs)
 
-    monkeypatch.setattr(generate, "canonical_labeling", counted)
-    # every class is labeled by canon.canonize, each parent by generate itself
+    # every class and every augmented child is labeled by canon.canonize;
+    # parents' generators come from the store
     monkeypatch.setattr(canon, "canonical_labeling", counted)
     assert len(generate.connected_classes(8)) == CONNECTED_COUNTS[8]
-    assert calls < 25_000
+    assert calls < 13_000
+
+
+def test_stored_generators_generate_each_class_group():
+    # the store keeps each class's generators below the cap; they generate
+    # the same group as a fresh labeling of the stored canonical graph
+    for n in range(1, 8):
+        connected_classes(n)
+        for stratum in ("block", "cut"):
+            _, graphs, _, _, gens = generate._store[n, stratum]
+            assert len(gens) == len(graphs)
+            for g, kept in zip(graphs, gens):
+                want = generate._group(canonical_labeling(g)[2], n)
+                assert generate._group(kept, n) == want
+
+
+def test_cap_classes_store_no_generators(monkeypatch):
+    # nothing augments the cap, so neither stratum keeps generators there;
+    # both keep them one level below (an asymmetric class keeps none)
+    monkeypatch.setattr(generate, "_store", {})
+    monkeypatch.setattr(generate, "GENERATION_CAP", 7)
+    assert len(connected_classes(7)) == CONNECTED_COUNTS[7]
+    for stratum in ("block", "cut"):
+        assert any(generate._store[6, stratum][4])
+        assert not any(generate._store[7, stratum][4])
 
 
 def test_cut_class_search_skips_augmenting_its_level(monkeypatch):
@@ -188,13 +226,12 @@ def test_composition_labels_each_class_once_below_the_cap_and_none_at_it(monkeyp
     for n in range(1, 8):
         rooted_classes(n)
     labeled = []
-    label = generate.canonical_labeling
+    label = canon.canonical_labeling
 
     def counted(g):
         labeled.append(g.n)
         return label(g)
 
-    monkeypatch.setattr(generate, "canonical_labeling", counted)
     monkeypatch.setattr(canon, "canonical_labeling", counted)
     assert len(classes_with_cut_vertices(8)) == len(labeled) == 3994
     del generate._store[8, "cut"]
