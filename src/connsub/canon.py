@@ -164,11 +164,6 @@ def positions(order: tuple[int, ...]) -> list[int]:
     return pos
 
 
-# one shared object per orbit-root pattern: the 11,117 classes on 8
-# vertices have 137 patterns, and the class store keeps every class's roots
-_roots_of_pattern: dict[bytes, bytes] = {}
-
-
 def canonize(g: Graph) -> tuple[bytes, Graph, list[int], bytes, list[tuple[int, ...]]]:
     """The canonical key of ``g``, its canonically labeled copy, ``pos``
     (vertex v of ``g`` gets canonical label ``pos[v]``), ``roots`` (per
@@ -178,8 +173,7 @@ def canonize(g: Graph) -> tuple[bytes, Graph, list[int], bytes, list[tuple[int, 
     pos = positions(order)
     # a generator v -> a[v] of g reads, in canonical labels, i -> pos[a[order[i]]]
     auts = [tuple([pos[a[v]] for v in order]) for a in gens]
-    roots = bytes(orbit_least(g.n, auts))
-    return key, g.relabel(pos), pos, _roots_of_pattern.setdefault(roots, roots), auts
+    return key, g.relabel(pos), pos, bytes(orbit_least(g.n, auts)), auts
 
 
 def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:

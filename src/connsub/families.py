@@ -53,12 +53,6 @@ class FamilySpec:
             if not holds(**dict(self.params)):
                 raise ValueError(message)
 
-    def __getitem__(self, key: str) -> int:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
-
     def __str__(self) -> str:
         return f"{self.name}:" + ",".join(f"{k}={v}" for k, v in self.params)
 

@@ -61,16 +61,17 @@ the least label of its orbit.  A child whose new vertex is not in B(G) is
 therefore rejected before it is labeled; otherwise one labeling gives
 m(G) as the least canonical label in B(G) and accepts iff that is the
 orbit root of the new vertex.  The parents' automorphism generators are
-read from the store, where their own labeling left them, so no parent is
-labeled again.
+read from their records, where their own labeling left them, so no parent
+is labeled again.
 
-Every class below the cap carries its block list: per block, the block's
-class (K2 or a 2-connected class, with its orbit roots and automorphism
-generators in canonical labels) and its vertices in that class's canonical
-order.  A class without a cut vertex is its own single block.  Every block
-of a gluing is a block of one part, so the glued graph's list is the
-parts' lists with g2's vertices renamed as ``glue`` renames them, and the
-canonical relabeling renames them again: no block is ever labeled.
+Every class below the cap is kept as one record, a ``_Class``: its key, its
+orbit roots and Aut generators in canonical labels (as ``canonize`` gave
+them), and its block list: per block, the block's class (K2 or a
+2-connected class, itself a record) and its vertices in that class's
+canonical order.  A class without a cut vertex is its own single block.
+Every block of a gluing is a block of one part, so the glued graph's list
+is the parts' lists with g2's vertices renamed as ``glue`` renames them,
+and the canonical relabeling renames them again: no block is ever labeled.
 
 The certificate of a gluing roots its block-cut tree at the centre.  Every
 leaf of that tree is a block, so any two leaves are an even distance apart
@@ -139,16 +140,16 @@ evaluates the level from the parts' counts and glues and canonises only
 the minimisers it reports.
 
 The classes live in one store, per vertex count and stratum ("cut" or
-"block"): keys in sorted order, with the graph (at the cap, the parts of
-each class with a cut vertex), the orbit roots, the block list and the
-Aut generators (in canonical labels, as ``canonize`` gave them) of each.
-A key is the canonical key, except for the classes with a cut vertex at the
-cap, which are keyed by certificate; these begin with a block's vertex
-count, below n, so they sort before the canonical keys and
-``connected_classes(GENERATION_CAP)`` is not in canonical-key order.  Orbit
-roots, block lists and generators are kept only below the cap, the sizes
-composition glues and augmentation extends; at the cap each is empty.
-``rooted_classes(n)`` reads the distinct roots of level n on each call.
+"block"): keys in sorted order, with the graph of each (at the cap, the
+parts of each class with a cut vertex) and, below the cap, the record of
+each.  A key is the canonical key, except for the classes with a cut vertex
+at the cap, which are keyed by certificate; these begin with a block's
+vertex count, below n, so they sort before the canonical keys and
+``connected_classes(GENERATION_CAP)`` is not in canonical-key order.
+Records are kept only below the cap, the sizes composition glues and
+augmentation extends; the cap keeps none, and no level above the cap is
+generated.  ``rooted_classes(n)`` reads the distinct roots of level n's
+records on each call.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ import heapq
 from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
-from .canon import canonize, labeled_key
+from .canon import canonize
 from .graph import MAX_VERTICES, Graph, components, cut_vertices, map_mask
 
 # largest n an exhaustive search generates; n = 10 would need about 2 M
@@ -165,19 +166,40 @@ from .graph import MAX_VERTICES, Graph, components, cut_vertices, map_mask
 GENERATION_CAP = 9
 
 
-class _BlockClass:
-    """K2 or a 2-connected class as a block of larger graphs: its key, per
-    canonical label the least label of its Aut-orbit, and generators of Aut
-    in canonical labels (the store's, so none at the cap).  The group is
-    enumerated on first use, and only for an inner block of a gluing, which
-    has at most ``GENERATION_CAP - 2`` vertices."""
+# one shared object per orbit-root pattern, vertex order, permutation and
+# generator list: the 11,117 classes on 8 vertices have 137 root patterns,
+# and the 12,112 classes on at most 8 vertices hold 577 distinct generator
+# lists of 1,176 permutations
+_shared: dict[bytes | tuple, bytes | tuple] = {}
 
-    __slots__ = ("key", "roots", "gens", "_images")
 
-    def __init__(self, key: bytes, roots: bytes, gens: tuple[tuple[int, ...], ...]):
+class _Class:
+    """A class below ``GENERATION_CAP`` as augmentation extends it and
+    composition glues it: its key, per canonical label the least label of
+    its Aut-orbit, generators of Aut in canonical labels, and its block list
+    (see above; ``blocks=None`` makes the class its own single block).
+    Equal roots, vertex orders, permutations and generator lists are shared
+    between classes.  The group is enumerated on first use, and only for an
+    inner block of a gluing, which has at most ``GENERATION_CAP - 2``
+    vertices."""
+
+    __slots__ = ("key", "roots", "gens", "blocks", "_images")
+
+    def __init__(
+        self,
+        key: bytes,
+        roots: bytes,
+        auts: list[tuple[int, ...]],
+        blocks: tuple[_Block, ...] | None = None,
+    ):
         self.key = key
-        self.roots = roots
-        self.gens = gens
+        self.roots = _shared.setdefault(roots, roots)
+        gens = tuple(_shared.setdefault(a, a) for a in auts)
+        self.gens = _shared.setdefault(gens, gens)
+        if blocks is None:
+            own = bytes(range(len(roots)))  # its canonical labels
+            blocks = ((self, _shared.setdefault(own, own)),)
+        self.blocks = blocks
         self._images: list[itemgetter] | None = None
 
     def least(self, colours: list[bytes]) -> bytes:
@@ -211,7 +233,7 @@ def _group(gens: Sequence[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
 
 
 # a block of a graph: its class and its vertices in the class's canonical order
-_Block = tuple[_BlockClass, bytes]
+_Block = tuple[_Class, bytes]
 # a rooted class as composition glues it: (graph, root, block list, bouquet)
 _Part = tuple[Graph, int, tuple[_Block, ...], tuple[bytes, ...] | None]
 # the rooted parts (g1, r1, g2, r2) that ``glue`` takes
@@ -232,78 +254,35 @@ class _Gluings(Sequence[Graph]):
         return glue(*self.pairs[i])
 
 
-# Aut generators in canonical labels, as the store keeps them
-_Gens = tuple[tuple[int, ...], ...]
-
-# the class store: (n, stratum) -> (sorted keys, the graph, the orbit roots,
-# the block list and the Aut generators of each); the graphs of the cap's
-# cut stratum are a ``_Gluings``
-_store: dict[
-    tuple[int, str],
-    tuple[
-        tuple[bytes, ...],
-        Sequence[Graph],
-        tuple[bytes, ...],
-        tuple[tuple[_Block, ...], ...],
-        tuple[_Gens, ...],
-    ],
-] = {}
-
-# one shared tuple per permutation and per generator list: the 12,112
-# classes on at most 8 vertices hold 577 distinct lists of 1,176 permutations
-_shared: dict[tuple, tuple] = {}
-
-
-def _intern(auts: list[tuple[int, ...]]) -> _Gens:
-    gens = tuple(_shared.setdefault(a, a) for a in auts)
-    return _shared.setdefault(gens, gens)
+# the class store: (n, stratum) -> (sorted keys, the graph of each and, below
+# the cap, the record of each); the graphs of the cap's cut stratum are a
+# ``_Gluings``
+_store: dict[tuple[int, str], tuple[tuple[bytes, ...], Sequence[Graph], tuple[_Class, ...]]] = {}
 
 
 def _put(
-    n: int,
-    stratum: str,
-    graphs: dict[bytes, Graph | _Pair],
-    roots: dict[bytes, bytes],
-    blocks: dict[bytes, tuple[_Block, ...]],
-    gens: dict[bytes, _Gens],
+    n: int, stratum: str, graphs: dict[bytes, Graph | _Pair], classes: dict[bytes, _Class]
 ) -> Sequence[Graph]:
     """Store level n of a stratum from its graphs (at the cap, the parts of
-    each class with a cut vertex) and, below the cap, their orbit roots,
-    block lists and Aut generators, all by key, in key order; returns the
-    graphs."""
+    each class with a cut vertex) and its records (none at the cap), both by
+    key, in key order; returns the graphs."""
     keys = tuple(sorted(graphs))
-    below = n < GENERATION_CAP
     level = tuple(graphs[k] for k in keys)
-    if stratum == "cut" and not below:
+    if stratum == "cut" and n == GENERATION_CAP:
         level = _Gluings(level)
-    _store[n, stratum] = (
-        keys,
-        level,
-        tuple(roots[k] if below else b"" for k in keys),
-        tuple(blocks[k] if below else () for k in keys),
-        tuple(gens[k] if below else () for k in keys),
-    )
+    _store[n, stratum] = (keys, level, tuple(classes[k] for k in keys) if classes else ())
     return level
 
 
 def block_classes(n: int) -> tuple[Graph, ...]:
     """The connected classes on n vertices without a cut vertex: K1, K2
     and, for n >= 3, the 2-connected classes."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not 1 <= n <= GENERATION_CAP:
+        raise ValueError(f"classes are generated for n in 1..{GENERATION_CAP}")
     if (n, "block") not in _store:
-        if n <= 2:
-            # K1 and K2: one class, one vertex orbit
-            seed = Graph(n, (0,) if n == 1 else (0b10, 0b01))
-            key = labeled_key(seed)
-            cls = _BlockClass(key, bytes(n), _intern([(1, 0)] if n == 2 else []))
-            _store[n, "block"] = (
-                (key,),
-                (seed,),
-                (cls.roots,),
-                (((cls, bytes(range(n))),),),
-                (cls.gens,),
-            )
+        if n <= 2:  # K1 and K2
+            key, seed, _, roots, auts = canonize(Graph(n, (0,) if n == 1 else (0b10, 0b01)))
+            _put(n, "block", {key: seed}, {key: _Class(key, roots, auts)})
         else:
             _put(n, "block", *_two_connected(n))
     return _store[n, "block"][1]
@@ -319,41 +298,32 @@ def connected_classes(n: int) -> tuple[Graph, ...]:
     return tuple(g for _, g in heapq.merge(*strata, key=itemgetter(0)))
 
 
-def _two_connected(
-    n: int,
-) -> tuple[
-    dict[bytes, Graph], dict[bytes, bytes], dict[bytes, tuple[_Block, ...]], dict[bytes, _Gens]
-]:
-    """The canonical graph and, below the cap, the orbit roots, block list
-    and Aut generators, by canonical key, of every 2-connected class on
-    n >= 3 vertices, by canonical augmentation (see the lemma above)."""
+def _two_connected(n: int) -> tuple[dict[bytes, Graph], dict[bytes, _Class]]:
+    """The canonical graph and, below the cap, the record, by canonical key,
+    of every 2-connected class on n >= 3 vertices, by canonical augmentation
+    (see the lemma above)."""
     new = n - 1
-    own = bytes(range(n))  # a class is its own block, on its canonical labels
     graphs: dict[bytes, Graph] = {}
-    roots: dict[bytes, bytes] = {}
-    blocks: dict[bytes, tuple[_Block, ...]] = {}
-    gens: dict[bytes, _Gens] = {}
+    classes: dict[bytes, _Class] = {}
     connected_classes(n - 1)  # stores both strata of the parents' level
     for stratum in ("block", "cut"):
-        _, parents, _, _, parent_gens = _store[n - 1, stratum]
-        for parent, pgens in zip(parents, parent_gens):
-            for subset in _subset_orbit_reps(parent, pgens):
+        _, parents, records = _store[n - 1, stratum]
+        for parent, record in zip(parents, records, strict=True):
+            for subset in _subset_orbit_reps(parent, record.gens):
                 # the new vertex n - 1 joined to every vertex of the subset
                 adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
                 adj.append(subset)
                 best = _deletion_candidates(adj, subset.bit_count())
                 if best is None:
                     continue
-                key, child, pos, child_roots, auts = canonize(Graph(n, tuple(adj)))
+                key, child, pos, roots, auts = canonize(Graph(n, tuple(adj)))
                 # m(child), the least canonical label in the Aut-invariant
                 # set ``best``, is the least label of its orbit
-                if child_roots[pos[new]] == min(pos[v] for v in best):
+                if roots[pos[new]] == min(pos[v] for v in best):
                     graphs[key] = child
                     if n < GENERATION_CAP:
-                        roots[key] = child_roots
-                        gens[key] = _intern(auts)
-                        blocks[key] = ((_BlockClass(key, child_roots, gens[key]), own),)
-    return graphs, roots, blocks, gens
+                        classes[key] = _Class(key, roots, auts)
+    return graphs, classes
 
 
 def _deletion_candidates(adj: list[int], size: int) -> list[int] | None:
@@ -379,7 +349,7 @@ def _deletion_candidates(adj: list[int], size: int) -> list[int] | None:
     return best
 
 
-def _subset_orbit_reps(p: Graph, gens: _Gens) -> list[int]:
+def _subset_orbit_reps(p: Graph, gens: tuple[tuple[int, ...], ...]) -> list[int]:
     """One subset S of p's vertices per Aut(p)-orbit such that p plus a
     vertex joined to S is 2-connected with minimum degree |S|; ``gens``
     generate Aut(p) in p's labels."""
@@ -430,31 +400,28 @@ def _rooted_parts(n: int) -> list[_Part]:
         raise ValueError(f"rooted classes are kept for n in 1..{GENERATION_CAP - 1}")
     block_classes(n)
     classes_with_cut_vertices(n)
-    strata = [_parts_of(*_store[n, s][:4]) for s in ("block", "cut")]
+    strata = [_parts_of(*_store[n, s]) for s in ("block", "cut")]
     return [part for _, part in heapq.merge(*strata, key=itemgetter(0))]
 
 
 def _parts_of(
-    keys: tuple[bytes, ...],
-    graphs: tuple[Graph, ...],
-    roots: tuple[bytes, ...],
-    lists: tuple[tuple[_Block, ...], ...],
+    keys: tuple[bytes, ...], graphs: tuple[Graph, ...], classes: tuple[_Class, ...]
 ) -> Iterator[tuple[bytes, _Part]]:
     """(key, part) for each orbit root of each class of one stored level."""
-    for key, g, class_roots, blocks in zip(keys, graphs, roots, lists):
+    for key, g, cls in zip(keys, graphs, classes, strict=True):
         # the cut vertices: the vertices in two or more blocks
         seen = cut = 0
-        for _, verts in blocks:
+        for _, verts in cls.blocks:
             for v in verts:
                 cut |= seen & 1 << v
                 seen |= 1 << v
-        for r in sorted(set(class_roots)):
+        for r in sorted(set(cls.roots)):
             bouquet = None
             if not cut & ~(1 << r):
                 bouquet = tuple(
-                    sorted(cls.key + bytes([cls.roots[verts.index(r)]]) for cls, verts in blocks)
+                    sorted(b.key + bytes([b.roots[verts.index(r)]]) for b, verts in cls.blocks)
                 )
-            yield key, (g, r, blocks, bouquet)
+            yield key, (g, r, cls.blocks, bouquet)
 
 
 def _labels(n1: int, r1: int, n2: int, r2: int) -> list[int]:
@@ -564,26 +531,25 @@ def classes_with_cut_vertices(n: int) -> Sequence[Graph]:
     """All connected classes on n vertices having at least one cut vertex.
     Below ``GENERATION_CAP`` each is canonically labeled; at the cap each is
     kept as the parts of its first gluing and glued when read (see above)."""
+    if not 1 <= n <= GENERATION_CAP:
+        raise ValueError(f"classes are generated for n in 1..{GENERATION_CAP}")
     if (n, "cut") in _store:
         return _store[n, "cut"][1]
-    at_cap = n == GENERATION_CAP
     graphs: dict[bytes, Graph | _Pair] = {}
-    roots: dict[bytes, bytes] = {}
-    blocks: dict[bytes, tuple[_Block, ...]] = {}
-    gens: dict[bytes, _Gens] = {}
+    classes: dict[bytes, _Class] = {}
     built: set[bytes] = set()  # the certificates met so far
     for p1, p2, cert in _gluings(n):
         if cert in built:
             continue
         built.add(cert)
         pair = (p1[0], p1[1], p2[0], p2[1])
-        if at_cap:
+        if n == GENERATION_CAP:
             # no block key has n vertices, so no certificate is a canonical key
             graphs[cert] = pair
             continue
-        key, graphs[key], pos, roots[key], auts = canonize(glue(*pair))
-        gens[key] = _intern(auts)
-        blocks[key] = tuple(
+        key, graphs[key], pos, roots, auts = canonize(glue(*pair))
+        blocks = tuple(
             (cls, bytes(pos[v] for v in verts)) for cls, verts in _glued_blocks(p1, p2)
         )
-    return _put(n, "cut", graphs, roots, blocks, gens)
+        classes[key] = _Class(key, roots, auts, blocks)
+    return _put(n, "cut", graphs, classes)

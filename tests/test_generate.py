@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -128,22 +129,50 @@ def test_stored_generators_generate_each_class_group():
     for n in range(1, 8):
         connected_classes(n)
         for stratum in ("block", "cut"):
-            _, graphs, _, _, gens = generate._store[n, stratum]
-            assert len(gens) == len(graphs)
-            for g, kept in zip(graphs, gens):
+            _, graphs, classes = generate._store[n, stratum]
+            assert len(classes) == len(graphs)
+            for g, cls in zip(graphs, classes):
                 want = generate._group(canonical_labeling(g)[2], n)
-                assert generate._group(kept, n) == want
+                assert generate._group(cls.gens, n) == want
 
 
 def test_cap_classes_store_no_generators(monkeypatch):
-    # nothing augments the cap, so neither stratum keeps generators there;
-    # both keep them one level below (an asymmetric class keeps none)
+    # nothing augments or glues the cap, so neither stratum keeps records
+    # there; both keep them one level below, with generators (an asymmetric
+    # class has none)
     monkeypatch.setattr(generate, "_store", {})
     monkeypatch.setattr(generate, "GENERATION_CAP", 7)
     assert len(connected_classes(7)) == CONNECTED_COUNTS[7]
     for stratum in ("block", "cut"):
-        assert any(generate._store[6, stratum][4])
-        assert not any(generate._store[7, stratum][4])
+        assert any(cls.gens for cls in generate._store[6, stratum][2])
+        assert generate._store[7, stratum][2] == ()
+
+
+def test_class_records_are_pinned():
+    # every record on at most 8 vertices, in store order: its key, its
+    # orbit roots and its block list (each block's class key and vertices)
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        connected_classes(n)
+        for stratum in ("block", "cut"):
+            keys, _, classes = generate._store[n, stratum]
+            assert tuple(cls.key for cls in classes) == keys
+            for cls in classes:
+                blocks = b"".join(b.key + verts for b, verts in cls.blocks)
+                digest.update(cls.key + cls.roots + bytes([len(cls.blocks)]) + blocks)
+    assert digest.hexdigest() == (
+        "52b71c57ed8bf358257c70bd603b6917cd98154bdf58912b64c0bcf4fabac009"
+    )
+
+
+def test_levels_above_the_cap_are_refused(monkeypatch):
+    # no records are kept at the cap, so nothing can be generated past it;
+    # the refusal comes before any level is built
+    monkeypatch.setattr(generate, "_store", {})
+    for build in (generate.block_classes, classes_with_cut_vertices, connected_classes):
+        with pytest.raises(ValueError, match=f"n in 1..{GENERATION_CAP}$"):
+            build(GENERATION_CAP + 1)
+    assert generate._store == {}
 
 
 def test_cut_class_search_skips_augmenting_its_level(monkeypatch):
