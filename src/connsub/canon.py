@@ -2,9 +2,10 @@
 
 Self-contained refinement-plus-backtracking canonical labeling: partitions
 are refined to equitability, the first non-singleton cell is branched on,
-and the lexicographically smallest relabeled adjacency key over all leaves
-is the canonical form.  Discovered automorphisms prune sibling branches, so
-highly symmetric graphs stay cheap.  Intended for n <= ~12.
+and the least relabeled upper triangle over all leaves, ``triangle_bits``
+in graph6's bit order, is the canonical form.  Discovered automorphisms
+prune sibling branches, so highly symmetric graphs stay cheap.  Intended
+for n <= ~12.
 
 Each recorded automorphism keeps the mask of the vertices it fixes.  A
 search node keeps the automorphisms that fix its branch prefix and the
@@ -16,6 +17,7 @@ so no node rescans the whole list.
 from __future__ import annotations
 
 from .graph import Graph
+from .graphio import triangle_bits
 
 
 def _refine(adj: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -53,33 +55,13 @@ def _refine(adj: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[in
             return cells
 
 
-def _leaf_key(adj: tuple[int, ...], order: list[int]) -> bytes:
-    """Upper-triangle adjacency bits of the relabeled graph, packed into bytes."""
-    n = len(order)
-    out = bytearray()
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        aj = adj[order[j]]
-        for i in range(j):
-            acc = (acc << 1) | (aj >> order[i] & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
-
-
 class _Canonizer:
     def __init__(self, adj: tuple[int, ...], n: int):
         self.adj = adj
         self.n = n
-        self.best_key: bytes | None = None
+        self.best_key: int | None = None
         self.best_order: list[int] | None = None
-        self.first_key: bytes | None = None
+        self.first_key: int | None = None
         self.first_order: list[int] | None = None
         self.automorphisms: list[tuple[int, ...]] = []
         # per automorphism, the mask of the vertices it fixes
@@ -96,7 +78,7 @@ class _Canonizer:
                 break
         if target is None:
             order = [c[0] for c in cells]
-            key = _leaf_key(self.adj, order)
+            key = triangle_bits(self.adj, order)
             if self.first_key is None:
                 self.first_key, self.first_order = key, order
             elif key == self.first_key and order != self.first_order:
@@ -142,17 +124,15 @@ class _Canonizer:
 
 def canonical_labeling(g: Graph) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
     """Canonical key, the order achieving it (new index -> old vertex),
-    and a generating list of automorphisms found along the way."""
+    and a generating list of automorphisms found along the way.  The key is
+    ``bytes([n])`` and the least leaf's triangle bits, zero-padded to whole
+    bytes: for one n, the order of these bytes is the order of the integers."""
     c = _Canonizer(g.adj, g.n)
     c.run()
     assert c.best_order is not None
-    return bytes([g.n]) + c.best_key, tuple(c.best_order), c.automorphisms
-
-
-def labeled_key(g: Graph) -> bytes:
-    """The key of ``g`` in its own labels, without a search; it equals the
-    key ``canonical_labeling(g)`` returns when ``g`` is canonically labeled."""
-    return bytes([g.n]) + _leaf_key(g.adj, list(range(g.n)))
+    nbits = g.n * (g.n - 1) // 2
+    body = (c.best_key << -nbits % 8).to_bytes((nbits + 7) // 8, "big")
+    return bytes([g.n]) + body, tuple(c.best_order), c.automorphisms
 
 
 def positions(order: tuple[int, ...]) -> list[int]:

@@ -193,42 +193,42 @@ def evaluate_counts(graphs: Sequence[Graph], pairs: bool = False) -> tuple[np.nd
     full = (1 << n) - 1
     size = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
     weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
-    columns = []
+    # each chunk writes its rows of the outputs
+    total, cut, m, girth = (np.zeros(len(graphs), dtype=np.int64) for _ in range(4))
+    f = np.zeros((len(graphs), n), dtype=np.int64)
+    pair = np.zeros((len(graphs), n, n), dtype=np.int64) if pairs else None
     for lo in range(0, len(graphs), _CHUNK):
         chunk = graphs[lo : lo + _CHUNK]
         table = _tables(chunk)
         if not table[full].all():
             raise ValueError("evaluate_counts needs connected graphs")
-        cnt = len(chunk)
+        rows = slice(lo, lo + len(chunk))
         # rows S with bit y set, as one reshape: S = (hi, bit y, lo)
-        with_y = [table.reshape(1 << (n - 1 - y), 2, 1 << y, cnt)[:, 1] for y in range(n)]
-        f = np.stack([rows.sum(axis=(0, 1)) for rows in with_y], axis=1)
+        with_y = [table.reshape(1 << (n - 1 - y), 2, 1 << y, len(chunk))[:, 1] for y in range(n)]
+        for y, table_y in enumerate(with_y):
+            f[rows, y] = table_y.sum(axis=(0, 1))
         if n >= 2:
-            cut = (table[[full ^ 1 << v for v in range(n)]] == 0).T @ weights
-        else:
-            cut = np.zeros(cnt, dtype=np.int64)
-        m = table[size == 2].sum(axis=0)
-        girth = np.where(table >= 2, size[:, None], _NO_CYCLE).min(axis=0)
-        column = [table.sum(axis=0), f, cut, m, girth]
+            cut[rows] = (table[[full ^ 1 << v for v in range(n)]] == 0).T @ weights
+        total[rows] = table.sum(axis=0)
+        m[rows] = table[size == 2].sum(axis=0)
+        girth[rows] = np.where(table >= 2, size[:, None], _NO_CYCLE).min(axis=0)
         if pairs:
-            column.append(_pair_counts(with_y, f))
-        columns.append(column)
-    return tuple(np.concatenate(values) for values in zip(*columns))
+            _pair_counts(with_y, f[rows], pair[rows])
+    return (total, f, cut, m, girth) + ((pair,) if pairs else ())
 
 
-def _pair_counts(with_y: list[np.ndarray], f: np.ndarray) -> np.ndarray:
-    """``[graph, x, y]``: the sum of ``table[S]`` over the S holding both x
-    and y, f(x, y) for x != y and f(x) for x == y, from each y's table rows
-    with bit y set, ``with_y[y]``, and from f."""
-    cnt, n = f.shape
-    pair = np.empty((cnt, n, n), dtype=np.int64)
+def _pair_counts(with_y: list[np.ndarray], f: np.ndarray, pair: np.ndarray) -> None:
+    """Write into ``pair``, as ``[graph, x, y]``, the sum of ``table[S]``
+    over the S holding both x and y, f(x, y) for x != y and f(x) for
+    x == y, from each y's table rows with bit y set, ``with_y[y]``, and
+    from f."""
+    n = f.shape[1]
     pair[:, np.arange(n), np.arange(n)] = f
     for y in range(1, n):
         for x in range(y):
             # and bit x of lo: lo = (mid, bit x, low)
-            both = with_y[y].reshape(1 << (n - 1 - y), 1 << (y - 1 - x), 2, 1 << x, cnt)[:, :, 1]
+            both = with_y[y].reshape(1 << (n - 1 - y), 1 << (y - 1 - x), 2, 1 << x, len(f))[:, :, 1]
             pair[:, x, y] = pair[:, y, x] = both.sum(axis=(0, 1, 2))
-    return pair
 
 
 def _minima(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,11 @@
-"""Bit-exact graph serialization: graph6 in and out, edge-list text in, DOT out."""
+"""Bit-exact graph serialization: graph6 in and out, edge-list text in, DOT out.
+
+``triangle_bits`` is the one encoder of graph6's upper-triangle bit order,
+which canonical keys share, and ``parse_graph6`` its one decoder."""
 
 from __future__ import annotations
 
-from typing import Collection
+from typing import Collection, Sequence
 
 from .graph import Graph, MAX_VERTICES
 
@@ -11,29 +14,27 @@ class FormatError(ValueError):
     """Malformed serialized graph."""
 
 
-def _g6_bits(g: Graph) -> list[int]:
-    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
-    bits = []
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
+def triangle_bits(adj: tuple[int, ...], order: Sequence[int]) -> int:
+    """The upper triangle of the graph relabeled by ``order`` (new index ->
+    old vertex), column by column: (0,1), (0,2), (1,2), (0,3), ..., as one
+    integer with the first bit most significant.  graph6 writes these bits
+    for the identity order; a canonical key is them for the canonical order."""
+    bits = 0
+    for j, w in enumerate(order):
+        aw = adj[w]
+        for v in order[:j]:
+            bits = bits << 1 | aw >> v & 1
     return bits
 
 
 def serialize_graph6(g: Graph) -> str:
     if g.n > 62:
         raise FormatError(f"short-form graph6 supports n <= 62, got {g.n}")
-    out = [chr(63 + g.n)]
-    bits = _g6_bits(g)
-    while len(bits) % 6:
-        bits.append(0)
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = val << 1 | b
-        out.append(chr(63 + val))
-    return "".join(out)
+    nbits = g.n * (g.n - 1) // 2
+    pad = -nbits % 6
+    bits = triangle_bits(g.adj, range(g.n)) << pad
+    letters = (chr(63 + (bits >> s & 63)) for s in range(nbits + pad - 6, -1, -6))
+    return chr(63 + g.n) + "".join(letters)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -62,20 +63,24 @@ def parse_graph6(text: str) -> Graph:
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise FormatError(f"graph6 body has {len(body)} chars, expected {expect}")
-    bits = []
+    bits = 0
     for ch in body:
-        val = ord(ch) - 63
-        bits.extend(val >> k & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+        bits = bits << 6 | (ord(ch) - 63)
+    pad = 6 * expect - nbits
+    if bits & ((1 << pad) - 1):
         raise FormatError("non-zero padding bits in graph6 body")
-    edges = []
-    idx = 0
+    # triangle_bits inverted for the identity order: the pair read first
+    # is the most significant bit
+    bits >>= pad
+    adj = [0] * n
+    shift = nbits
     for j in range(1, n):
         for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph.from_edges(n, edges)
+            shift -= 1
+            if bits >> shift & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -11,6 +11,26 @@ def canonical_key(g):
     return canonical_labeling(g)[0]
 
 
+def triangle_string(adj, order):
+    """Bit-by-bit reference for ``graphio.triangle_bits``: the upper triangle
+    relabeled by ``order`` as a '0'/'1' string, pair (i, j) for j = 1, 2,
+    ... and i < j."""
+    return "".join(str(adj[order[j]] >> order[i] & 1) for j in range(len(order)) for i in range(j))
+
+
+def packed(bit_string, width):
+    """The bits zero-padded to a multiple of ``width``, read ``width`` at a
+    time, first bit most significant."""
+    bit_string += "0" * (-len(bit_string) % width)
+    return [int(bit_string[i : i + width], 2) for i in range(0, len(bit_string), width)]
+
+
+def labeled_key(g):
+    """The key of ``g`` in its own labels, without a search; it equals the
+    key ``canonical_labeling(g)`` returns when ``g`` is canonically labeled."""
+    return bytes([g.n, *packed(triangle_string(g.adj, range(g.n)), 8)])
+
+
 def enumerate_connected_subgraphs(g, req, visitor):
     """Visit every connected subgraph whose vertex set contains ``req``,
     exactly once, in the enumerator's order, passing the sorted vertex tuple

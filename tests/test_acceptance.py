@@ -293,6 +293,7 @@ THEOREM_REPORT_DIGESTS = {
     "tree-vertex-floor": "cf6aea8cd5962dd4d11bb00f55777a18bac45c7e0b919d95dbd7331f263addc7",
     "tree-count-floor": "83e0a11de3979ddc1d612efe6e038127903002289be5a7efb1a100dda9c27268",
     "count-floor-girth": "b1daea24d1829b25297287f848d2a8215aba414e2433bed62d866ceb86d47f13",
+    "girth-free-agreement": "9257b68353338b2d804924f465ad8f4346a5c717fcc2c2fe54ca67eb7b0b90cb",
     "branch-move-decrease": "9927fce59333c99bdab9bf2c7ecd9d34ad372c1aaa3241043a7134053bdabc74",
 }
 FORMULA_REPORT_DIGEST = "889c197fc223e86e0ac1245505a85ebf550b3712978c3aa7e0c4bf8b4b887c03"

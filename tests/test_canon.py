@@ -5,13 +5,13 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from connsub.canon import canonical_labeling, canonize, labeled_key, vertex_orbits
+from connsub.canon import canonical_labeling, canonize, vertex_orbits
 from connsub.families import build, parse_family_spec
 from connsub.generate import connected_classes
 from connsub.graph import Graph
 from connsub.graphio import parse_graph6
 
-from helpers import canonical_key
+from helpers import canonical_key, labeled_key
 from strategies import any_graphs
 
 

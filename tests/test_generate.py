@@ -10,7 +10,6 @@ import connsub
 from connsub import canon, extremal, generate
 from connsub.canon import (
     canonical_labeling,
-    labeled_key,
     positions,
     vertex_orbits,
 )
@@ -24,7 +23,7 @@ from connsub.generate import (
 )
 from connsub.graph import Graph, cut_vertices, is_connected
 
-from helpers import canonical_key
+from helpers import canonical_key, labeled_key
 
 # connected graphs up to isomorphism, then the 2-connected stratum
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
