@@ -11,11 +11,10 @@ Three counting routes are provided:
 * a recursive enumerator growing connected edge sets from an anchor edge,
 * a naive loop over all 2^m edge subsets (the cross-check oracle, m <= 18).
 
-The count queries take one of the first two: the enumerator on near-trees
-(m - n <= 2) and on graphs with n > 13, the subset DP on the rest; the
-enumerator refuses m > 25.  On a near-tree, then, a query and
-``count_by_enumeration`` are one route, and only the edge-subset loop checks
-them independently.
+The count queries take one of the first two: the subset DP when n <= 13
+and m - n > 2, otherwise the enumerator, which refuses m > 25.  On a
+near-tree (m - n <= 2), then, a query and ``count_by_enumeration`` are one
+route, and only the edge-subset loop checks them independently.
 """
 
 from __future__ import annotations
@@ -188,11 +187,8 @@ def count_by_edge_subsets(g: Graph, req: Collection[int] = ()) -> int:
 
 def _count(g: Graph, req: Collection[int]) -> int:
     rmask = _req_mask(g, req)
-    if g.m - g.n <= 2 and g.m <= _ENUM_MAX_M:
-        return count_by_enumeration(g, req)
-    if g.n <= _DP_MAX_N:
-        table = connected_set_table(g)
-        return _count_from_table(table, 1 << g.n, rmask)
+    if g.n <= _DP_MAX_N and g.m - g.n > 2:
+        return _count_from_table(connected_set_table(g), 1 << g.n, rmask)
     if g.m <= _ENUM_MAX_M:
         return count_by_enumeration(g, req)
     raise CensusLimitError(

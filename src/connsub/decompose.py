@@ -4,27 +4,33 @@ A cut vertex ``w`` splits a connected graph into edge-disjoint parts that
 pairwise meet only in ``w``.  Totals and per-vertex counts then follow from
 three rules:
 
-* merge:     F(G) = F(G1) + F(G2) - 1 + (f_{G1}(w) - 1)(f_{G2}(w) - 1)
-* vertex:    f_G(v) = f_{G1}(v) + f_{G1}(v, w) (f_{G2}(w) - 1)   for v in G1
 * product:   f_G(w) = prod over parts of f_part(w)
+* total:     F(G) = f_G(w) + sum over parts of (F(part) - f_part(w))
+* vertex:    f_G(v) = f_{G1}(v) + f_{G1}(v, w) (f_{G2}(w) - 1)   for v in G1
 
-The vertex rule at v = w is the product rule for two parts, since
-f_{G1}(w, w) = f_{G1}(w).  ``merge_count`` and ``vertex_count`` are the
-one implementation of the first two: the recursion below calls them on
-Python integers, and ``extremal`` calls them on int64 arrays to evaluate
-every class with a cut vertex at ``GENERATION_CAP`` from the two rooted
-parts it is glued from.
+A subgraph either holds w, and then is one subgraph at w from each part,
+or lies in one part away from w.  For two parts the total rule is the
+merge rule F(G1) + F(G2) - 1 + (f_{G1}(w) - 1)(f_{G2}(w) - 1), and for
+v = w the vertex rule is the product rule.  ``merge_count`` and
+``vertex_count`` write those two-part rules once for integers and arrays
+alike: ``extremal`` calls them on int64 arrays to evaluate every class with
+a cut vertex at ``GENERATION_CAP`` from the two rooted parts it is glued
+from, and the recursion below calls ``vertex_count``.
 
-F(G) and the single-vertex counts recurse until only 2-connected blocks
-remain, where brute-force census takes over.  The pair count f_{G1}(v, w)
-of the vertex rule does not recurse: census counts it on the whole part G1
-around v, which may itself hold cut vertices and be far larger than v's
-block.
+The recursion takes F(G) by the total rule at the least cut vertex, f_G(v)
+by the product rule whenever v is a cut vertex, and f_G(v) for any other v
+by the vertex rule, with G1 the part holding v and G2 the other parts at
+w.  It stops at 2-connected blocks, which census counts.  The pair count
+f_{G1}(v, w) does not recurse: census counts it on the whole part G1,
+which may itself hold cut vertices and be far larger than v's block, so
+census can refuse it though every block is small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from typing import Sequence
 
 from . import census
 from .graph import DisconnectedGraphError, Graph, bits, components, cut_vertices, reach
@@ -70,90 +76,58 @@ def vertex_count(f1v, f1vw, f2w):
     return f1v + f1vw * (f2w - 1)
 
 
-# Memo keys: ("F", graph), ("f", graph, v), ("pair", graph, u, v).  One memo
-# dict lives per top-level call, so repeated parts inside a single
-# evaluation are counted once but nothing is shared across evaluations.
-
-
-def _product_at(g: Graph, w: int, memo: dict) -> int:
-    """f_G(w) for a cut vertex: the product over the parts at w."""
-    result = 1
-    for part in split_at(g, w):
-        result *= _f(part.graph, part.w_local, memo)
-    return result
-
-
 def count_via_decomposition(g: Graph) -> int:
-    """F(G): split at a cut vertex and fold parts pairwise with the merge
-    rule; 2-connected graphs go straight to census."""
-    return _F(g, {})
-
-
-def _F(g: Graph, memo: dict) -> int:
-    key = ("F", g)
-    if key in memo:
-        return memo[key]
-    cuts = cut_vertices(g)
-    if not cuts:
-        val = census.count_connected_subgraphs(g)
-    else:
-        w = min(cuts)
-        total_F = total_fw = None
-        for part in split_at(g, w):
-            F = _F(part.graph, memo)
-            fw = _f(part.graph, part.w_local, memo)
-            if total_F is None:
-                total_F, total_fw = F, fw
-            else:
-                total_F = merge_count(total_F, F, total_fw, fw)
-                total_fw *= fw
-        val = total_F
-    memo[key] = val
-    return val
+    """F(G): the total rule at the least cut vertex, down to 2-connected
+    blocks, which census counts."""
+    return _count(g, (), {})
 
 
 def subgraph_number_via_decomposition(g: Graph, v: int) -> int:
-    """f_G(v) by splitting at a cut vertex that separates v's part."""
+    """f_G(v): the product rule if v is a cut vertex, otherwise the vertex
+    rule at the cut vertex that leaves v the smallest part."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return _f(g, v, {})
+    return _count(g, (v,), {})
 
 
-def _f(g: Graph, v: int, memo: dict) -> int:
-    key = ("f", g, v)
-    if key in memo:
-        return memo[key]
+def _count(g: Graph, req: tuple[int, ...], memo: dict) -> int:
+    """The connected subgraphs of g that hold every vertex of ``req``: F(g)
+    for (), f_g(v) for (v,) and the pair count for (v, w).  ``memo`` lives
+    for one top-level count, so a part met twice in it is counted once."""
+    key = (g, req)
+    if key not in memo:
+        memo[key] = _decompose(g, req, memo)
+    return memo[key]
+
+
+def _decompose(g: Graph, req: tuple[int, ...], memo: dict) -> int:
+    if len(req) == 2:
+        return census.count_containing(g, req)
     cuts = cut_vertices(g)
     if not cuts:
-        val = census.subgraph_number(g, v)
-    elif cuts == {v}:
-        val = _product_at(g, v, memo)
-    else:
-        # split at the cut vertex leaving v in the smallest part
-        full = (1 << g.n) - 1
-        best_w = min(
-            (w for w in cuts if w != v),
-            key=lambda w: (reach(g.adj, v, full & ~(1 << w)).bit_count(), w),
-        )
-        parts = split_at(g, best_w)
-        mine = next(p for p in parts if v in p.vertices)
-        v_local = mine.vertices.index(v)
-        f1 = _f(mine.graph, v_local, memo)
-        f1vw = _pair(mine.graph, v_local, mine.w_local, memo)
-        f2 = 1
-        for part in parts:
-            if part is not mine:
-                f2 *= _f(part.graph, part.w_local, memo)
-        val = vertex_count(f1, f1vw, f2)
-    memo[key] = val
-    return val
+        return census.subgraph_number(g, *req) if req else census.count_connected_subgraphs(g)
+    if not req or req[0] in cuts:
+        # the product rule; F adds the subgraphs without w, each in one part
+        parts = split_at(g, req[0] if req else min(cuts))
+        away = 0
+        if not req:
+            for p in parts:
+                away += _count(p.graph, (), memo) - _count(p.graph, (p.w_local,), memo)
+        return away + _product(parts, memo)
+    # the vertex rule at the cut vertex that leaves v the smallest part
+    (v,) = req
+    full = (1 << g.n) - 1
+    w = min(cuts, key=lambda w: (reach(g.adj, v, full & ~(1 << w)).bit_count(), w))
+    parts = split_at(g, w)
+    mine = next(p for p in parts if v in p.vertices)
+    v_local = mine.vertices.index(v)
+    return vertex_count(
+        _count(mine.graph, (v_local,), memo),
+        _count(mine.graph, (v_local, mine.w_local), memo),
+        _product([p for p in parts if p is not mine], memo),
+    )
 
 
-def _pair(g: Graph, u: int, v: int, memo: dict) -> int:
-    key = ("pair", g, u, v)
-    if key in memo:
-        return memo[key]
-    val = census.count_containing(g, (u, v))
-    memo[key] = val
-    return val
-
+def _product(parts: Sequence[SplitPart], memo: dict) -> int:
+    """f at the shared vertex of parts glued there: the product rule."""
+    return prod(_count(p.graph, (p.w_local,), memo) for p in parts)

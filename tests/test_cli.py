@@ -49,6 +49,14 @@ class TestCount:
         )
         assert rc == 0 and out.strip() == "3 3"
 
+    def test_vertex_of_a_path_past_census(self, capsys, monkeypatch):
+        # the product rule at the middle cut vertex; census alone cannot take P51
+        g6 = serialize_graph6(build(parse_family_spec("P:n=51")))
+        rc, out, _ = run(
+            capsys, ["count", "--in", "-", "--vertex", "25"], stdin=g6 + "\n", monkeypatch=monkeypatch
+        )
+        assert rc == 0 and out.strip() == "676"
+
     def test_containing_flag(self, capsys, monkeypatch):
         g6 = serialize_graph6(build(parse_family_spec("C:n=6")))
         rc, out, _ = run(
@@ -252,6 +260,7 @@ EXIT_TWO = {
         ["count", "--in", "-", "--containing", "0,1", "--method", "both"],
         serialize_graph6(complete(8)) + "\n",
     ),
+    "count-both-past-census": (["count", "--in", "-", "--vertex", "25", "--method", "both"], g6("P:n=51")),
     "family-bad-spec": (["family", "--spec", "L:n=6,g=6"], None),
     "family-check-past-census": (["family", "--spec", "C:n=30", "--check"], None),
     "search-n11": (["search", "--n", "11", "--k", "1"], None),

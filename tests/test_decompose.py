@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given
 
 from connsub import census, decompose
+from connsub.census import CensusLimitError
 from connsub.families import build, parse_family_spec
 from connsub.generate import connected_classes, glue, rooted_classes
-from connsub.graph import DisconnectedGraphError, Graph, blocks, cut_vertices
+from connsub.graph import DisconnectedGraphError, Graph, bits, blocks, components, cut_vertices
+from connsub.graphio import parse_graph6
 
 from helpers import block_expansion_count, canonical_key
+from strategies import connected_graphs
 
 
 def G(text):
@@ -127,6 +131,62 @@ class TestCutVertexProduct:
                     assert decompose.subgraph_number_via_decomposition(
                         g, w
                     ) == _product_over_parts(g, w) == census.subgraph_number(g, w)
+
+
+# n = 21, blocks of 9, 6, 4 and 5 vertices, cut vertices 1, 8 and 9.  The
+# f(v) values come from the block-tree sum f_G(v) = sum over S of t_B(S)
+# times the product of the branch counts at the cut vertices in S, over
+# per-block subset tables t_B, computed without this package.
+BRANCHING = "TNrTmad?G?_DO?O???G?C??K????_G?_K??F"
+
+
+class TestCutVertexRule:
+    @pytest.mark.parametrize("n", [51, 64])
+    def test_every_vertex_of_a_long_path(self, n):
+        g = G(f"P:n={n}")
+        got = [decompose.subgraph_number_via_decomposition(g, v) for v in range(n)]
+        assert got == [(v + 1) * (n - v) for v in range(n)]
+
+    @pytest.mark.parametrize("v,value", [(1, 25781517520), (8, 25816662114), (9, 25760171025)])
+    def test_cut_vertices_of_a_branching_graph(self, v, value):
+        g = parse_graph6(BRANCHING)
+        assert decompose.subgraph_number_via_decomposition(g, v) == value
+        # the subgraphs without v are those of the components of G - v
+        rest = components(g.adj, (1 << g.n) - 1 & ~(1 << v))
+        without = sum(decompose.count_via_decomposition(g.subgraph_on(bits(c))[0]) for c in rest)
+        assert decompose.count_via_decomposition(g) - without == value
+
+    @pytest.mark.xfail(
+        raises=CensusLimitError,
+        strict=True,
+        reason="the vertex rule's pair count takes census on v's whole 14-vertex part",
+    )
+    def test_non_cut_vertex_of_a_branching_graph(self):
+        g = parse_graph6(BRANCHING)
+        assert decompose.subgraph_number_via_decomposition(g, 0) == 25478409940
+
+    def test_equal_parts_are_counted_once(self, monkeypatch):
+        calls = []
+        for name in ("count_connected_subgraphs", "subgraph_number", "count_containing"):
+            real = getattr(census, name)
+
+            def record(g, *args, _real=real, _name=name):
+                calls.append((_name, g.edges, args))
+                return _real(g, *args)
+
+            monkeypatch.setattr(census, name, record)
+        # the star's 11 parts at its centre are one K2, rooted alike
+        assert decompose.count_via_decomposition(G("S:n=12")) == 2**11 + 11
+        assert calls == [("count_connected_subgraphs", ((0, 1),), ()), ("subgraph_number", ((0, 1),), (0,))]
+
+
+@given(connected_graphs(min_n=8, max_n=11))
+def test_branching_block_cut_trees_match_one_subset_table(g):
+    table = census.connected_set_table(g)
+    assert decompose.count_via_decomposition(g) == sum(table)
+    for v in range(g.n):
+        want = sum(t for S, t in enumerate(table) if S >> v & 1)
+        assert decompose.subgraph_number_via_decomposition(g, v) == want
 
 
 class TestTotals:
