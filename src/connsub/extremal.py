@@ -45,8 +45,8 @@ does.  At n = 9 the largest is 9 + 29 = 38.
 
 Equality with the census and decomposition routes is asserted exhaustively
 in the test suite (at the cap, on every class against the kernel on its
-glued graph), and each reported minimizer is re-checked through the
-decomposition path.
+glued graph), and each reported minimizer's minimum, and for a vertex-count
+search its argmin vertex set, is re-checked through the decomposition path.
 """
 
 from __future__ import annotations
@@ -378,18 +378,20 @@ def _finalize(spec: ClassSpec, objective: str, t0: float) -> SearchReport:
     minimum = int(values.min()) if len(rows) else None
     winners = sorted(rows[values == minimum].tolist(), key=lambda i: cat.name(i)[0])
     for i in winners:
-        # integrity: the reported minimum must survive the decomposition route
+        # integrity: the reported minimum, and for minf the mask of the
+        # vertices attaining it in the graph's own labels (the glue labels
+        # at the cap), must survive the decomposition route
         graph = cat.graphs[i]
-        check = (
-            decompose.count_via_decomposition(graph)
-            if objective == "F"
-            else min(
-                decompose.subgraph_number_via_decomposition(graph, v) for v in range(graph.n)
-            )
-        )
-        if check != minimum:
+        if objective == "F":
+            check, want = decompose.count_via_decomposition(graph), minimum
+        else:
+            fs = [decompose.subgraph_number_via_decomposition(graph, v) for v in range(graph.n)]
+            low = min(fs)
+            check = low, sum(1 << v for v, f in enumerate(fs) if f == low)
+            want = minimum, int(cat.argmin[i])
+        if check != want:
             raise AssertionError(
-                f"decomposition disagrees with search on {cat.name(i)[0]}: {check} != {minimum}"
+                f"decomposition disagrees with search on {cat.name(i)[0]}: {check} != {want}"
             )
     return SearchReport(
         spec=spec,

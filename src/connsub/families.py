@@ -73,6 +73,8 @@ def parse_family_spec(text: str) -> FamilySpec:
     params = {}
     for item in m.group(2).split(","):
         k, v = item.split("=")
+        if k in params:
+            raise ValueError(f"bad family spec {text!r}: parameter {k!r} given twice")
         params[k] = int(v)
     return spec(name, **params)
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import census, decompose, families
 from .extremal import (
@@ -62,26 +62,28 @@ class VerdictReport:
 
 
 @lru_cache(maxsize=None)
-def _named_form(text: str) -> tuple[str, tuple[int, ...]]:
+def _named_form(text: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
     """The canonical graph6 of a named graph, the form in which a search
-    reports its minimizers, and per vertex the canonical label of its
-    orbit's root."""
+    reports its minimizers, and per vertex the canonical labels of its
+    orbit, ascending."""
     _, g, pos, roots, _ = canonize(families.build(families.parse_family_spec(text)))
-    return serialize_graph6(g), tuple(roots[p] for p in pos)
+    orbits = [tuple(i for i, r in enumerate(roots) if r == root) for root in roots]
+    return serialize_graph6(g), tuple(orbits[p] for p in pos)
 
 
 # ---------------------------------------------------------------------------
-# theorem checks: each is a function of n_max that yields its report items
+# theorem checks: each is a function of one n that yields its report items
 
 
-def _per_n(
-    n_min: int, label: str, offence: Callable[[int], str | None], n_max: int
-) -> Iterator[CheckItem]:
-    """One item per n from n_min to n_max, labelled by ``label`` formatted
+def _item(label: str, bad: str | None) -> CheckItem:
+    """The item that passes iff its first counterexample ``bad`` is None."""
+    return CheckItem(label, bad is None, bad or "")
+
+
+def _per_n(label: str, offence: Callable[[int], str | None]) -> Callable[[int], list[CheckItem]]:
+    """The check whose one item at n is labelled by ``label`` formatted
     with n; ``offence(n)`` is the first counterexample at n, or None."""
-    for n in range(n_min, n_max + 1):
-        bad = offence(n)
-        yield CheckItem(label.format(n=n), bad is None, bad or "")
+    return lambda n: [_item(label.format(n=n), offence(n))]
 
 
 def _edge_monotonicity_offence(n: int) -> str | None:
@@ -163,12 +165,11 @@ def _named_value(text: str, tag: str | None) -> int:
 
 
 def _argmin_at_tag(report: SearchReport, text: str, tag: str) -> bool:
-    """The named minimizer's argmin vertices are exactly its tagged vertex.
-    Argmin sets are unions of orbits, so the tagged vertex's orbit root
-    stands for its canonical label: both match only a singleton orbit."""
+    """The named minimizer's argmin vertices are exactly its tagged
+    vertex's orbit, in canonical labels."""
     g6, orbit_of = _named_form(text)
     tagged = families.special_vertex(families.parse_family_spec(text), tag)
-    return report.argmin_vertices[report.minimizers.index(g6)] == (orbit_of[tagged],)
+    return report.argmin_vertices[report.minimizers.index(g6)] == orbit_of[tagged]
 
 
 # Extremal graphs named as (family spec, tag): the tag picks the vertex whose
@@ -208,58 +209,51 @@ def _girth_count_graphs(n: int, k: int) -> _Named:
 
 @dataclass(frozen=True)
 class _Floor:
-    """A search-and-compare check: for every n from n_min to n_max and k
-    in ks(n), the searched minimum of spec(n, k) is the closed form of each
-    graph in expected(n, k), and the minimizer set (by canonical graph6) is
-    exactly those graphs.  An empty class fails its item unless the row's
-    ``empty_iff`` (rule text, predicate) predicts it.  With ``argmin``, each
-    named minimizer's argmin vertices must also be exactly its tagged vertex."""
+    """A search-and-compare check at n: for every k in ks(n), the searched
+    minimum of spec(n, k) is the closed form of each graph in expected(n, k)
+    and the minimizers (by canonical graph6) are exactly those graphs.  Their
+    tags fix the objective and the argmin check: tagged graphs ask for a
+    vertex-count search, where each one's argmin is its tagged vertex's orbit,
+    untagged ones for a total-count search.  An empty class fails its item
+    unless the row's ``empty_iff`` (rule text, predicate) predicts it."""
 
-    search: Callable[[ClassSpec], SearchReport]
-    n_min: int
     ks: Callable[[int], range]
     spec: Callable[[int, int], ClassSpec]
     expected: Callable[[int, int], _Named]
     label: str  # the item label, formatted with n, k and want
     empty_iff: tuple[str, Callable[[int, int], bool]] | None = None
-    argmin: bool = False
 
-    def __call__(self, n_max: int) -> Iterator[CheckItem]:
-        for n in range(self.n_min, n_max + 1):
-            for k in self.ks(n):
-                report = self.search(self.spec(n, k))
-                if self.empty_iff and (report.class_size == 0 or self.empty_iff[1](n, k)):
-                    rule, empty = self.empty_iff
-                    yield CheckItem(
-                        f"n={n} k={k}: class empty iff {rule}",
-                        (report.class_size == 0) == empty(n, k),
-                        f"classes={report.class_size}",
-                    )
-                    continue
-                named = self.expected(n, k)
-                values = {_named_value(text, tag) for text, tag in named}
-                want = {_named_form(text)[0] for text, _ in named}
-                ok = values == {report.minimum} and set(report.minimizers) == want
-                if ok and self.argmin:
-                    ok = all(_argmin_at_tag(report, text, tag) for text, tag in named)
-                detail = "" if ok else f"got {report.minimum} at {report.minimizers}"
+    def __call__(self, n: int) -> Iterator[CheckItem]:
+        for k in self.ks(n):
+            named = self.expected(n, k)
+            minf = any(tag is not None for _, tag in named)
+            report = (search_min_vertex_subgraph_number if minf else search_min_F)(self.spec(n, k))
+            if self.empty_iff and (report.class_size == 0 or self.empty_iff[1](n, k)):
+                rule, empty = self.empty_iff
                 yield CheckItem(
-                    self.label.format(n=n, k=k, want=min(values, default=None)), ok, detail
+                    f"n={n} k={k}: class empty iff {rule}",
+                    (report.class_size == 0) == empty(n, k),
+                    f"classes={report.class_size}",
                 )
+                continue
+            values = {_named_value(text, tag) for text, tag in named}
+            want = {_named_form(text)[0] for text, _ in named}
+            ok = values == {report.minimum} and set(report.minimizers) == want
+            ok = ok and all(tag is None or _argmin_at_tag(report, text, tag) for text, tag in named)
+            detail = "" if ok else f"got {report.minimum} at {report.minimizers}"
+            yield CheckItem(self.label.format(n=n, k=k, want=min(values, default=None)), ok, detail)
 
 
-def _pendant_share_limit(n_max: int) -> Iterator[CheckItem]:
+def _pendant_share_limit(n: int) -> Iterator[CheckItem]:
     """On every vertex-count minimizer over non-trees, the block holding
     the argmin vertex shares each of its cut vertices with at most four
     other blocks, and with two or more only if all of them are pendant
     edges."""
-    for n in range(5, n_max + 1):
-        for k in range(1, n - 2):
-            report = search_min_vertex_subgraph_number(ClassSpec(n, k, subset="nontrees"))
-            if report.class_size == 0:
-                continue
-            bad = _pendant_share_offence(report)
-            yield CheckItem(f"n={n} k={k}: sharer limit on minimizers", bad is None, bad or "")
+    for k in range(1, n - 2):
+        report = search_min_vertex_subgraph_number(ClassSpec(n, k, subset="nontrees"))
+        if report.class_size == 0:
+            continue
+        yield _item(f"n={n} k={k}: sharer limit on minimizers", _pendant_share_offence(report))
 
 
 def _pendant_share_offence(report: SearchReport) -> str | None:
@@ -312,68 +306,63 @@ def _branch_move_decrease() -> Iterator[CheckItem]:
                 bad = f"{serialize_graph6(g_orig)} -> {serialize_graph6(g_star)} at v={v}: {fs_} !< {fo}"
                 break
         tested += 1
-    yield CheckItem(f"strict decrease on {tested} constructed pairs", bad is None, bad or "")
+    yield _item(f"strict decrease on {tested} constructed pairs", bad)
 
 
-# every theorem check in report order: (items, default n_max); a check with
-# no n_max is called with no argument
-_THEOREMS: dict[str, tuple[Callable[..., Iterator[CheckItem]], int | None]] = {
-    "edge-monotonicity": (
-        partial(_per_n, 2, "strict decrease for every edge, n={n}", _edge_monotonicity_offence), 6
-    ),
+# every theorem check in report order: (first n, default last n, items at
+# one n); a check with no n is called once with no argument.  The floors'
+# named graphs carry tags that fix their objective and argmin check.
+_THEOREMS: dict[str, tuple[int | None, int | None, Callable[..., Iterable[CheckItem]]]] = {
+    "edge-monotonicity": (2, 6, _per_n(
+        "strict decrease for every edge, n={n}", _edge_monotonicity_offence
+    )),
     # over 2-connected graphs every vertex count is at least (n^2+n+2)/2,
     # with equality exactly on the cycle
-    "two-connected-vertex-floor": (_Floor(
-        search_min_vertex_subgraph_number, 3, lambda n: range(0, 1), ClassSpec,
-        lambda n, k: ((f"C:n={n}", "any"),), "floor (n^2+n+2)/2 with cycle equality, n={n}",
-    ), 8),
+    "two-connected-vertex-floor": (3, 8, _Floor(
+        lambda n: range(0, 1), ClassSpec, lambda n, k: ((f"C:n={n}", "any"),),
+        "floor (n^2+n+2)/2 with cycle equality, n={n}",
+    )),
     "cycle-pair-count": (
-        partial(_per_n, 3, "pair formula and equality cases, n={n}", _cycle_pair_offence), 12
+        3, 12, _per_n("pair formula and equality cases, n={n}", _cycle_pair_offence)
     ),
-    "block-pair-floor": (partial(
-        _per_n, 3, "pair floor 2(n-k)-1 within blocks, n={n}",
+    "block-pair-floor": (3, 8, _per_n(
+        "pair floor 2(n-k)-1 within blocks, n={n}",
         lambda n: _block_pair_offence(n, _named_form("S:n=4")[0]),
-    ), 8),
-    "pendant-share-limit": (_pendant_share_limit, 9),
+    )),
+    "pendant-share-limit": (5, 9, _pendant_share_limit),
     # over non-trees the vertex-count floor is ((n-k)^2+n+k+2)/2, attained
     # only by the lollipop at its pendant
-    "vertex-floor-nontree": (_Floor(
-        search_min_vertex_subgraph_number, 4,
+    "vertex-floor-nontree": (4, 9, _Floor(
         lambda n: range(1, n - 2), lambda n, k: ClassSpec(n, k, subset="nontrees"),
         _lollipop_pendant, "n={n} k={k}: floor {want} uniquely lollipop at pendant",
-        argmin=True,
-    ), 9),
+    )),
     # the vertex-count minimum over all of C_{n,k}, in three regimes
-    "vertex-floor-three-regime": (_Floor(
-        search_min_vertex_subgraph_number, 4, lambda n: range(1, n - 2), ClassSpec,
+    "vertex-floor-three-regime": (4, 9, _Floor(
+        lambda n: range(1, n - 2), ClassSpec,
         _vertex_floor_graphs, "n={n} k={k}: floor {want} with exact minimizer set",
-    ), 9),
+    )),
     # over trees the vertex-count floor is 2^{n-k-1}+k, only at the broom
-    "tree-vertex-floor": (_Floor(
-        search_min_vertex_subgraph_number, 3,
+    "tree-vertex-floor": (3, 9, _Floor(
         lambda n: range(1, n - 1), lambda n, k: ClassSpec(n, k, subset="trees"),
         _broom_end, "n={n} k={k}: tree floor {want} uniquely broom",
-    ), 9),
+    )),
     # over trees with k >= 2 the total-count floor is the balanced double broom
-    "tree-count-floor": (_Floor(
-        search_min_F, 4,
+    "tree-count-floor": (4, 9, _Floor(
         lambda n: range(2, n - 1), lambda n, k: ClassSpec(n, k, subset="trees"),
         _balanced_double_broom, "n={n} k={k}: balanced double broom floor {want}",
-    ), 9),
+    )),
     # over non-trees with girth >= k the total-count floor is the lollipop
-    "count-floor-girth": (_Floor(
-        search_min_F, 4, lambda n: range(1, n - 2),
-        lambda n, k: ClassSpec(n, k, min_girth=k, subset="nontrees"),
+    "count-floor-girth": (4, 9, _Floor(
+        lambda n: range(1, n - 2), lambda n, k: ClassSpec(n, k, min_girth=k, subset="nontrees"),
         _girth_count_graphs, "n={n} k={k}: girth-floored count minimum {want}",
         empty_iff=("n < k + max(3,k)", lambda n, k: n < k + max(3, k)),
-    ), 9),
+    )),
     # the abstract's k <= 4 claim says something only at k = 4: every
     # simple graph has girth >= 3
-    "girth-free-agreement": (partial(
-        _per_n, 6, "k=4 minimum and minimizers agree with girth >= 4, n={n}",
-        _girth_free_offence,
-    ), 9),
-    "branch-move-decrease": (_branch_move_decrease, None),
+    "girth-free-agreement": (6, 9, _per_n(
+        "k=4 minimum and minimizers agree with girth >= 4, n={n}", _girth_free_offence
+    )),
+    "branch-move-decrease": (None, None, _branch_move_decrease),
 }
 
 
@@ -384,10 +373,11 @@ def theorem_names() -> tuple[str, ...]:
 def verify_theorem(name: str, n_max: int | None = None) -> VerdictReport:
     if name not in _THEOREMS:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(_THEOREMS)}")
-    items, default_max = _THEOREMS[name]
-    if default_max is not None:
-        items = partial(items, default_max if n_max is None else min(n_max, default_max))
-    return VerdictReport(name, list(items()))
+    first, last, items = _THEOREMS[name]
+    if first is None:
+        return VerdictReport(name, list(items()))
+    last = last if n_max is None else min(n_max, last)
+    return VerdictReport(name, [item for n in range(first, last + 1) for item in items(n)])
 
 
 # ---------------------------------------------------------------------------

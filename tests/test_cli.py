@@ -262,6 +262,7 @@ EXIT_TWO = {
     ),
     "count-both-past-census": (["count", "--in", "-", "--vertex", "25", "--method", "both"], g6("P:n=51")),
     "family-bad-spec": (["family", "--spec", "L:n=6,g=6"], None),
+    "family-repeated-parameter": (["family", "--spec", "P:n=3,n=4"], None),
     "family-check-past-census": (["family", "--spec", "C:n=30", "--check"], None),
     "search-n11": (["search", "--n", "11", "--k", "1"], None),
     "search-n10": (["search", "--n", "10", "--k", "0"], None),

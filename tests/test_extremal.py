@@ -316,11 +316,17 @@ class TestSearches:
             assert set(map(serialize, serialised)) == named
 
     @pytest.mark.parametrize(
-        "search,column", [(search_min_F, "total"), (search_min_vertex_subgraph_number, "f_min")]
+        "search,column",
+        [
+            (search_min_F, "total"),
+            (search_min_vertex_subgraph_number, "f_min"),
+            (search_min_vertex_subgraph_number, "argmin"),
+        ],
     )
     def test_decomposition_recheck_catches_a_wrong_column(self, monkeypatch, search, column):
+        # a fresh names dict: a wrong argmin column must not name the real catalog's rows
         cat = extremal.catalog(6, "cut")
-        wrong = replace(cat, **{column: getattr(cat, column) - 1})
+        wrong = replace(cat, names={}, **{column: getattr(cat, column) - 1})
         monkeypatch.setitem(extremal._catalog_cache, (6, "cut"), wrong)
         with pytest.raises(AssertionError, match="decomposition disagrees"):
             search(ClassSpec(6, 1))
@@ -377,9 +383,9 @@ class TestTheoremRegistry:
 
         from connsub import verify
 
-        row = verify._THEOREMS["tree-vertex-floor"][0]
+        row = verify._THEOREMS["tree-vertex-floor"][2]
         row = replace(row, ks=lambda n: range(n - 1, n), expected=lambda n, k: ())
-        items = list(row(4))
+        items = [item for n in (3, 4) for item in row(n)]
         assert [item.passed for item in items] == [False, False]
 
     def test_block_pair_floor_reports_the_four_star(self):
@@ -413,3 +419,23 @@ class TestTheoremRegistry:
         report = SearchReport(ClassSpec(g.n, 1), "minf", 0, (g6,), ((1,),), 1, 0)
         got = verify._pendant_share_offence(report)
         assert got == (None if offence is None else f"{g6}: {offence}")
+
+    @pytest.mark.parametrize(
+        "text,tag,argmin,passed",
+        [
+            # every vertex of the cycle is in the tagged vertex's orbit
+            ("C:n=5", "any", (0, 1, 2, 3, 4), True),
+            ("C:n=5", "any", (0,), False),
+            # the lollipop's pendant, canonical label 0, is its own orbit
+            ("L:n=6,g=4", "pendant", (0,), True),
+            ("L:n=6,g=4", "pendant", (4,), False),
+        ],
+    )
+    def test_argmin_at_tag_is_the_tagged_orbit(self, text, tag, argmin, passed):
+        from connsub import verify
+        from connsub.extremal import SearchReport
+
+        g6 = verify._named_form(text)[0]
+        # the check reads only the minimizers and their argmin vertices
+        report = SearchReport(ClassSpec(5, 0), "minf", 0, (g6,), (argmin,), 1, 0)
+        assert verify._argmin_at_tag(report, text, tag) is passed

@@ -107,6 +107,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             parse_family_spec("L:n=5,k=2")
 
+    def test_repeated_param(self):
+        # the last value must not silently win
+        with pytest.raises(ValueError, match="parameter 'n' given twice"):
+            parse_family_spec("P:n=3,n=4")
+
     def test_grammar_round_trip(self):
         fs = parse_family_spec("CC:n=8,m1=3,m2=4")
         assert str(fs) == "CC:n=8,m1=3,m2=4"
