@@ -135,7 +135,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "formulas":
         reports = [verify.verify_formulas(*n_max)]
     elif args.suite == "theorems":
-        reports = (verify.verify_theorem(name, *n_max) for name in verify.theorem_names())
+        # built before any line is printed, so a refused --n-max prints nothing
+        reports = [verify.verify_theorem(name, *n_max) for name in verify.theorem_names()]
     else:
         reports = [verify.verify_table1(*n_max)]
     ok = True

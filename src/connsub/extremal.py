@@ -11,26 +11,26 @@ catalog of columns: the class graphs, and beside them one array per value
 (k, F, min_v f, the mask of the vertices attaining it, girth, and whether
 it is a tree).  A search is a boolean mask over those columns and a minimum over
 the rows it keeps.  Counts do not depend on labels, so a catalog's graphs
-need not be canonically labeled (at ``GENERATION_CAP`` the classes with a
-cut vertex are not, and are glued only when read); a report glues,
-canonises and serialises only its minimizers and names each by its
-canonical graph6, with argmin vertices in canonical labels.
+need not be canonically labeled (the classes with a cut vertex are not,
+and are glued only when read); a report glues, canonises and serialises
+only its minimizers and names each by its canonical graph6, with argmin
+vertices in canonical labels.
 
-Below ``GENERATION_CAP``, and for the classes without a cut vertex at it,
-every value is read off the census subset table, batched over classes with
-machine integers by ``evaluate_counts``.  Every count the kernel forms,
-table entries and their partial sums F, f(v) and f(x, y) alike, is at most
+For the classes without a cut vertex every value is read off the census
+subset table, batched over classes with machine integers by
+``evaluate_counts``.  Every count the kernel forms, table entries and
+their partial sums F, f(v) and f(x, y) alike, is at most
 sum_S 2^{e(S)} <= 2^{n+m}, so int64 arithmetic is exact whenever
 n + m <= 62; the kernel checks that bound on every batch, counting the
 edges in the adjacency array it builds anyway, and refuses a batch that
 breaks it.
 
-The classes with a cut vertex at the cap never reach the kernel.  Each is
-kept by ``generate`` as the rooted parts (G1, r1), (G2, r2) of one gluing,
-and is evaluated from them, all classes at once on int64 arrays.  Each
+The classes with a cut vertex never reach the kernel.  ``generate`` keeps
+each as the rooted parts (G1, r1), (G2, r2) of one gluing, at every n, and
+each is evaluated from them, a whole level at once on int64 arrays.  Each
 part's values (F, every f(x) and pair count f(x, y), its cut vertices, edge
 count and girth) come from ``evaluate_counts`` on the part classes, once per
-order below the cap and only when the cap is evaluated.  Then,
+order below n for each level evaluated.  Then,
 with a = f1(r1) and b = f2(r2), ``decompose.merge_count`` gives
 F = F1 + F2 - 1 + (a - 1)(b - 1) and ``decompose.vertex_count`` gives
 f(x) = f1(x) + f1(x, r1)(b - 1) for x in G1 (at x = r1 this is ab), and
@@ -44,9 +44,10 @@ evaluation refuses a batch with n + m1 + m2 > 62 exactly as the kernel
 does.  At n = 9 the largest is 9 + 29 = 38.
 
 Equality with the census and decomposition routes is asserted exhaustively
-in the test suite (at the cap, on every class against the kernel on its
-glued graph), and each reported minimizer's minimum, and for a vertex-count
-search its argmin vertex set, is re-checked through the decomposition path.
+in the test suite (on every class with a cut vertex, at every n, against
+the kernel on its glued graph), and each reported minimizer's minimum, and
+for a vertex-count search its argmin vertex set, is re-checked through the
+decomposition path.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import decompose
 from .canon import canonize
-from .generate import GENERATION_CAP, block_classes, classes_with_cut_vertices
+from .generate import GENERATION_CAP, _composed, block_classes
 from .graph import Graph, bits
 from .graphio import serialize_graph6
 
@@ -240,7 +241,7 @@ def _minima(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# the cap level, from its parts
+# the classes with a cut vertex, from their parts
 
 
 def _evaluate_gluings(pairs: Sequence[tuple[Graph, int, Graph, int]]) -> tuple[np.ndarray, ...]:
@@ -321,7 +322,7 @@ class _Catalog:
         """Row i's canonical graph6 and its argmin vertices in canonical
         labels, canonised on first read: only minimizers are read."""
         if i not in self.names:
-            # the graph is unlabeled when it has a cut vertex at the cap
+            # the graph is unlabeled when it has a cut vertex
             _, canonical, pos, _, _ = canonize(self.graphs[i])
             argmin = tuple(sorted(pos[v] for v in bits(int(self.argmin[i]))))
             self.names[i] = serialize_graph6(canonical), argmin
@@ -343,13 +344,12 @@ def catalog(n: int, stratum: str) -> _Catalog:
     if stratum not in ("cut", "block"):
         raise ValueError("stratum must be 'cut' or 'block'")
     if (n, stratum) not in _catalog_cache:
-        graphs = block_classes(n) if stratum == "block" else classes_with_cut_vertices(n)
+        graphs = block_classes(n) if stratum == "block" else _composed(n)
         if not graphs:
             # no graph on one or two vertices has a cut vertex
             _catalog_cache[n, stratum] = _EMPTY
             return _EMPTY
-        if stratum == "cut" and n == GENERATION_CAP:
-            # the cap's classes are kept as part pairs (see the module docstring)
+        if stratum == "cut":
             total, f, k, tree, girth = _evaluate_gluings(graphs.pairs)
         else:
             total, f, cut, m, girth = evaluate_counts(graphs)
@@ -379,8 +379,8 @@ def _finalize(spec: ClassSpec, objective: str, t0: float) -> SearchReport:
     winners = sorted(rows[values == minimum].tolist(), key=lambda i: cat.name(i)[0])
     for i in winners:
         # integrity: the reported minimum, and for minf the mask of the
-        # vertices attaining it in the graph's own labels (the glue labels
-        # at the cap), must survive the decomposition route
+        # vertices attaining it in the graph's own labels (glue's labels
+        # when it has a cut vertex), must survive the decomposition route
         graph = cat.graphs[i]
         if objective == "F":
             check, want = decompose.count_via_decomposition(graph), minimum

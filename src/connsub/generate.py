@@ -9,8 +9,8 @@ has its own generator:
   vertex.  Gluing orbit representatives of all smaller rooted classes
   therefore enumerates exactly the classes with k >= 1.  Repeated gluings
   are dropped by the block-cut tree certificate below, which needs no
-  canonical labeling, so each class below the cap is labeled once and
-  none at the cap.
+  canonical labeling, so composition labels nothing at any level; a class
+  is labeled once, when its level's records are first read.
 
 * ``block_classes(n)`` -- the classes without a cut vertex: K1 and K2 as
   seeds, and for n >= 3 the 2-connected classes by canonical augmentation
@@ -64,7 +64,7 @@ orbit root of the new vertex.  The parents' automorphism generators are
 read from their records, where their own labeling left them, so no parent
 is labeled again.
 
-Every class below the cap is kept as one record, a ``_Class``: its key, its
+Every class below the cap has one record, a ``_Class``: its key, its
 orbit roots and Aut generators in canonical labels (as ``canonize`` gave
 them), and its block list: per block, the block's class (K2 or a
 2-connected class, itself a record) and its vertices in that class's
@@ -126,30 +126,27 @@ w, so its certificate is the concatenation of its sorted leaf codes,
 whose cut set lies within its root carries its bouquet there, and the
 gluing's bouquet is the sorted union of its parts', built without the tree.
 
-Every class, in either stratum, is canonised by one step,
+Every labeled class, in either stratum, is canonised by one step,
 ``canon.canonize``: the canonical key and copy, and the orbit roots and
 automorphism generators of that same labeling, already in canonical labels,
-so nothing here translates them.  The one exception is at
-``GENERATION_CAP``, the level nothing glues: there a class with a cut
-vertex is kept as the rooted parts (g1, r1, g2, r2) of the first gluing
-with its certificate.  No graph is built and nothing is labeled, so
-composing the cap costs neither a canonical labeling nor a ``glue``.
-``classes_with_cut_vertices(GENERATION_CAP)`` is a sequence that glues a
-class when it is read and holds the parts as ``pairs``; ``extremal``
-evaluates the level from the parts' counts and glues and canonises only
-the minimisers it reports.
+so nothing here translates them.  Composition labels nothing: it stores
+each level's classes with a cut vertex as a ``_Gluings``, the rooted parts
+(g1, r1, g2, r2) of each certificate's first gluing, glued when read, and
+``extremal`` evaluates them from the parts' counts.  The first read of a
+level's records (``classes_with_cut_vertices(n)`` below the cap, so also
+``connected_classes(n)``, ``_rooted_parts(n)`` and augmenting n + 1)
+canonises each kept gluing, whose labels fix ``canonize``'s generators, and
+files the level by canonical key; each record keeps its pair.  Nothing
+reads the cap's records, so neither stratum keeps any there and its classes
+with a cut vertex are never labeled.
 
 The classes live in one store, per vertex count and stratum ("cut" or
-"block"): keys in sorted order, with the graph of each (at the cap, the
-parts of each class with a cut vertex) and, below the cap, the record of
-each.  A key is the canonical key, except for the classes with a cut vertex
-at the cap, which are keyed by certificate; these begin with a block's
-vertex count, below n, so they sort before the canonical keys and
-``connected_classes(GENERATION_CAP)`` is not in canonical-key order.
-Records are kept only below the cap, the sizes composition glues and
-augmentation extends; the cap keeps none, and no level above the cap is
-generated.  ``rooted_classes(n)`` reads the distinct roots of level n's
-records on each call.
+"block"): keys in sorted order, with the graph and the record of each, or
+for a cut stratum not yet read, the parts of each keyed by certificate.  A
+certificate begins with a block's vertex count, below n, so it sorts
+before the canonical keys and ``connected_classes(GENERATION_CAP)`` is not
+in canonical-key order.  No level above the cap is generated, and
+``rooted_classes(n)`` reads the orbit roots of level n's records per call.
 """
 
 from __future__ import annotations
@@ -176,14 +173,14 @@ _shared: dict[bytes | tuple, bytes | tuple] = {}
 class _Class:
     """A class below ``GENERATION_CAP`` as augmentation extends it and
     composition glues it: its key, per canonical label the least label of
-    its Aut-orbit, generators of Aut in canonical labels, and its block list
-    (see above; ``blocks=None`` makes the class its own single block).
+    its Aut-orbit, generators of Aut in canonical labels, its block list
+    (``None``: its own single block) and, if glued, the pair it was glued from.
     Equal roots, vertex orders, permutations and generator lists are shared
     between classes.  The group is enumerated on first use, and only for an
     inner block of a gluing, which has at most ``GENERATION_CAP - 2``
     vertices."""
 
-    __slots__ = ("key", "roots", "gens", "blocks", "_images")
+    __slots__ = ("key", "roots", "gens", "blocks", "pair", "_images")
 
     def __init__(
         self,
@@ -191,6 +188,7 @@ class _Class:
         roots: bytes,
         auts: list[tuple[int, ...]],
         blocks: tuple[_Block, ...] | None = None,
+        pair: _Pair | None = None,
     ):
         self.key = key
         self.roots = _shared.setdefault(roots, roots)
@@ -200,6 +198,7 @@ class _Class:
             own = bytes(range(len(roots)))  # its canonical labels
             blocks = ((self, _shared.setdefault(own, own)),)
         self.blocks = blocks
+        self.pair = pair
         self._images: list[itemgetter] | None = None
 
     def least(self, colours: list[bytes]) -> bytes:
@@ -241,8 +240,7 @@ _Pair = tuple[Graph, int, Graph, int]
 
 
 class _Gluings(Sequence[Graph]):
-    """The classes with a cut vertex at ``GENERATION_CAP``, each kept as the
-    rooted parts of its first gluing, in ``pairs``, and glued when read."""
+    """A level's classes with a cut vertex as part pairs, in ``pairs``, glued when read."""
 
     def __init__(self, pairs: tuple[_Pair, ...]):
         self.pairs = pairs
@@ -254,21 +252,17 @@ class _Gluings(Sequence[Graph]):
         return glue(*self.pairs[i])
 
 
-# the class store: (n, stratum) -> (sorted keys, the graph of each and, below
-# the cap, the record of each); the graphs of the cap's cut stratum are a
-# ``_Gluings``
+# the class store (see above): (n, stratum) -> (sorted keys, graphs, records)
 _store: dict[tuple[int, str], tuple[tuple[bytes, ...], Sequence[Graph], tuple[_Class, ...]]] = {}
 
 
 def _put(
     n: int, stratum: str, graphs: dict[bytes, Graph | _Pair], classes: dict[bytes, _Class]
 ) -> Sequence[Graph]:
-    """Store level n of a stratum from its graphs (at the cap, the parts of
-    each class with a cut vertex) and its records (none at the cap), both by
-    key, in key order; returns the graphs."""
+    """Store level n of a stratum by key (see above); returns its graphs in key order."""
     keys = tuple(sorted(graphs))
     level = tuple(graphs[k] for k in keys)
-    if stratum == "cut" and n == GENERATION_CAP:
+    if stratum == "cut" and not classes:
         level = _Gluings(level)
     _store[n, stratum] = (keys, level, tuple(classes[k] for k in keys) if classes else ())
     return level
@@ -527,29 +521,35 @@ def _gluings(n: int) -> Iterator[tuple[_Part, _Part, bytes]]:
                 yield p1, p2, cert
 
 
-def classes_with_cut_vertices(n: int) -> Sequence[Graph]:
-    """All connected classes on n vertices having at least one cut vertex.
-    Below ``GENERATION_CAP`` each is canonically labeled; at the cap each is
-    kept as the parts of its first gluing and glued when read (see above)."""
+def _composed(n: int) -> _Gluings:
+    """Level n's part pairs, each certificate's first gluing; key-ordered once labeled."""
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"classes are generated for n in 1..{GENERATION_CAP}")
-    if (n, "cut") in _store:
-        return _store[n, "cut"][1]
-    graphs: dict[bytes, Graph | _Pair] = {}
+    if (n, "cut") not in _store:
+        pairs: dict[bytes, _Pair] = {}
+        for p1, p2, cert in _gluings(n):
+            if cert not in pairs:
+                pairs[cert] = (p1[0], p1[1], p2[0], p2[1])
+        _put(n, "cut", pairs, {})
+    _, level, classes = _store[n, "cut"]
+    return _Gluings(tuple(cls.pair for cls in classes)) if classes else level
+
+
+def classes_with_cut_vertices(n: int) -> Sequence[Graph]:
+    """All connected classes on n vertices having at least one cut vertex:
+    below ``GENERATION_CAP`` canonically labeled in key order, the first call
+    building the level's records; at the cap glued when read (see above)."""
+    level = _store[n, "cut"][1] if (n, "cut") in _store else _composed(n)
+    if n == GENERATION_CAP or not isinstance(level, _Gluings) or not level:
+        return level
+    # the parts' records, by the identity of the graph the store holds
+    stored = [_store[m, stratum][1:] for m in range(2, n) for stratum in ("block", "cut")]
+    records = {id(g): cls for graphs, classes in stored for g, cls in zip(graphs, classes)}
+    labeled: dict[bytes, Graph] = {}
     classes: dict[bytes, _Class] = {}
-    built: set[bytes] = set()  # the certificates met so far
-    for p1, p2, cert in _gluings(n):
-        if cert in built:
-            continue
-        built.add(cert)
-        pair = (p1[0], p1[1], p2[0], p2[1])
-        if n == GENERATION_CAP:
-            # no block key has n vertices, so no certificate is a canonical key
-            graphs[cert] = pair
-            continue
-        key, graphs[key], pos, roots, auts = canonize(glue(*pair))
-        blocks = tuple(
-            (cls, bytes(pos[v] for v in verts)) for cls, verts in _glued_blocks(p1, p2)
-        )
-        classes[key] = _Class(key, roots, auts, blocks)
-    return _put(n, "cut", graphs, classes)
+    for pair in level.pairs:
+        key, labeled[key], pos, roots, auts = canonize(glue(*pair))
+        parts = [(g, r, records[id(g)].blocks, None) for g, r in (pair[:2], pair[2:])]
+        blocks = tuple((cls, bytes(pos[v] for v in verts)) for cls, verts in _glued_blocks(*parts))
+        classes[key] = _Class(key, roots, auts, blocks, pair)
+    return _put(n, "cut", labeled, classes)

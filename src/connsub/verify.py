@@ -376,6 +376,9 @@ def verify_theorem(name: str, n_max: int | None = None) -> VerdictReport:
     first, last, items = _THEOREMS[name]
     if first is None:
         return VerdictReport(name, list(items()))
+    if n_max is not None and n_max < first:
+        # a run that checks nothing must not read as a pass
+        raise ValueError(f"check {name!r} starts at n = {first}; n_max = {n_max} checks nothing")
     last = last if n_max is None else min(n_max, last)
     return VerdictReport(name, [item for n in range(first, last + 1) for item in items(n)])
 

@@ -193,6 +193,13 @@ class TestVerify:
                 assert rc == 2 and out == ""
                 assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_theorems_below_a_first_n_print_nothing(self, capsys):
+        # girth-free-agreement starts at n = 6: a run that would skip it
+        # exits 2 before printing the lines of the checks that ran
+        rc, out, err = run(capsys, ["verify", "--suite", "theorems", "--n-max", "5"])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_table1_over_cap_exits_two(self, capsys):
         rc, out, err = run(capsys, ["verify", "--suite", "table1", "--n-max", "10"])
         assert rc == 2 and out == ""
@@ -269,6 +276,7 @@ EXIT_TWO = {
     "verify-formulas-past-census": (["verify", "--suite", "formulas", "--n-max", "27"], None),
     "verify-formulas-n-max-0": (["verify", "--suite", "formulas", "--n-max", "0"], None),
     "verify-theorems-n-max-minus-3": (["verify", "--suite", "theorems", "--n-max", "-3"], None),
+    "verify-theorems-n-max-one": (["verify", "--suite", "theorems", "--n-max", "1"], None),
     "verify-table1-n-max-0": (["verify", "--suite", "table1", "--n-max", "0"], None),
     "verify-table1-past-cap": (["verify", "--suite", "table1", "--n-max", "10"], None),
     "oracle-diff-past-census": (["oracle-diff", "--in", "-"], g6("C:n=30")),
@@ -287,6 +295,13 @@ def test_exit_two_contract(case, capsys, monkeypatch, tmp_path):
 
 def cli_process(argv, **kw):
     return subprocess.Popen([sys.executable, "-m", "connsub.cli", *argv], **kw)
+
+
+def test_package_runs_as_a_module(capsys):
+    # python -m connsub is the CLI, from a checkout with src on the path
+    argv = ["search", "--n", "5", "--k", "1"]
+    done = subprocess.run([sys.executable, "-m", "connsub", *argv], capture_output=True, check=True)
+    assert done.stdout.decode() == run(capsys, argv)[1]
 
 
 @pytest.mark.parametrize(

@@ -87,20 +87,25 @@ class TestGenerate:
             extremal.catalog(5)
 
     def test_catalogs_evaluate_each_class_once(self, monkeypatch):
-        # 385 classes with a cut vertex and 468 without: 853, each once
+        # the 468 classes without a cut vertex go through the kernel once;
+        # the 385 with one are evaluated from their parts' values, one pair
+        # evaluation per part order 2..6; a second read evaluates nothing
         monkeypatch.setattr(generate, "_store", {})
         monkeypatch.setattr(extremal, "_catalog_cache", {})
         evaluated = []
         kernel = extremal.evaluate_counts
 
-        def spy(graphs):
-            evaluated.append(len(graphs))
-            return kernel(graphs)
+        def spy(graphs, *pairs):
+            evaluated.append((graphs[0].n, *pairs))
+            return kernel(graphs, *pairs)
 
         monkeypatch.setattr(extremal, "evaluate_counts", spy)
         assert len(extremal.catalog(7, "cut")) == 385
+        assert sorted(evaluated) == [(order, True) for order in range(2, 7)]
+        evaluated.clear()
         assert len(extremal.catalog(7, "block")) == 468
-        assert sum(evaluated) == 853
+        assert len(extremal.catalog(7, "cut")) == 385
+        assert evaluated == [(7,)]
         assert {stratum for _, stratum in extremal._catalog_cache} == {"cut", "block"}
 
     def test_visited_graphs_satisfy_filters(self):
@@ -191,26 +196,29 @@ class TestCatalogColumns:
 
 class TestCapFromParts:
     def test_parts_match_the_kernel_on_every_cap_class(self):
-        # every class with a cut vertex at the cap, evaluated from its parts,
-        # against the kernel and graph.girth on its glued graph
-        n = GENERATION_CAP
-        cat = extremal.catalog(n, "cut")
-        assert len(cat) == 67014
-        _, fvec, _, _, _ = extremal._evaluate_gluings(cat.graphs.pairs)
-        member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
-        for lo in range(0, len(cat), 2048):
-            rows = slice(lo, lo + 2048)
-            graphs = [glue(*parts) for parts in cat.graphs.pairs[rows]]
-            tables = subset_tables(graphs)
-            want = np.stack([tables[:, member[:, x]].sum(axis=1) for x in range(n)], axis=1)
-            assert (fvec[rows] == want).all()
-            total, f, cut, m, girths = evaluate_counts(graphs)
-            f_min, argmin = extremal._minima(f)
-            assert (cat.total[rows] == total).all()
-            assert (cat.f_min[rows] == f_min).all() and (cat.argmin[rows] == argmin).all()
-            assert (cat.k[rows] == np.bitwise_count(cut)).all()
-            assert (cat.tree[rows] == (m == n - 1)).all() and (cat.girth[rows] == girths).all()
-            assert cat.girth[rows].tolist() == [girth(g) or extremal._NO_CYCLE for g in graphs]
+        # every class with a cut vertex, at every n up to the cap, evaluated
+        # from its parts, against the kernel and graph.girth on its glued graph
+        sizes = {3: 1, 4: 3, 5: 11, 6: 56, 7: 385, 8: 3994, GENERATION_CAP: 67014}
+        for n, size in sizes.items():
+            cat = extremal.catalog(n, "cut")
+            assert len(cat) == size
+            _, fvec, _, _, _ = extremal._evaluate_gluings(cat.graphs.pairs)
+            member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+            for lo in range(0, len(cat), 2048):
+                rows = slice(lo, lo + 2048)
+                graphs = [glue(*parts) for parts in cat.graphs.pairs[rows]]
+                tables = subset_tables(graphs)
+                want = np.stack([tables[:, member[:, x]].sum(axis=1) for x in range(n)], axis=1)
+                assert (fvec[rows] == want).all()
+                total, f, cut, m, girths = evaluate_counts(graphs)
+                f_min, argmin = extremal._minima(f)
+                assert (cat.total[rows] == total).all()
+                assert (cat.f_min[rows] == f_min).all() and (cat.argmin[rows] == argmin).all()
+                assert (cat.k[rows] == np.bitwise_count(cut)).all()
+                assert (cat.tree[rows] == (m == n - 1)).all() and (cat.girth[rows] == girths).all()
+                assert cat.girth[rows].tolist() == [
+                    girth(g) or extremal._NO_CYCLE for g in graphs
+                ]
 
     def test_refuses_a_cap_batch_beyond_the_int64_bound(self, monkeypatch):
         # the parts' tables (n + m <= 8 + 28) pass a bound of 37; the largest
@@ -222,8 +230,9 @@ class TestCapFromParts:
 
     def test_cap_search_builds_no_graph_but_its_minimisers(self, monkeypatch):
         # composing and evaluating the cap glues nothing and runs no kernel
-        # at the cap; a search glues only the minimisers it reports, and a
-        # search below the cap computes no part values
+        # at the cap; a search glues only the minimisers it reports, and so
+        # does a search below the cap
+        generate.rooted_classes(GENERATION_CAP - 1)  # level 8's records
         store = dict(generate._store)
         store.pop((GENERATION_CAP, "cut"), None)
         monkeypatch.setattr(generate, "_store", store)
@@ -248,10 +257,20 @@ class TestCapFromParts:
         assert len(set(glued)) == len(report.minimizers) == 1
         # the part values: one pair-count evaluation per order below the cap
         assert sorted(kernel_calls) == [(order, True) for order in range(2, GENERATION_CAP)]
+        # below the cap a search reads the same part pairs: the n = 8
+        # searches make one pair evaluation per part order 2..7 and one plain
+        # kernel call, for the classes without a cut vertex, and glue only
+        # their minimisers
         kernel_calls.clear()
-        for k in range(7):
-            search_min_F(ClassSpec(GENERATION_CAP - 1, k))
-        assert kernel_calls and all(call == (GENERATION_CAP - 1,) for call in kernel_calls)
+        glued.clear()
+        reports = [search_min_F(ClassSpec(GENERATION_CAP - 1, k)) for k in range(7)]
+        assert sorted(kernel_calls) == [
+            *((order, True) for order in range(2, GENERATION_CAP - 1)),
+            (GENERATION_CAP - 1,),
+        ]
+        named = set().union(*(minimizer_keys(r) for r in reports if r.spec.k >= 1))
+        assert len(set(glued)) == len(named)
+        assert {canonical_key(glue(*parts)) for parts in glued} == named
 
 
 class TestSearches:
@@ -375,6 +394,17 @@ class TestTheoremRegistry:
         assert "edge-monotonicity" in names and "count-floor-girth" in names
         with pytest.raises(ValueError):
             verify_theorem("no-such-claim")
+
+    def test_n_max_below_a_first_n_is_refused(self):
+        # a row with no n up to n_max would check nothing and read as a pass
+        from connsub.verify import verify_theorem
+
+        with pytest.raises(ValueError, match="'edge-monotonicity' starts at n = 2"):
+            verify_theorem("edge-monotonicity", 1)
+        with pytest.raises(ValueError, match="'girth-free-agreement' starts at n = 6"):
+            verify_theorem("girth-free-agreement", 5)
+        assert verify_theorem("edge-monotonicity", 2).items
+        assert verify_theorem("branch-move-decrease", 1).passed
 
     def test_floor_row_fails_an_unexpected_empty_class(self):
         # no tree on n vertices has n - 1 cut vertices; a row without an

@@ -13,7 +13,7 @@ from connsub.canon import (
     positions,
     vertex_orbits,
 )
-from connsub.extremal import ClassSpec, search_min_F
+from connsub.extremal import ClassSpec, search_min_F, search_min_vertex_subgraph_number
 from connsub.generate import (
     GENERATION_CAP,
     classes_with_cut_vertices,
@@ -22,6 +22,7 @@ from connsub.generate import (
     rooted_classes,
 )
 from connsub.graph import Graph, cut_vertices, is_connected
+from connsub.graphio import parse_graph6
 
 from helpers import canonical_key, labeled_key
 
@@ -269,6 +270,35 @@ def test_composition_labels_each_class_once_below_the_cap_and_none_at_it(monkeyp
     assert labeled == []
     assert len(composed) == CONNECTED_COUNTS[8] - TWO_CONNECTED_COUNTS[8] == 3994
     assert Counter(len(cut_vertices(g)) for g in composed) == want
+
+
+def test_level_is_labeled_only_when_its_records_are_read(monkeypatch):
+    # from a store holding levels <= 7, the n = 8 searches with a cut vertex
+    # label only the minimisers they name; the first read of level 8's
+    # records labels its 3,994 classes, and a second read labels none
+    monkeypatch.setattr(generate, "_store", {})
+    monkeypatch.setattr(extremal, "_catalog_cache", {})
+    for n in range(1, 8):
+        rooted_classes(n)
+    labeled = []
+    label = canon.canonical_labeling
+
+    def counted(g):
+        result = label(g)
+        labeled.append(result[0])
+        return result
+
+    monkeypatch.setattr(canon, "canonical_labeling", counted)
+    named = set()
+    for k in range(1, 7):
+        for search in (search_min_F, search_min_vertex_subgraph_number):
+            named.update(search(ClassSpec(8, k)).minimizers)
+    assert named and sorted(labeled) == sorted(canonical_key(parse_graph6(s)) for s in named)
+    labeled.clear()
+    assert len(classes_with_cut_vertices(8)) == len(labeled) == 3994
+    labeled.clear()
+    assert len(classes_with_cut_vertices(8)) == 3994
+    assert labeled == []
 
 
 def test_rooted_classes_orbits():
