@@ -12,12 +12,20 @@ search node keeps the automorphisms that fix its branch prefix and the
 images of its explored siblings under them; before each sibling it tests
 only the automorphisms recorded since the last one, one mask test each,
 so no node rescans the whole list.
+
+``orbit`` is the one orbit closure: vertex orbits here, and ``generate``'s
+subset and colouring orbits, close under generators; no group is enumerated.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Sequence
+from typing import TypeVar
+
 from .graph import Graph
 from .graphio import triangle_bits
+
+T = TypeVar("T", bound=Hashable)
 
 
 def _refine(adj: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -169,15 +177,28 @@ def vertex_orbits(g: Graph) -> list[tuple[int, ...]]:
 def orbit_least(n: int, gens: list[tuple[int, ...]]) -> list[int]:
     """Per vertex v of 0..n-1, the least vertex in v's orbit under the
     group generated by the permutations ``gens``."""
-    # each vertex takes the lesser label across every generator edge until
-    # none changes, so every orbit carries its least label throughout
+    moves = [a.__getitem__ for a in gens]
     least = list(range(n))
-    changed = bool(gens)
-    while changed:
-        changed = False
-        for a in gens:
-            for v, w in enumerate(a):
-                if least[v] != least[w]:
-                    least[v] = least[w] = min(least[v], least[w])
-                    changed = True
+    seen: set[int] = set()
+    for v in range(n):
+        if v not in seen:  # so v is the least vertex of its orbit
+            for w in orbit(v, moves, seen):
+                least[w] = v
     return least
+
+
+def orbit(start: T, images: Sequence[Callable[[T], T]], seen: set[T]) -> list[T]:
+    """The orbit of ``start``, listed first, under the group the maps
+    ``images`` generate; the group is finite, so closing under the maps alone
+    suffices.  Every element reached joins ``seen``.  ``a.__getitem__`` moves
+    a vertex by the permutation ``a``, ``operator.itemgetter(*a)`` a tuple
+    indexed by vertex."""
+    seen.add(start)
+    found = [start]
+    for x in found:
+        for image in images:
+            y = image(x)
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return found

@@ -13,9 +13,9 @@ or lies in one part away from w.  For two parts the total rule is the
 merge rule F(G1) + F(G2) - 1 + (f_{G1}(w) - 1)(f_{G2}(w) - 1), and for
 v = w the vertex rule is the product rule.  ``merge_count`` and
 ``vertex_count`` write those two-part rules once for integers and arrays
-alike: ``extremal`` calls them on int64 arrays to evaluate every class with
-a cut vertex at ``GENERATION_CAP`` from the two rooted parts it is glued
-from, and the recursion below calls ``vertex_count``.
+alike: ``extremal`` calls them on int64 arrays to evaluate every level's
+classes with a cut vertex from the two rooted parts each is glued from,
+and the recursion below calls ``vertex_count``.
 
 The recursion takes F(G) by the total rule at the least cut vertex, f_G(v)
 by the product rule whenever v is a cut vertex, and f_G(v) for any other v

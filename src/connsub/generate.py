@@ -80,7 +80,8 @@ neighbour towards the centre) is coded as its class key followed by
 
 * the orbit root of e's label in B, if B is a leaf (e is its only cut
   vertex), or else
-* the byte 0xfe and the least image under Aut(B) of B's colouring: 0xff at
+* the byte 0xfe and the least image under Aut(B) of B's colouring, the
+  least of its orbit closed under B's generators by ``canon.orbit``: 0xff at
   e, and at every other vertex v the code of v, which is the number of
   blocks at v other than B followed by their codes, sorted (a single 0 for
   a vertex in no other block).
@@ -155,8 +156,8 @@ import heapq
 from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
-from .canon import canonize
-from .graph import MAX_VERTICES, Graph, components, cut_vertices, map_mask
+from .canon import canonize, orbit
+from .graph import MAX_VERTICES, Graph, components, cut_vertices
 
 # largest n an exhaustive search generates; n = 10 would need about 2 M
 # classes with a cut vertex from composition alone
@@ -176,11 +177,10 @@ class _Class:
     its Aut-orbit, generators of Aut in canonical labels, its block list
     (``None``: its own single block) and, if glued, the pair it was glued from.
     Equal roots, vertex orders, permutations and generator lists are shared
-    between classes.  The group is enumerated on first use, and only for an
-    inner block of a gluing, which has at most ``GENERATION_CAP - 2``
-    vertices."""
+    between classes.  ``canonize`` may record a generator twice; it is kept
+    once, as every orbit closure pays for each generator."""
 
-    __slots__ = ("key", "roots", "gens", "blocks", "pair", "_images")
+    __slots__ = ("key", "roots", "gens", "blocks", "pair")
 
     def __init__(
         self,
@@ -192,43 +192,21 @@ class _Class:
     ):
         self.key = key
         self.roots = _shared.setdefault(roots, roots)
-        gens = tuple(_shared.setdefault(a, a) for a in auts)
+        gens = tuple(_shared.setdefault(a, a) for a in dict.fromkeys(auts))
         self.gens = _shared.setdefault(gens, gens)
         if blocks is None:
             own = bytes(range(len(roots)))  # its canonical labels
             blocks = ((self, _shared.setdefault(own, own)),)
         self.blocks = blocks
         self.pair = pair
-        self._images: list[itemgetter] | None = None
 
     def least(self, colours: list[bytes]) -> bytes:
         """The least image under Aut of ``colours``, one per canonical label."""
         if len(colours) == 2:
             a, b = colours  # K2: the lesser of its two orders
             return min(a + b, b + a)
-        if self._images is None:
-            self._images = [itemgetter(*p) for p in _group(self.gens, len(self.roots))]
-        return b"".join(min(image(colours) for image in self._images))
-
-
-def _group(gens: Sequence[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
-    """Every permutation of 0..n-1 that ``gens`` generate; a generator the
-    group so far already holds is skipped."""
-    group = {tuple(range(n))}
-    kept: list[tuple[int, ...]] = []
-    for s in gens:
-        if s in group:
-            continue
-        kept.append(s)
-        todo = list(group)
-        while todo:
-            p = todo.pop()
-            for t in kept:
-                q = tuple(p[i] for i in t)
-                if q not in group:
-                    group.add(q)
-                    todo.append(q)
-    return group
+        getters = [itemgetter(*a) for a in self.gens]
+        return b"".join(min(orbit(tuple(colours), getters, set())))
 
 
 # a block of a graph: its class and its vertices in the class's canonical order
@@ -361,21 +339,17 @@ def _subset_orbit_reps(p: Graph, gens: tuple[tuple[int, ...], ...]) -> list[int]
         and s & below[size] == below[size]
         and all(s & side for side in sides)
     ]
-    images = [[1 << x for x in a] for a in gens]
-    seen: set[int] = set()
+    if not gens:  # only singleton orbits
+        return kept
+    getters = [itemgetter(*a) for a in gens]
+    seen: set[tuple[int, ...]] = set()
     reps = []
     for s in kept:
-        if s in seen:
-            continue
-        reps.append(s)
-        seen.add(s)
-        orbit = [s]
-        for t in orbit:
-            for img in images:
-                u = map_mask(t, img)
-                if u not in seen:
-                    seen.add(u)
-                    orbit.append(u)
+        # s as a 0/1 tuple indexed by vertex, moved by each generator's getter
+        indicator = tuple(s >> v & 1 for v in range(p.n))
+        if indicator not in seen:
+            reps.append(s)
+            orbit(indicator, getters, seen)
     return reps
 
 

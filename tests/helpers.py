@@ -79,3 +79,24 @@ def subset_tables(graphs):
     """Census subset tables for a batch of same-order graphs from the batched
     kernel, int64-exact, one ``[graph, subset]`` row per graph."""
     return extremal._tables(graphs).T
+
+
+def _group(gens, n):
+    """Every permutation of 0..n-1 that ``gens`` generate, enumerated: an
+    oracle for the orbits the package closes under generators alone.  A
+    generator the group so far already holds is skipped."""
+    group = {tuple(range(n))}
+    kept = []
+    for s in gens:
+        if s in group:
+            continue
+        kept.append(s)
+        todo = list(group)
+        while todo:
+            p = todo.pop()
+            for t in kept:
+                q = tuple(p[i] for i in t)
+                if q not in group:
+                    group.add(q)
+                    todo.append(q)
+    return group

@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
@@ -24,7 +25,7 @@ from connsub.generate import (
 from connsub.graph import Graph, cut_vertices, is_connected
 from connsub.graphio import parse_graph6
 
-from helpers import canonical_key, labeled_key
+from helpers import _group, canonical_key, labeled_key
 
 # connected graphs up to isomorphism, then the 2-connected stratum
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -132,8 +133,72 @@ def test_stored_generators_generate_each_class_group():
             _, graphs, classes = generate._store[n, stratum]
             assert len(classes) == len(graphs)
             for g, cls in zip(graphs, classes):
-                want = generate._group(canonical_labeling(g)[2], n)
-                assert generate._group(cls.gens, n) == want
+                want = _group(canonical_labeling(g)[2], n)
+                assert _group(cls.gens, n) == want
+
+
+def _screened(p):
+    """Every subset S, as a mask, such that p plus a vertex joined to S is
+    2-connected with minimum degree |S|, by building each child."""
+    kept = []
+    for s in range(1, 1 << p.n):
+        size = s.bit_count()
+        adj = [a | 1 << p.n if s >> v & 1 else a for v, a in enumerate(p.adj)] + [s]
+        child = Graph(p.n + 1, tuple(adj))
+        if size >= 2 and not cut_vertices(child) and min(a.bit_count() for a in adj) == size:
+            kept.append(s)
+    return kept
+
+
+def test_subset_orbit_reps_are_the_least_of_each_orbit():
+    # against the enumerated group: one subset per orbit of screened
+    # subsets, the orbit's least mask, in ascending order
+    for n in range(1, 8):
+        connected_classes(n)
+        for stratum in ("block", "cut"):
+            _, graphs, classes = generate._store[n, stratum]
+            for g, cls in zip(graphs, classes):
+                group = _group(cls.gens, n)
+                want = {
+                    min(sum(1 << perm[v] for v in range(n) if s >> v & 1) for perm in group)
+                    for s in _screened(g)
+                }
+                assert generate._subset_orbit_reps(g, cls.gens) == sorted(want)
+
+
+def test_least_image_is_the_least_over_the_group(monkeypatch):
+    # every least image the certificates take while n <= 8 is composed
+    # equals the least over the enumerated group's images
+    monkeypatch.setattr(generate, "_store", {})
+    calls = []
+    least = generate._Class.least
+
+    def spy(self, colours):
+        result = least(self, colours)
+        calls.append((self, list(colours), result))
+        return result
+
+    monkeypatch.setattr(generate._Class, "least", spy)
+    for n in range(1, 9):
+        generate._composed(n)
+    assert calls
+    groups = {}
+    for cls, colours, result in calls:
+        if cls.key not in groups:
+            groups[cls.key] = _group(cls.gens, len(cls.roots))
+        assert result == b"".join(min(itemgetter(*perm)(colours) for perm in groups[cls.key]))
+
+
+def test_cap_certificates_are_pinned():
+    # the cap's classes with a cut vertex, keyed by certificate in sorted
+    # order: the certificate bytes fix the order of the cap's rows
+    generate._composed(GENERATION_CAP)
+    certificates = generate._store[GENERATION_CAP, "cut"][0]
+    assert len(certificates) == 67_014
+    digest = hashlib.sha256(b"".join(bytes([len(c)]) + c for c in certificates))
+    assert digest.hexdigest() == (
+        "a87107c41c17d31b065e2c0b80535eedb6603d6ef83a432873caaaa6b5ce949a"
+    )
 
 
 def test_cap_classes_store_no_generators(monkeypatch):
