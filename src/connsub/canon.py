@@ -7,11 +7,31 @@ in graph6's bit order, is the canonical form.  Discovered automorphisms
 prune sibling branches, so highly symmetric graphs stay cheap.  Intended
 for n <= ~12.
 
-Each recorded automorphism keeps the mask of the vertices it fixes.  A
-search node keeps the automorphisms that fix its branch prefix and the
-images of its explored siblings under them; before each sibling it tests
-only the automorphisms recorded since the last one, one mask test each,
-so no node rescans the whole list.
+Refinement counts neighbours only in the cells that split in the round
+before.  Lemma: let every cell X of the ordered partition P have, at each of
+its vertices, the same number of neighbours in each cell of a partition Q
+that P refines.  A vertex's count in a cell of P that is also a cell of Q
+is then constant on X, and its count in the last fragment F_m of a cell
+F_1 + ... + F_m of Q is its count in that cell, constant on X, less its
+counts in F_1, ..., F_{m-1}.  So counts in those earlier fragments alone
+split X as the counts in every cell of P do, and order the fragments the
+same: two full count vectors first differ at a kept coordinate, since the
+constant ones never differ and F_m's differs only if an earlier
+sibling's does.  Q is the partition one round back; the first round counts
+in the unit cell (degrees) at the root, and in ``(v,)`` alone after ``v``
+is individualised, as the equitable partition it came from split only v's
+cell, into ``(v,)`` and the rest.  A vertex's counts are packed into one
+int, first splitter most significant, in fields of ``n.bit_length()`` bits:
+a count is at most n, so no field carries into the next and the order of
+the ints is the lexicographic order of the count vectors.
+
+A leaf with the first leaf's key records one automorphism, and a leaf with
+the best key one more once the best leaf is no longer the first, so no
+leaf records the same automorphism twice.  Each recorded automorphism keeps
+the mask of the vertices it fixes.  A search node keeps the automorphisms
+that fix its branch prefix and the images of its explored siblings under
+them; before each sibling it tests only the automorphisms recorded since
+the last one, one mask test each, so no node rescans the whole list.
 
 ``orbit`` is the one orbit closure: vertex orbits here, and ``generate``'s
 subset and colouring orbits, close under generators; no group is enumerated.
@@ -28,39 +48,41 @@ from .graphio import triangle_bits
 T = TypeVar("T", bound=Hashable)
 
 
-def _refine(adj: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _refine(
+    adj: tuple[int, ...], cells: list[tuple[int, ...]], splitters: list[int]
+) -> list[tuple[int, ...]]:
     """Refine an ordered partition to equitability.
 
-    Each cell is split by the vector of neighbor counts into every cell;
-    fragments are ordered by that invariant, which keeps the cell order
-    isomorphism-invariant.
+    Each round splits every cell by its vertices' neighbour counts in the
+    cells whose masks are ``splitters``, packed into one int with the first
+    splitter most significant; fragments are ordered by that int, which
+    keeps the cell order isomorphism-invariant.  The next round's splitters
+    are the fragments of this round's split cells, each cell's last one left
+    out (the lemma in the module docstring).
     """
-    while True:
-        masks = [0] * len(cells)
-        for i, cell in enumerate(cells):
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks[i] = m
+    width = len(adj).bit_length()
+    while splitters:
         new_cells: list[tuple[int, ...]] = []
-        changed = False
+        split: list[int] = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            sig: dict[tuple[int, ...], list[int]] = {}
+            sig: dict[int, list[int]] = {}
             for v in cell:
-                key = tuple((adj[v] & mk).bit_count() for mk in masks)
+                a = adj[v]
+                key = 0
+                for m in splitters:
+                    key = key << width | (a & m).bit_count()
                 sig.setdefault(key, []).append(v)
             if len(sig) == 1:
                 new_cells.append(cell)
-            else:
-                changed = True
-                for key in sorted(sig):
-                    new_cells.append(tuple(sig[key]))
-        cells = new_cells
-        if not changed:
-            return cells
+                continue
+            frags = [tuple(sig[key]) for key in sorted(sig)]
+            new_cells += frags
+            split += [sum(1 << v for v in frag) for frag in frags[:-1]]
+        cells, splitters = new_cells, split
+    return cells
 
 
 class _Canonizer:
@@ -76,7 +98,7 @@ class _Canonizer:
         self.fixes: list[int] = []
 
     def run(self) -> None:
-        self._search(_refine(self.adj, [tuple(range(self.n))]), 0)
+        self._search(_refine(self.adj, [tuple(range(self.n))], [(1 << self.n) - 1]), 0)
 
     def _search(self, cells: list[tuple[int, ...]], prefix: int) -> None:
         target = None
@@ -94,7 +116,8 @@ class _Canonizer:
             if self.best_key is None or key < self.best_key:
                 self.best_key = key
                 self.best_order = order
-            elif key == self.best_key and order != self.best_order:
+            elif key == self.best_key and self.best_order is not self.first_order:
+                # while the first leaf is the best, the test above recorded it
                 self._record(self.best_order, order)
             return
         cell = cells[target]
@@ -117,7 +140,7 @@ class _Canonizer:
                 continue
             rest = tuple(u for u in cell if u != v)
             child = cells[:target] + [(v,), rest] + cells[target + 1 :]
-            self._search(_refine(self.adj, child), prefix | 1 << v)
+            self._search(_refine(self.adj, child, [1 << v]), prefix | 1 << v)
             explored.append(v)
             images.update(a[v] for a in stab)
 

@@ -177,8 +177,9 @@ class _Class:
     its Aut-orbit, generators of Aut in canonical labels, its block list
     (``None``: its own single block) and, if glued, the pair it was glued from.
     Equal roots, vertex orders, permutations and generator lists are shared
-    between classes.  ``canonize`` may record a generator twice; it is kept
-    once, as every orbit closure pays for each generator."""
+    between classes.  Two leaf pairs of ``canonize``'s search may give the
+    same generator; it is kept once, as every orbit closure pays for each
+    generator."""
 
     __slots__ = ("key", "roots", "gens", "blocks", "pair")
 

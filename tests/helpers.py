@@ -100,3 +100,21 @@ def _group(gens, n):
                     group.add(q)
                     todo.append(q)
     return group
+
+
+def refine_oracle(adj, cells):
+    """Refine an ordered partition to equitability by each vertex's full
+    vector of neighbour counts, one per cell, fragments in the order of
+    their vectors: an oracle for ``canon._refine``, which counts only in the
+    cells that split the round before."""
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        new_cells = []
+        for cell in cells:
+            sig = {}
+            for v in cell:
+                sig.setdefault(tuple((adj[v] & m).bit_count() for m in masks), []).append(v)
+            new_cells += [tuple(sig[key]) for key in sorted(sig)]
+        if new_cells == cells:
+            return cells
+        cells = new_cells
