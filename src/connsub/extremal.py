@@ -11,10 +11,12 @@ catalog of columns: the class graphs, and beside them one array per value
 (k, F, min_v f, the mask of the vertices attaining it, girth, and whether
 it is a tree).  A search is a boolean mask over those columns and a minimum over
 the rows it keeps.  Counts do not depend on labels, so a catalog's graphs
-need not be canonically labeled (the classes with a cut vertex are not,
-and are glued only when read); a report glues, canonises and serialises
-only its minimizers and names each by its canonical graph6, with argmin
-vertices in canonical labels.
+need not be canonically labeled: the classes with a cut vertex are not,
+and are glued only when read, and a level of 2-connected classes that
+``generate`` has not labeled yet holds the children augmentation accepted,
+most of them unlabeled.  A report glues, canonises and serialises only its
+minimizers and names each by its canonical graph6, with argmin vertices in
+canonical labels.
 
 For the classes without a cut vertex every value is read off the census
 subset table, batched over classes with machine integers by
@@ -61,7 +63,7 @@ import numpy as np
 
 from . import decompose
 from .canon import canonize
-from .generate import GENERATION_CAP, _composed, block_classes
+from .generate import GENERATION_CAP, _augmented, _composed
 from .graph import Graph, bits
 from .graphio import serialize_graph6
 
@@ -322,7 +324,7 @@ class _Catalog:
         """Row i's canonical graph6 and its argmin vertices in canonical
         labels, canonised on first read: only minimizers are read."""
         if i not in self.names:
-            # the graph is unlabeled when it has a cut vertex
+            # the graph may be unlabeled (see the module docstring)
             _, canonical, pos, _, _ = canonize(self.graphs[i])
             argmin = tuple(sorted(pos[v] for v in bits(int(self.argmin[i]))))
             self.names[i] = serialize_graph6(canonical), argmin
@@ -344,7 +346,7 @@ def catalog(n: int, stratum: str) -> _Catalog:
     if stratum not in ("cut", "block"):
         raise ValueError("stratum must be 'cut' or 'block'")
     if (n, stratum) not in _catalog_cache:
-        graphs = block_classes(n) if stratum == "block" else _composed(n)
+        graphs = _augmented(n) if stratum == "block" else _composed(n)
         if not graphs:
             # no graph on one or two vertices has a cut vertex
             _catalog_cache[n, stratum] = _EMPTY

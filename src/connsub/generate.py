@@ -58,11 +58,13 @@ no set of seen children is needed.
 
 B(G) is Aut-invariant, so the deletion orbit lies inside it and m(G) is
 the least label of its orbit.  A child whose new vertex is not in B(G) is
-therefore rejected before it is labeled; otherwise one labeling gives
-m(G) as the least canonical label in B(G) and accepts iff that is the
-orbit root of the new vertex.  The parents' automorphism generators are
-read from their records, where their own labeling left them, so no parent
-is labeled again.
+therefore rejected before it is labeled.  A child with B(G) = {new} is
+accepted without a labeling: every automorphism maps B(G) onto itself, so
+it fixes the new vertex, which is then m(G) and its whole orbit.  Any
+other child is labeled once, which gives m(G) as the least canonical label
+in B(G), and accepted iff that is the orbit root of the new vertex.  The
+parents' automorphism generators are read from their records, where their
+own labeling left them, so no parent is labeled again.
 
 Every class below the cap has one record, a ``_Class``: its key, its
 orbit roots and Aut generators in canonical labels (as ``canonize`` gave
@@ -127,33 +129,42 @@ w, so its certificate is the concatenation of its sorted leaf codes,
 whose cut set lies within its root carries its bouquet there, and the
 gluing's bouquet is the sorted union of its parts', built without the tree.
 
-Every labeled class, in either stratum, is canonised by one step,
-``canon.canonize``: the canonical key and copy, and the orbit roots and
-automorphism generators of that same labeling, already in canonical labels,
-so nothing here translates them.  Composition labels nothing: it stores
-each level's classes with a cut vertex as a ``_Gluings``, the rooted parts
-(g1, r1, g2, r2) of each certificate's first gluing, glued when read, and
-``extremal`` evaluates them from the parts' counts.  The first read of a
-level's records (``classes_with_cut_vertices(n)`` below the cap, so also
+A class in either stratum is labeled only when a verdict or a record
+needs its labels, and then by one step, ``canon.canonize``: the canonical
+key and copy, and the orbit roots and automorphism generators of that same
+labeling, already in canonical labels, so nothing here translates them.
+Composition stores each level's classes with a cut vertex as a
+``_Gluings``, the rooted parts (g1, r1, g2, r2) of each certificate's first
+gluing, glued when read, and ``extremal`` evaluates them from the parts'
+counts.  Augmentation stores each level's accepted children: unlabeled if
+accepted by the singleton rule, else the canonical copy its verdict made,
+with that labeling's key, roots and generators below the cap; ``extremal``
+evaluates them as they are.  The first read of a level's records
+(``block_classes(n)`` or ``classes_with_cut_vertices(n)``, so also
 ``connected_classes(n)``, ``_rooted_parts(n)`` and augmenting n + 1)
 canonises each kept gluing, whose labels fix ``canonize``'s generators, and
-files the level by canonical key; each record keeps its pair.  Nothing
-reads the cap's records, so neither stratum keeps any there and its classes
-with a cut vertex are never labeled.
+each unlabeled child, and files the level by canonical key; each cut record
+keeps its pair.  Nothing reads the cap's records, so neither stratum keeps
+any there: its classes with a cut vertex are never labeled, and its
+children keep no labeling, so ``block_classes(GENERATION_CAP)``, which no
+search reads, labels each of them, those labeled for their verdict again.
 
 The classes live in one store, per vertex count and stratum ("cut" or
-"block"): keys in sorted order, with the graph and the record of each, or
-for a cut stratum not yet read, the parts of each keyed by certificate.  A
-certificate begins with a block's vertex count, below n, so it sorts
-before the canonical keys and ``connected_classes(GENERATION_CAP)`` is not
-in canonical-key order.  No level above the cap is generated, and
-``rooted_classes(n)`` reads the orbit roots of level n's records per call.
+"block"): keys in sorted order, with the graph and the record of each; for
+a cut stratum not yet read, the parts of each keyed by certificate; for a
+block stratum not yet read, no keys, its accepted children and, below the
+cap, each child's labeling (None if unlabeled).  A certificate begins with
+a block's vertex count, below n, so it sorts before the canonical keys and
+``connected_classes(GENERATION_CAP)`` is not in canonical-key order.  No
+level above the cap is generated, and ``rooted_classes(n)`` reads the orbit
+roots of level n's records per call.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator, Sequence
+from itertools import zip_longest
 from operator import itemgetter
 
 from .canon import canonize, orbit
@@ -231,8 +242,16 @@ class _Gluings(Sequence[Graph]):
         return glue(*self.pairs[i])
 
 
-# the class store (see above): (n, stratum) -> (sorted keys, graphs, records)
-_store: dict[tuple[int, str], tuple[tuple[bytes, ...], Sequence[Graph], tuple[_Class, ...]]] = {}
+# a child labeled for its verdict: its key, orbit roots and generators as
+# ``canonize`` gave them, beside its canonical copy
+_Label = tuple[bytes, bytes, list[tuple[int, ...]]]
+
+# the class store (see above): (n, stratum) -> (sorted keys, graphs, records),
+# or for a block stratum not yet read, ((), children, labelings)
+_store: dict[
+    tuple[int, str],
+    tuple[tuple[bytes, ...], Sequence[Graph], tuple[_Class, ...] | tuple[_Label | None, ...]],
+] = {}
 
 
 def _put(
@@ -247,18 +266,40 @@ def _put(
     return level
 
 
-def block_classes(n: int) -> tuple[Graph, ...]:
-    """The connected classes on n vertices without a cut vertex: K1, K2
-    and, for n >= 3, the 2-connected classes."""
+def _augmented(n: int) -> Sequence[Graph]:
+    """Level n's classes without a cut vertex: its accepted children,
+    unlabeled or labeled for their verdict, until the level is read (see
+    above); key-ordered once labeled."""
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"classes are generated for n in 1..{GENERATION_CAP}")
     if (n, "block") not in _store:
         if n <= 2:  # K1 and K2
-            key, seed, _, roots, auts = canonize(Graph(n, (0,) if n == 1 else (0b10, 0b01)))
-            _put(n, "block", {key: seed}, {key: _Class(key, roots, auts)})
+            level = (Graph(n, (0,) if n == 1 else (0b10, 0b01)),), (None,)
         else:
-            _put(n, "block", *_two_connected(n))
+            level = _two_connected(n)
+        _store[n, "block"] = ((), *level)
     return _store[n, "block"][1]
+
+
+def block_classes(n: int) -> tuple[Graph, ...]:
+    """The connected classes on n vertices without a cut vertex: K1, K2
+    and, for n >= 3, the 2-connected classes, canonically labeled in key
+    order; the first call labels the level and builds its records."""
+    level = _augmented(n)
+    keys, _, labels = _store[n, "block"]
+    if keys:
+        return level
+    graphs: dict[bytes, Graph] = {}
+    classes: dict[bytes, _Class] = {}
+    for g, label in zip_longest(level, labels):
+        if label is None:
+            key, g, _, roots, auts = canonize(g)
+        else:
+            key, roots, auts = label
+        graphs[key] = g
+        if n < GENERATION_CAP:
+            classes[key] = _Class(key, roots, auts)
+    return _put(n, "block", graphs, classes)
 
 
 def connected_classes(n: int) -> tuple[Graph, ...]:
@@ -271,13 +312,15 @@ def connected_classes(n: int) -> tuple[Graph, ...]:
     return tuple(g for _, g in heapq.merge(*strata, key=itemgetter(0)))
 
 
-def _two_connected(n: int) -> tuple[dict[bytes, Graph], dict[bytes, _Class]]:
-    """The canonical graph and, below the cap, the record, by canonical key,
-    of every 2-connected class on n >= 3 vertices, by canonical augmentation
-    (see the lemma above)."""
+def _two_connected(n: int) -> tuple[tuple[Graph, ...], tuple[_Label | None, ...]]:
+    """The accepted children of canonical augmentation on n >= 3 vertices,
+    one per 2-connected class (see the lemma above), and below the cap the
+    labeling of each: None for a child accepted by the singleton rule, which
+    is kept unlabeled; any other is labeled for its verdict and kept as its
+    canonical copy."""
     new = n - 1
-    graphs: dict[bytes, Graph] = {}
-    classes: dict[bytes, _Class] = {}
+    children: list[Graph] = []
+    labels: list[_Label | None] = []
     connected_classes(n - 1)  # stores both strata of the parents' level
     for stratum in ("block", "cut"):
         _, parents, records = _store[n - 1, stratum]
@@ -289,14 +332,18 @@ def _two_connected(n: int) -> tuple[dict[bytes, Graph], dict[bytes, _Class]]:
                 best = _deletion_candidates(adj, subset.bit_count())
                 if best is None:
                     continue
-                key, child, pos, roots, auts = canonize(Graph(n, tuple(adj)))
-                # m(child), the least canonical label in the Aut-invariant
-                # set ``best``, is the least label of its orbit
-                if roots[pos[new]] == min(pos[v] for v in best):
-                    graphs[key] = child
-                    if n < GENERATION_CAP:
-                        classes[key] = _Class(key, roots, auts)
-    return graphs, classes
+                child, label = Graph(n, tuple(adj)), None
+                if len(best) > 1:  # else B(child) = {new}: accepted unlabeled
+                    key, child, pos, roots, auts = canonize(child)
+                    # m(child), the least canonical label in the Aut-invariant
+                    # set ``best``, is the least label of its orbit
+                    if roots[pos[new]] != min(pos[v] for v in best):
+                        continue
+                    label = key, roots, auts
+                children.append(child)
+                if n < GENERATION_CAP:
+                    labels.append(label)
+    return tuple(children), tuple(labels)
 
 
 def _deletion_candidates(adj: list[int], size: int) -> list[int] | None:

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from operator import itemgetter
 
@@ -106,7 +107,7 @@ def test_block_classes_seed_k1_and_k2():
 
 def test_augmentation_canonisation_count(monkeypatch):
     # screening subsets, keeping one per Aut(parent) orbit and rejecting a
-    # child on its invariant keep the labelings near the class count (12,349
+    # child on its invariant keep the labelings near the class count (12,350
     # through n = 8); one per (parent, subset) is 116,146
     monkeypatch.setattr(generate, "_store", {})
     calls = 0
@@ -117,11 +118,78 @@ def test_augmentation_canonisation_count(monkeypatch):
         calls += 1
         return label(*args, **kwargs)
 
-    # every class and every augmented child is labeled by canon.canonize;
-    # parents' generators come from the store
+    # every class, and every augmented child with two or more deletion
+    # candidates, is labeled once by canon.canonize; parents' generators
+    # come from the store
     monkeypatch.setattr(canon, "canonical_labeling", counted)
     assert len(generate.connected_classes(8)) == CONNECTED_COUNTS[8]
     assert calls < 13_000
+
+
+def _deletion_set(adj):
+    """B(G) from its definition: the vertices of minimum degree whose
+    sorted neighbour degrees, then edge count among the neighbours, are
+    greatest."""
+    n = len(adj)
+    deg = [a.bit_count() for a in adj]
+
+    def invariant(v):
+        nbrs = [u for u in range(n) if adj[v] >> u & 1]
+        inner = sum(adj[x] >> y & 1 for x, y in combinations(nbrs, 2))
+        return sorted(deg[u] for u in nbrs), inner
+
+    low = [v for v in range(n) if deg[v] == min(deg)]
+    top = max(map(invariant, low))
+    return {v for v in low if invariant(v) == top}
+
+
+def test_unlabeled_verdicts_match_the_labeled_verdict():
+    # on every child at every level <= 8 whose new vertex is a deletion
+    # candidate, in augmentation's order, the labeled verdict accepts iff
+    # the new vertex lies in the orbit of m(G), the vertex of B(G) with the
+    # least canonical label: it accepts every child whose only deletion
+    # candidate is the new vertex, and augmentation keeps exactly the
+    # children it accepts
+    for n in range(3, 9):
+        new = n - 1
+        connected_classes(n - 1)
+        accepted, singletons = [], 0
+        for stratum in ("block", "cut"):
+            _, parents, records = generate._store[n - 1, stratum]
+            for parent, cls in zip(parents, records):
+                for s in generate._subset_orbit_reps(parent, cls.gens):
+                    adj = [a | 1 << new if s >> v & 1 else a for v, a in enumerate(parent.adj)]
+                    adj.append(s)
+                    best = generate._deletion_candidates(adj, s.bit_count())
+                    b = _deletion_set(adj)
+                    assert best == (sorted(b, key=lambda v: v != new) if new in b else None)
+                    if best is None:  # the orbit of m(G) lies in B(G)
+                        continue
+                    key, _, pos, roots, _ = canon.canonize(Graph(n, tuple(adj)))
+                    least = min(b, key=pos.__getitem__)
+                    verdict = roots[pos[new]] == roots[pos[least]]
+                    if best == [new]:
+                        assert verdict
+                        singletons += 1
+                    if verdict:
+                        accepted.append(key)
+        children, labels = generate._two_connected(n)
+        assert len(accepted) == TWO_CONNECTED_COUNTS[n] >= singletons
+        assert [canonical_key(g) for g in children] == accepted
+        # an unlabeled child keeps its labels, the new vertex last; a
+        # labeled one is its canonical copy with that labeling's key, orbit
+        # roots and generators
+        assert sum(label is None for label in labels) == singletons
+        for g, label in zip(children, labels, strict=True):
+            if label is None:
+                assert generate._deletion_candidates(list(g.adj), g.adj[new].bit_count()) == [new]
+            else:
+                key, roots, auts = label
+                again, _, _, roots_again, _ = canon.canonize(g)
+                assert (key, roots) == (again, roots_again)
+                assert all(g.relabel(a) == g for a in auts)
+    # at n = 8, 5,369 of the 7,352 children that pass the invariant screen
+    assert singletons == 5369
 
 
 def test_stored_generators_generate_each_class_group():
@@ -203,10 +271,15 @@ def test_cap_certificates_are_pinned():
 
 def test_cap_classes_store_no_generators(monkeypatch):
     # nothing augments or glues the cap, so neither stratum keeps records
-    # there; both keep them one level below, with generators (an asymmetric
-    # class has none)
+    # there, not even once read; both keep them one level below, with
+    # generators (an asymmetric class has none)
     monkeypatch.setattr(generate, "_store", {})
     monkeypatch.setattr(generate, "GENERATION_CAP", 7)
+    # the cap's accepted children keep no labeling, even those labeled for
+    # their verdict
+    assert len(generate._augmented(7)) == TWO_CONNECTED_COUNTS[7]
+    keys, _, labels = generate._store[7, "block"]
+    assert keys == labels == ()
     assert len(connected_classes(7)) == CONNECTED_COUNTS[7]
     for stratum in ("block", "cut"):
         assert any(cls.gens for cls in generate._store[6, stratum][2])
@@ -284,6 +357,68 @@ def test_block_class_search_skips_composing_its_level(monkeypatch):
     # every stored level is one of the two strata
     assert {stratum for _, stratum in generate._store} == {"block", "cut"}
     assert (8, "cut") not in generate._store
+
+
+def test_block_class_search_labels_only_undecided_children(monkeypatch):
+    # from an empty store the n = 8 search over 2-connected classes labels
+    # the levels below 8, the children with two or more deletion candidates
+    # and its minimiser, and builds no record at n = 8; the first read of
+    # block_classes(8) labels the rest and builds the 7,123 records, and a
+    # second read labels none
+    monkeypatch.setattr(generate, "_store", {})
+    monkeypatch.setattr(extremal, "_catalog_cache", {})
+    labeled, records = [], []
+    label = canon.canonical_labeling
+    init = generate._Class.__init__
+
+    def counted(g):
+        labeled.append(g.n)
+        return label(g)
+
+    def built(self, key, *args):
+        records.append(key[0])
+        init(self, key, *args)
+
+    monkeypatch.setattr(canon, "canonical_labeling", counted)
+    monkeypatch.setattr(generate._Class, "__init__", built)
+    report = search_min_F(ClassSpec(8, 0))
+    assert report.class_size == TWO_CONNECTED_COUNTS[8]
+    assert len(labeled) <= 3000
+    assert 8 not in records
+    unlabeled = generate._store[8, "block"][2].count(None)
+    # of the 7,352 children that pass the invariant screen, 5,369 are
+    # accepted unlabeled and the rest labeled for their verdict
+    assert unlabeled == 5369
+    assert labeled.count(8) == 7352 - unlabeled + len(report.minimizers)
+    labeled.clear()
+    assert len(generate.block_classes(8)) == TWO_CONNECTED_COUNTS[8]
+    assert labeled == [8] * unlabeled
+    assert records.count(8) == TWO_CONNECTED_COUNTS[8]
+    labeled.clear()
+    generate.block_classes(8)
+    assert labeled == []
+
+
+def test_block_reports_do_not_depend_on_when_the_level_is_labeled(monkeypatch):
+    # the catalog reads level 8's accepted children in augmentation's order
+    # if the level is not labeled yet, and in key order if it is; both
+    # objectives report the same either way
+    rooted_classes(7)
+    below = {level: entry for level, entry in generate._store.items() if level[0] < 8}
+    reports = {}
+    for read_first in (True, False):
+        monkeypatch.setattr(generate, "_store", dict(below))
+        monkeypatch.setattr(extremal, "_catalog_cache", {})
+        if read_first:
+            generate.block_classes(8)
+        for _ in range(2):  # the second pass after the level is read
+            for search in (search_min_F, search_min_vertex_subgraph_number):
+                report = replace(search(ClassSpec(8, 0)), wall_time_ms=0)
+                reports.setdefault(search, set()).add(report)
+            generate.block_classes(8)
+        rows = extremal.catalog(8, "block").graphs
+        assert (rows == generate.block_classes(8)) == read_first
+    assert [len(found) for found in reports.values()] == [1, 1]
 
 
 def test_cut_vertex_stratum_matches_filter():
