@@ -7,7 +7,8 @@ non-empty connected edge subset.  All counts are exact Python integers.
 
 Three counting routes are provided:
 
-* a vertex-subset dynamic program (polynomial in 2^n, n <= 13),
+* a vertex-subset table (n <= 13), the subset-convolution logarithm of
+  2^e(S) in O(n^2 2^n) array operations over prime residues,
 * a recursive enumerator growing connected edge sets from an anchor edge,
 * a naive loop over all 2^m edge subsets (the cross-check oracle, m <= 18).
 
@@ -21,21 +22,31 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Sequence
 
+import numpy as np
+
 from .graph import Graph, bits, map_mask
 
-# Routing limits for count queries.  The subset DP costs ~3^n, the
-# enumerator is linear in the number of subgraphs it visits, the naive
-# loop costs 2^m.  A near-tree (m - n <= 2) has up to 2^m + n <= 2^(n+2) + n
-# connected subgraphs (a star has 2^(n-1) + n - 1), well below the DP's 3^n:
-# the enumerator is about twice as fast at n = 13 and the only route above,
-# so near-trees go to the enumerator at any size.
+# Routing limits for count queries.  The subset DP costs O(n^2 2^n) array
+# operations whatever m is, the enumerator is linear in the number of
+# subgraphs it visits, the naive loop costs 2^m.  A near-tree (m - n <= 2)
+# has up to 2^m + n <= 2^(n+2) + n connected subgraphs (a star has
+# 2^(n-1) + n - 1), and the enumerator is the only route above n = 13, so
+# near-trees go to the enumerator at any size.  At n = 13 (a 2-CPU Xeon
+# host, Python 3.11, numpy 2.4) the enumerator takes 0.4 ms on the 13-cycle
+# against the DP's 5 ms, but 12 ms on the 13-star.
 _DP_MAX_N = 13
 _ENUM_MAX_M = 25
 _NAIVE_MAX_M = 18
+# moduli of the subset table: primes below 2^29, so that 2^3 residues sum
+# within uint32 and a step of the logarithm, below (n + 1) p^2 <= 14 p^2,
+# within int64; their product, about 2^87, covers the largest entry the
+# table can hold, 2^m <= 2^78 at n = 13
+_PRIMES = (536870909, 536870879, 536870869)
 
 
 class CensusLimitError(ValueError):
-    """Input too large for exact brute-force counting; decompose it first."""
+    """A graph past census's exact routes: the subset DP takes n <= 13 and
+    the enumerator m <= 25 (the edge-subset oracle m <= 18)."""
 
 
 def _req_mask(g: Graph, req: Collection[int]) -> int:
@@ -45,6 +56,71 @@ def _req_mask(g: Graph, req: Collection[int]) -> int:
             raise ValueError(f"required vertex {v} out of range")
         mask |= 1 << v
     return mask
+
+
+def _transform(x: np.ndarray, sign: int, first: int = 0) -> None:
+    """Zeta (sign 1) or Moebius (sign -1) transform, in place, over the bits
+    from ``first`` up of the subset that indexes each row of ``x``: row X
+    becomes the (signed) sum of the rows of the subsets of X that agree
+    with X below bit ``first``.  Nothing is reduced, so magnitudes grow by a
+    factor of at most 2 per bit."""
+    size, width = x.shape
+    half = 1 << first
+    while half < size:
+        pairs = x.reshape(size // (2 * half), 2, half * width)
+        upper = pairs[:, 1]
+        if sign > 0:
+            upper += pairs[:, 0]
+        else:
+            upper -= pairs[:, 0]
+        half *= 2
+
+
+def _log(z: np.ndarray, p: int) -> np.ndarray:
+    """The power-series logarithm mod ``p``, row by row, of residues
+    ``z[X, k]`` with ``z[X, 0] = 1``, times k: column k of the result is
+    d[k] = k z[k] - sum over 0 < j < k of d[j] z[k - j].  Each column starts
+    raised by a multiple of p above any such sum, (n + 1) p^2 < 2^62."""
+    width = z.shape[1]
+    d = z * np.arange(width)
+    d[:, 1:] += width * p * p
+    for k in range(1, width):
+        column = d[:, k]
+        column -= np.vecdot(d[:, 1:k], z[:, k - 1 : 0 : -1])
+        column %= p
+    return d
+
+
+def _table_mod(n: int, m: int, ecnt: np.ndarray, p: int) -> np.ndarray:
+    """``connected_set_table`` mod ``p``, a prime above n and below 2^29,
+    as residues."""
+    size = 1 << n
+    masks = np.arange(size)
+    rank = np.bitwise_count(masks)
+    # A block is the 2^low subsets that agree from bit ``low`` up.  Its
+    # transforms over the low bits and its logarithm run on an int64 copy of
+    # at most 2^10 rows while n <= 13, so no int64 array the size of the
+    # table is held.  The transforms over the top bits, at most 3, run on
+    # the whole table as uint32: 2^3 residues sum unreduced there, and a
+    # Moebius sum, read as int32, stays below 4p < 2^31 in magnitude.
+    low = max(n - 3, min(n, 10))
+    # ranked zeta of A(S) = 2^e(S): t[X, k] sums A(S) over S in X, |S| = k
+    t = np.zeros((size, n + 1), np.uint32)
+    t[masks, rank] = np.array([pow(2, e, p) for e in range(m + 1)], np.uint32)[ecnt]
+    _transform(t, 1, low)
+    for lo in range(0, size, 1 << low):
+        block = t[lo : lo + (1 << low)]
+        x = block.astype(np.int64)
+        _transform(x, 1)
+        x %= p
+        x = _log(x, p)
+        _transform(x, -1)
+        x %= p
+        block[:] = x
+    # ranked Moebius; the rank-|S| entry at S is |S| C(S) mod p
+    _transform(t, -1, low)
+    inverse = np.array([0, *(pow(k, -1, p) for k in range(1, n + 1))])
+    return t.view(np.int32)[masks, rank] * inverse[rank] % p
 
 
 def connected_set_table(g: Graph) -> list[int]:
@@ -58,44 +134,54 @@ def connected_set_table(g: Graph) -> list[int]:
         F(G)                     = sum over all S
         f_G(v)                   = sum over S containing v
         count with required set R = sum over S containing R
+
+    Splitting an edge subset of G[S] into its components gives
+    2^{e(S)} = sum over the set partitions of S of the product of the
+    table over the blocks, so the table is the subset-convolution logarithm
+    of A(S) = 2^{e(S)} (Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier
+    meets Moebius", STOC 2007): a ranked zeta transform of A, a power-series
+    logarithm at every subset, and a ranked Moebius transform, in
+    O(n^2 2^n) array operations.  That runs modulo primes of ``_PRIMES``
+    until their product exceeds 2^m, which bounds every entry (an entry
+    counts edge subsets of G[S]); Garner's mixed radix then gives each entry
+    exactly.  A prime list too short for the bound raises.
     """
-    n = g.n
+    n, m = g.n, g.m
     if n > _DP_MAX_N:
         raise CensusLimitError(f"subset table needs n <= {_DP_MAX_N}, got {n}")
-    adj = g.adj
-    size = 1 << n
-    # ecnt[S] = number of edges inside S
-    ecnt = [0] * size
-    for S in range(1, size):
-        low = S & -S
-        v = low.bit_length() - 1
-        rest = S ^ low
-        ecnt[S] = ecnt[rest] + (adj[v] & rest).bit_count()
-    npow = [1 << e for e in ecnt]
-
-    # Recurrence: splitting any edge subset of G[S] by the component of the
-    # lowest vertex v0 gives  2^{e(S)} = sum over T (v0 in T, T subseteq S) of
-    # table[T] * 2^{e(S minus T)}, with table[{v0}] = 1 covering the case
-    # where v0 is untouched by edges.
-    table = [0] * size
-    for v in range(n):
-        table[1 << v] = 1
-    for S in range(1, size):
-        low = S & -S
-        rest = S ^ low
-        if not rest:
-            continue
-        acc = 0
-        sub = (rest - 1) & rest
-        while True:
-            t = table[low | sub]
-            if t:
-                acc += t * npow[rest ^ sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        table[S] = npow[S] - acc
-    return table
+    moduli, covered = [], 1
+    for p in _PRIMES:
+        if covered > 1 << m:
+            break
+        moduli.append(p)
+        covered *= p
+    if covered <= 1 << m:
+        raise CensusLimitError(f"subset table residues cannot cover 2^{m}: too few primes")
+    masks = np.arange(1 << n)
+    # e(S) from e(S minus its top vertex v): add v's neighbours below it
+    ecnt = np.zeros(1 << n, np.intp)
+    for v in range(1, n):
+        below = 1 << v
+        np.add(ecnt[:below], np.bitwise_count(masks[:below] & g.adj[v]), out=ecnt[below : 2 * below])
+    # Garner: entry = x0 + p0 x1 + p0 p1 x2 + ... with digits x_i < p_i
+    digits = []
+    for p in moduli:
+        x = _table_mod(n, m, ecnt, p)
+        for q, y in zip(moduli, digits):
+            x = (x - y) % p * pow(q, -1, p) % p
+        digits.append(x)
+    if len(digits) > 1:
+        # the two lowest digits make one int64, below p0 p1 < 2^58
+        digits[:2] = [digits[0] + moduli[0] * digits[1]]
+        moduli[:2] = [moduli[0] * moduli[1]]
+    out = digits[0].tolist()
+    # a higher digit is nonzero only on the few entries above p0 p1
+    scale = moduli[0]
+    for x, p in zip(digits[1:], moduli[1:]):
+        for s in np.flatnonzero(x).tolist():
+            out[s] += scale * int(x[s])
+        scale *= p
+    return out
 
 
 def _count_from_table(table: Sequence[int], size: int, req_mask: int) -> int:
@@ -192,7 +278,8 @@ def _count(g: Graph, req: Collection[int]) -> int:
     if g.m <= _ENUM_MAX_M:
         return count_by_enumeration(g, req)
     raise CensusLimitError(
-        f"graph too large for brute-force counting (n={g.n}, m={g.m}); decompose it"
+        f"census counts graphs with n <= {_DP_MAX_N} (subset DP) or m <= {_ENUM_MAX_M}"
+        f" (enumerator), got n={g.n}, m={g.m}"
     )
 
 

@@ -1,3 +1,5 @@
+from math import comb, isqrt, prod
+
 import pytest
 from hypothesis import given
 
@@ -6,7 +8,7 @@ from connsub.families import build, parse_family_spec
 from connsub.generate import connected_classes
 from connsub.graph import Graph
 
-from helpers import enumerate_connected_subgraphs
+from helpers import enumerate_connected_subgraphs, subset_table_oracle
 from strategies import any_graphs, connected_graphs
 
 
@@ -15,6 +17,10 @@ def G(text):
 
 
 K1 = Graph.from_edges(1, [])
+
+
+def complete(n):
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 class TestTotals:
@@ -200,3 +206,52 @@ class TestLimits:
         edges = [(i, j) for i in range(16) for j in range(i + 1, 16)][:40]
         with pytest.raises(census.CensusLimitError):
             census.count_connected_subgraphs(Graph.from_edges(16, edges))
+
+
+class TestSubsetTable:
+    def test_every_small_class_matches_the_oracle(self):
+        for n in range(1, 8):
+            for g in connected_classes(n):
+                assert census.connected_set_table(g) == subset_table_oracle(g)
+
+    @given(any_graphs(max_n=10))
+    def test_random_graphs_match_the_oracle(self, g):
+        assert census.connected_set_table(g) == subset_table_oracle(g)
+
+    def test_complete_graphs_match_the_oracle(self):
+        for n in range(1, 13):
+            assert census.connected_set_table(complete(n)) == subset_table_oracle(complete(n))
+
+    @pytest.mark.parametrize("n", [11, 12, 13])
+    def test_complete_graph_counts(self, n):
+        # c_k connected labeled graphs on k vertices (OEIS A001187), by the
+        # component of vertex 1: c_k = 2^C(k,2) - sum C(k-1, j-1) c_j 2^C(k-j,2)
+        c = [0]
+        for k in range(1, n + 1):
+            c.append(2 ** comb(k, 2) - sum(comb(k - 1, j - 1) * c[j] * 2 ** comb(k - j, 2) for j in range(1, k)))
+        g = complete(n)
+        assert census.count_connected_subgraphs(g) == sum(comb(n, k) * c[k] for k in range(1, n + 1))
+        f = sum(comb(n - 1, k - 1) * c[k] for k in range(1, n + 1))
+        assert [census.subgraph_number(g, v) for v in (0, n - 1)] == [f, f]
+
+    def test_primes_cover_every_table(self):
+        for p in census._PRIMES:
+            assert census._DP_MAX_N < p < 1 << 29
+            assert all(p % d for d in range(2, isqrt(p) + 1))
+        # an entry counts edge subsets, so 2^m with m at most C(13, 2) bounds it
+        assert prod(census._PRIMES) > 1 << comb(census._DP_MAX_N, 2)
+
+    def test_too_few_primes_raise(self, monkeypatch):
+        # one 16-bit prime cannot hold K8's entries, which reach 2^28
+        monkeypatch.setattr(census, "_PRIMES", (65521,))
+        with pytest.raises(census.CensusLimitError):
+            census.count_connected_subgraphs(complete(8))
+        monkeypatch.setattr(census, "_PRIMES", census._PRIMES[:2])
+        with pytest.raises(census.CensusLimitError):
+            census.count_connected_subgraphs(complete(13))
+
+    def test_small_primes_that_cover_stay_exact(self, monkeypatch):
+        # two 16-bit primes cover 2^28: the residues combine exactly
+        want = subset_table_oracle(complete(8))
+        monkeypatch.setattr(census, "_PRIMES", (65521, 65519))
+        assert census.connected_set_table(complete(8)) == want

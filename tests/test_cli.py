@@ -81,6 +81,18 @@ class TestCount:
         rc, _, err = run(capsys, ["count", "--in", "/nonexistent/file"])
         assert rc == 2
 
+    def test_decompose_past_census_names_its_limits(self, capsys, monkeypatch):
+        # f(v) here needs census on a 14-vertex, 26-edge part
+        rc, _, err = run(
+            capsys,
+            ["count", "--in", "-", "--vertex", "0", "--method", "decompose"],
+            stdin="TNrTmad?G?_DO?O???G?C??K????_G?_K??F\n",
+            monkeypatch=monkeypatch,
+        )
+        assert rc == 2
+        assert "decompose it" not in err
+        assert "n <= 13" in err and "m <= 25" in err
+
     def test_both_checks_required_sets_by_enumeration(self, capsys, monkeypatch):
         # K5 is no near-tree, so census counts it by the DP, not the enumerator
         g6 = serialize_graph6(complete(5))

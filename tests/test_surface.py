@@ -8,7 +8,8 @@ import time
 from pathlib import Path
 
 import connsub
-from connsub import extremal
+from connsub import census, extremal
+from connsub.graph import Graph
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -59,3 +60,19 @@ def test_tracer_notes_a_traced_search(monkeypatch):
     metrics = tracer.metrics(wall_s)
     assert metrics["extremal.kernel_graphs"] > 0
     assert metrics["extremal.minimisers_rechecked"] == 1
+
+
+def test_each_census_query_builds_one_subset_table(monkeypatch):
+    # the tracer books census.connected_set_table as its census.dp span; a
+    # dense graph (m - n > 2, n <= 13) is counted from the table
+    g = Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j - i != 3])
+    real, calls = census.connected_set_table, []
+    monkeypatch.setattr(census, "connected_set_table", lambda h: calls.append(h) or real(h))
+    for query in (
+        lambda: census.count_connected_subgraphs(g),
+        lambda: census.subgraph_number(g, 0),
+        lambda: census.count_containing(g, (0, 3)),
+    ):
+        calls.clear()
+        query()
+        assert calls == [g]
