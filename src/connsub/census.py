@@ -24,7 +24,7 @@ from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .graph import Graph, bits, map_mask
+from .graph import Graph, bits
 
 # Routing limits for count queries.  The subset DP costs O(n^2 2^n) array
 # operations whatever m is, the enumerator is linear in the number of
@@ -32,8 +32,10 @@ from .graph import Graph, bits, map_mask
 # has up to 2^m + n <= 2^(n+2) + n connected subgraphs (a star has
 # 2^(n-1) + n - 1), and the enumerator is the only route above n = 13, so
 # near-trees go to the enumerator at any size.  At n = 13 (a 2-CPU Xeon
-# host, Python 3.11, numpy 2.4) the enumerator takes 0.4 ms on the 13-cycle
-# against the DP's 5 ms, but 12 ms on the 13-star.
+# host, Python 3.11, numpy 2.4; min of 20) the DP takes 4.4-4.6 ms on a
+# near-tree and the enumerator 0.06 ms on the 13-cycle, 1.0 ms on it with
+# chords 0-6 and 3-9, and 1.3 ms on the 13-star; a star with two or three
+# chords between its leaves (12.6k-22k subgraphs) still takes it 7-13 ms.
 _DP_MAX_N = 13
 _ENUM_MAX_M = 25
 _NAIVE_MAX_M = 18
@@ -198,29 +200,36 @@ def _walk(g: Graph, rmask: int, visit: Callable[[int, int], None]) -> None:
     Single vertices come first.  Edge sets are then grown from an anchor
     edge, extending only with eligible edges of larger index; extensions
     skipped at one branch are excluded from the whole subtree, so no set is
-    produced twice.
+    produced twice.  Each step adds one edge j, so the edges touching the
+    set (the frontier) grow by the edges at j's two ends, ``touch[j]``,
+    and ``banned`` holds the chosen edges, those below the anchor and the
+    extensions skipped so far: the candidates are ``frontier & ~banned``.
     """
     if rmask.bit_count() <= 1:
         for v in range(g.n):
             if rmask == 0 or rmask == 1 << v:
                 visit(0, 1 << v)
+    edges = g.edges
     inc = [0] * g.n  # vertex -> bitmask of incident edge indices
-    emask = []  # edge index -> vertex pair bitmask
-    for i, (u, v) in enumerate(g.edges):
+    for i, (u, v) in enumerate(edges):
         inc[u] |= 1 << i
         inc[v] |= 1 << i
-        emask.append(1 << u | 1 << v)
+    emask = [1 << u | 1 << v for u, v in edges]  # edge index -> its ends
+    touch = [inc[u] | inc[v] for u, v in edges]  # edge index -> edges at its ends
 
-    def grow(sel: int, vmask: int, banned: int, above: int) -> None:
+    def grow(sel: int, vmask: int, frontier: int, banned: int) -> None:
         if vmask & rmask == rmask:
             visit(sel, vmask)
-        taken = 0
-        for j in bits(map_mask(vmask, inc) & ~sel & ~banned & above):
-            grow(sel | 1 << j, vmask | emask[j], banned | taken, above)
-            taken |= 1 << j
+        cand = frontier & ~banned
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            banned |= low
+            j = low.bit_length() - 1
+            grow(sel | low, vmask | emask[j], frontier | touch[j], banned)
 
-    for i in range(len(emask)):
-        grow(1 << i, emask[i], 0, -1 << i + 1)
+    for i in range(len(edges)):
+        grow(1 << i, emask[i], touch[i], (1 << i + 1) - 1)
 
 
 def count_by_enumeration(g: Graph, req: Collection[int] = ()) -> int:

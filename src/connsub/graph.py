@@ -30,7 +30,7 @@ class DisconnectedGraphError(ValueError):
     """Raised when an operation that requires a connected graph gets one that is not."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on ``0..n-1``: bit v of ``adj[u]`` is set
     exactly when uv is an edge."""

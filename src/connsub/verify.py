@@ -90,15 +90,20 @@ def _edge_monotonicity_offence(n: int) -> str | None:
     """Deleting any edge strictly decreases the total count and every
     per-vertex count: the first edge whose deletion does not, or None."""
     for g in connected_classes(n):
-        F = census.count_connected_subgraphs(g)
-        fs = [census.subgraph_number(g, v) for v in range(n)]
+        F, *fs = _table_counts(g)
         for u, v in g.edges:
-            h = g.remove_edge(u, v)
-            if census.count_connected_subgraphs(h) >= F:
+            Fh, *fhs = _table_counts(g.remove_edge(u, v))
+            if Fh >= F:
                 return f"{serialize_graph6(g)} edge ({u},{v}) total"
-            if any(census.subgraph_number(h, x) >= fs[x] for x in range(n)):
+            if any(fh >= f for fh, f in zip(fhs, fs)):
                 return f"{serialize_graph6(g)} edge ({u},{v}) vertex count"
     return None
+
+
+def _table_counts(g: Graph) -> list[int]:
+    """F(g), then f(g, x) for every vertex x, all read from one subset table."""
+    table, size = census.connected_set_table(g), 1 << g.n
+    return [census._count_from_table(table, size, req) for req in (0, *(1 << x for x in range(g.n)))]
 
 
 def _cycle_pair_offence(n: int) -> str | None:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 from connsub import census, decompose, extremal
 from connsub.canon import canonical_labeling
-from connsub.graph import bits, blocks, cut_vertices, reach
+from connsub.graph import bits, blocks, cut_vertices, map_mask, reach
 
 
 def canonical_key(g):
@@ -41,6 +41,34 @@ def enumerate_connected_subgraphs(g, req, visitor):
         sum(1 << v for v in set(req)),
         lambda sel, vmask: visitor(tuple(bits(vmask)), tuple(edges[i] for i in bits(sel))),
     )
+
+
+def walk_oracle(g, rmask, visit):
+    """``census._walk`` with the extension set rebuilt at every node: the
+    edges touching the vertex set, less the chosen, the skipped and those
+    below the anchor edge.  It makes the same ``visit(edge_mask,
+    vertex_mask)`` calls in the same order."""
+    if rmask.bit_count() <= 1:
+        for v in range(g.n):
+            if rmask == 0 or rmask == 1 << v:
+                visit(0, 1 << v)
+    inc = [0] * g.n
+    emask = []
+    for i, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+        emask.append(1 << u | 1 << v)
+
+    def grow(sel, vmask, banned, above):
+        if vmask & rmask == rmask:
+            visit(sel, vmask)
+        taken = 0
+        for j in bits(map_mask(vmask, inc) & ~sel & ~banned & above):
+            grow(sel | 1 << j, vmask | emask[j], banned | taken, above)
+            taken |= 1 << j
+
+    for i in range(len(emask)):
+        grow(1 << i, emask[i], 0, -1 << i + 1)
 
 
 def subset_table_oracle(g):
