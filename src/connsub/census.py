@@ -8,7 +8,9 @@ non-empty connected edge subset.  All counts are exact Python integers.
 Three counting routes are provided:
 
 * a vertex-subset table (n <= 13), the subset-convolution logarithm of
-  2^e(S) in O(n^2 2^n) array operations over prime residues,
+  2^e(S) in O(n^2 2^n) int64 array operations modulo each of a few primes,
+  with e(S) from ``_edge_counts``, which ``extremal``'s batched tables
+  also call,
 * a recursive enumerator growing connected edge sets from an anchor edge,
 * a naive loop over all 2^m edge subsets (the cross-check oracle, m <= 18).
 
@@ -32,17 +34,18 @@ from .graph import Graph, bits
 # has up to 2^m + n <= 2^(n+2) + n connected subgraphs (a star has
 # 2^(n-1) + n - 1), and the enumerator is the only route above n = 13, so
 # near-trees go to the enumerator at any size.  At n = 13 (a 2-CPU Xeon
-# host, Python 3.11, numpy 2.4; min of 20) the DP takes 4.4-4.6 ms on a
+# host, Python 3.11, numpy 2.4; min of 20-30) the DP takes 3.6-4.0 ms on a
 # near-tree and the enumerator 0.06 ms on the 13-cycle, 1.0 ms on it with
 # chords 0-6 and 3-9, and 1.3 ms on the 13-star; a star with two or three
 # chords between its leaves (12.6k-22k subgraphs) still takes it 7-13 ms.
 _DP_MAX_N = 13
 _ENUM_MAX_M = 25
 _NAIVE_MAX_M = 18
-# moduli of the subset table: primes below 2^29, so that 2^3 residues sum
-# within uint32 and a step of the logarithm, below (n + 1) p^2 <= 14 p^2,
-# within int64; their product, about 2^87, covers the largest entry the
-# table can hold, 2^m <= 2^78 at n = 13
+# moduli of the subset table: primes below 2^29, so that in int64 the
+# unreduced transforms, sums of 2^n residues, stay below 2^13 p < 2^62 and a
+# step of the logarithm stays above -(n + 1) p^2 >= -14 p^2 > -2^63; their
+# product, about 2^87, covers the largest entry the table can hold,
+# 2^m <= 2^78 at n = 13
 _PRIMES = (536870909, 536870879, 536870869)
 
 
@@ -60,14 +63,13 @@ def _req_mask(g: Graph, req: Collection[int]) -> int:
     return mask
 
 
-def _transform(x: np.ndarray, sign: int, first: int = 0) -> None:
-    """Zeta (sign 1) or Moebius (sign -1) transform, in place, over the bits
-    from ``first`` up of the subset that indexes each row of ``x``: row X
-    becomes the (signed) sum of the rows of the subsets of X that agree
-    with X below bit ``first``.  Nothing is reduced, so magnitudes grow by a
-    factor of at most 2 per bit."""
+def _transform(x: np.ndarray, sign: int) -> None:
+    """Zeta (sign 1) or Moebius (sign -1) transform, in place, over the
+    subset that indexes each row of ``x``: row X becomes the (signed) sum of
+    the rows of the subsets of X.  Nothing is reduced, so magnitudes grow by
+    a factor of at most 2 per bit."""
     size, width = x.shape
-    half = 1 << first
+    half = 1
     while half < size:
         pairs = x.reshape(size // (2 * half), 2, half * width)
         upper = pairs[:, 1]
@@ -81,16 +83,20 @@ def _transform(x: np.ndarray, sign: int, first: int = 0) -> None:
 def _log(z: np.ndarray, p: int) -> np.ndarray:
     """The power-series logarithm mod ``p``, row by row, of residues
     ``z[X, k]`` with ``z[X, 0] = 1``, times k: column k of the result is
-    d[k] = k z[k] - sum over 0 < j < k of d[j] z[k - j].  Each column starts
-    raised by a multiple of p above any such sum, (n + 1) p^2 < 2^62."""
+    d[k] = k z[k] - sum over 0 < j < k of d[j] z[k - j].  Unreduced, a
+    column stays above -(n + 1) p^2; numpy's ``%`` makes it non-negative."""
     width = z.shape[1]
     d = z * np.arange(width)
-    d[:, 1:] += width * p * p
     for k in range(1, width):
         column = d[:, k]
         column -= np.vecdot(d[:, 1:k], z[:, k - 1 : 0 : -1])
         column %= p
     return d
+
+
+# rows of the table that one call of ``_log`` takes: its temporaries, not
+# the table, would otherwise set a table's memory peak
+_LOG_ROWS = 1 << 10
 
 
 def _table_mod(n: int, m: int, ecnt: np.ndarray, p: int) -> np.ndarray:
@@ -99,30 +105,30 @@ def _table_mod(n: int, m: int, ecnt: np.ndarray, p: int) -> np.ndarray:
     size = 1 << n
     masks = np.arange(size)
     rank = np.bitwise_count(masks)
-    # A block is the 2^low subsets that agree from bit ``low`` up.  Its
-    # transforms over the low bits and its logarithm run on an int64 copy of
-    # at most 2^10 rows while n <= 13, so no int64 array the size of the
-    # table is held.  The transforms over the top bits, at most 3, run on
-    # the whole table as uint32: 2^3 residues sum unreduced there, and a
-    # Moebius sum, read as int32, stays below 4p < 2^31 in magnitude.
-    low = max(n - 3, min(n, 10))
     # ranked zeta of A(S) = 2^e(S): t[X, k] sums A(S) over S in X, |S| = k
-    t = np.zeros((size, n + 1), np.uint32)
-    t[masks, rank] = np.array([pow(2, e, p) for e in range(m + 1)], np.uint32)[ecnt]
-    _transform(t, 1, low)
-    for lo in range(0, size, 1 << low):
-        block = t[lo : lo + (1 << low)]
-        x = block.astype(np.int64)
-        _transform(x, 1)
-        x %= p
-        x = _log(x, p)
-        _transform(x, -1)
-        x %= p
-        block[:] = x
+    t = np.zeros((size, n + 1), np.int64)
+    t[masks, rank] = np.array([pow(2, e, p) for e in range(m + 1)])[ecnt]
+    _transform(t, 1)
+    t %= p
+    for lo in range(0, size, _LOG_ROWS):
+        t[lo : lo + _LOG_ROWS] = _log(t[lo : lo + _LOG_ROWS], p)
     # ranked Moebius; the rank-|S| entry at S is |S| C(S) mod p
-    _transform(t, -1, low)
+    _transform(t, -1)
     inverse = np.array([0, *(pow(k, -1, p) for k in range(1, n + 1))])
-    return t.view(np.int32)[masks, rank] * inverse[rank] % p
+    return t[masks, rank] % p * inverse[rank] % p
+
+
+def _edge_counts(adj: np.ndarray) -> np.ndarray:
+    """e(S) for every vertex subset S of each graph, as ``[subset, graph]``,
+    from the graphs' adjacency masks as ``[vertex, graph]`` (int64)."""
+    n, cnt = adj.shape
+    masks = np.arange(1 << n)[:, None]
+    ecnt = np.zeros((1 << n, cnt), np.int64)
+    # e(S) from e(S minus its top vertex v): add v's neighbours below it
+    for v in range(1, n):
+        below = 1 << v
+        np.add(ecnt[:below], np.bitwise_count(masks[:below] & adj[v]), out=ecnt[below : 2 * below])
+    return ecnt
 
 
 def connected_set_table(g: Graph) -> list[int]:
@@ -159,12 +165,7 @@ def connected_set_table(g: Graph) -> list[int]:
         covered *= p
     if covered <= 1 << m:
         raise CensusLimitError(f"subset table residues cannot cover 2^{m}: too few primes")
-    masks = np.arange(1 << n)
-    # e(S) from e(S minus its top vertex v): add v's neighbours below it
-    ecnt = np.zeros(1 << n, np.intp)
-    for v in range(1, n):
-        below = 1 << v
-        np.add(ecnt[:below], np.bitwise_count(masks[:below] & g.adj[v]), out=ecnt[below : 2 * below])
+    ecnt = _edge_counts(np.asarray(g.adj, np.int64)[:, None])[:, 0]
     # Garner: entry = x0 + p0 x1 + p0 p1 x2 + ... with digits x_i < p_i
     digits = []
     for p in moduli:
@@ -172,12 +173,8 @@ def connected_set_table(g: Graph) -> list[int]:
         for q, y in zip(moduli, digits):
             x = (x - y) % p * pow(q, -1, p) % p
         digits.append(x)
-    if len(digits) > 1:
-        # the two lowest digits make one int64, below p0 p1 < 2^58
-        digits[:2] = [digits[0] + moduli[0] * digits[1]]
-        moduli[:2] = [moduli[0] * moduli[1]]
     out = digits[0].tolist()
-    # a higher digit is nonzero only on the few entries above p0 p1
+    # a higher digit is nonzero only on the few entries at or above p0
     scale = moduli[0]
     for x, p in zip(digits[1:], moduli[1:]):
         for s in np.flatnonzero(x).tolist():

@@ -23,9 +23,8 @@ subset table, batched over classes with machine integers by
 ``evaluate_counts``.  Every count the kernel forms, table entries and
 their partial sums F, f(v) and f(x, y) alike, is at most
 sum_S 2^{e(S)} <= 2^{n+m}, so int64 arithmetic is exact whenever
-n + m <= 62; the kernel checks that bound on every batch, counting the
-edges in the adjacency array it builds anyway, and refuses a batch that
-breaks it.
+n + m <= 62; the kernel checks that bound on every batch, reading m off
+the e(S) table it builds anyway, and refuses a batch that breaks it.
 
 The classes with a cut vertex never reach the kernel.  ``generate`` keeps
 each as the rooted parts (G1, r1), (G2, r2) of one gluing, at every n, and
@@ -63,6 +62,7 @@ import numpy as np
 
 from . import decompose
 from .canon import canonize
+from .census import _edge_counts
 from .generate import GENERATION_CAP, _augmented, _composed
 from .graph import Graph, bits
 from .graphio import serialize_graph6
@@ -145,27 +145,19 @@ def _check_exact(worst: int) -> None:
 
 
 def _tables(graphs: Sequence[Graph]) -> np.ndarray:
-    """Census subset tables stored subset-major, as ``[subset, graph]``."""
+    """Census subset tables stored subset-major, as ``[subset, graph]``, by
+    the recurrence of ``_schedule`` over 2^e(S), with e(S) from census."""
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("batch must share a vertex count")
     if n > _TABLE_MAX_N:
         raise ValueError(f"batched tables support n <= {_TABLE_MAX_N} only")
-    adj = np.asarray([g.adj for g in graphs], dtype=np.int64).T
-    # every edge is counted from both of its ends
-    _check_exact(int(np.bitwise_count(adj).sum(axis=0).max()) // 2 + n)
-    cnt = len(graphs)
-    size = 1 << n
-    ecnt = np.zeros((size, cnt), dtype=np.int64)
-    for S in range(1, size):
-        low = S & -S
-        rest = S ^ low
-        if rest:
-            v = low.bit_length() - 1
-            ecnt[S] = ecnt[rest] + np.bitwise_count(adj[v] & rest)
+    ecnt = _edge_counts(np.asarray([g.adj for g in graphs], dtype=np.int64).T)
+    # the row of the full vertex set holds each graph's m
+    _check_exact(int(ecnt[-1].max()) + n)
     # 2^e(S), written over e(S): one 2^n-row array fewer held at once
     npow = np.left_shift(1, ecnt, out=ecnt)
-    table = np.zeros((size, cnt), dtype=np.int64)
+    table = np.zeros_like(npow)
     for v in range(n):
         table[1 << v] = 1
     for S, ts, rs in _schedule(n):

@@ -28,13 +28,15 @@ def triangle_bits(adj: tuple[int, ...], order: Sequence[int]) -> int:
 
 
 def serialize_graph6(g: Graph) -> str:
+    # n <= 62 in one character, above it the long form: '~' then 18 bits of n
+    size = chr(63 + g.n)
     if g.n > 62:
-        raise FormatError(f"short-form graph6 supports n <= 62, got {g.n}")
+        size = "~" + "".join(chr(63 + (g.n >> s & 63)) for s in (12, 6, 0))
     nbits = g.n * (g.n - 1) // 2
     pad = -nbits % 6
     bits = triangle_bits(g.adj, range(g.n)) << pad
     letters = (chr(63 + (bits >> s & 63)) for s in range(nbits + pad - 6, -1, -6))
-    return chr(63 + g.n) + "".join(letters)
+    return size + "".join(letters)
 
 
 def parse_graph6(text: str) -> Graph:

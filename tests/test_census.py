@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb, isqrt, prod
 
 import pytest
@@ -247,8 +248,26 @@ class TestSubsetTable:
         assert census.connected_set_table(g) == subset_table_oracle(g)
 
     def test_complete_graphs_match_the_oracle(self):
-        for n in range(1, 13):
+        for n in range(1, 14):
             assert census.connected_set_table(complete(n)) == subset_table_oracle(complete(n))
+
+    def test_a_table_on_every_prime_matches_the_oracle(self):
+        # K13 less a matching of 6 edges: m = 72, so every digit is read
+        g = Graph.from_edges(13, [e for e in complete(13).edges if e[1] != e[0] + 1 or e[0] % 2])
+        assert g.m == 72 and prod(census._PRIMES[:2]) < 1 << g.m
+        assert census.connected_set_table(g) == subset_table_oracle(g)
+
+    def test_a_table_peaks_below_two_megabytes(self):
+        # about 1.4 MB with the logarithm taken 2^10 rows at a time, 2.2 MB
+        # with it over the whole 2^13-row table: its temporaries set the peak
+        g = complete(13)
+        tracemalloc.start()
+        try:
+            census.connected_set_table(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     @pytest.mark.parametrize("n", [11, 12, 13])
     def test_complete_graph_counts(self, n):
@@ -268,6 +287,10 @@ class TestSubsetTable:
             assert all(p % d for d in range(2, isqrt(p) + 1))
         # an entry counts edge subsets, so 2^m with m at most C(13, 2) bounds it
         assert prod(census._PRIMES) > 1 << comb(census._DP_MAX_N, 2)
+        # int64 bounds: an unreduced transform sums 2^n residues, and a step
+        # of the logarithm subtracts up to n + 1 products of two
+        assert (1 << census._DP_MAX_N) * max(census._PRIMES) < 2**62
+        assert (census._DP_MAX_N + 1) * max(census._PRIMES) ** 2 < 2**63
 
     def test_too_few_primes_raise(self, monkeypatch):
         # one 16-bit prime cannot hold K8's entries, which reach 2^28
@@ -282,4 +305,7 @@ class TestSubsetTable:
         # two 16-bit primes cover 2^28: the residues combine exactly
         want = subset_table_oracle(complete(8))
         monkeypatch.setattr(census, "_PRIMES", (65521, 65519))
+        assert census.connected_set_table(complete(8)) == want
+        # three 10-bit primes: two higher digits on top of the first
+        monkeypatch.setattr(census, "_PRIMES", (1021, 1019, 1013))
         assert census.connected_set_table(complete(8)) == want

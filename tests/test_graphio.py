@@ -69,9 +69,13 @@ class TestGraph6:
         g = parse_graph6(prefix + body)
         assert g.n == 63 and g.m == 0
 
-    def test_serialize_rejects_over_62(self):
-        with pytest.raises(FormatError):
-            serialize_graph6(Graph.from_edges(63, []))
+    def test_long_form_round_trips(self):
+        # past n = 62, '~' then n in three 6-bit characters
+        for n, size in ((63, "~??~"), (64, "~?@?")):
+            g = Graph.from_edges(n, [(i, (3 * i + 1) % n) for i in range(n) if (3 * i + 1) % n != i])
+            text = serialize_graph6(g)
+            assert text.startswith(size)
+            assert parse_graph6(text) == g
 
     @pytest.mark.parametrize(
         "bad",
