@@ -5,42 +5,40 @@ induced on ``V'``; single vertices count, the empty graph does not.  With two
 or more vertices such a subgraph has no isolated vertex, so it is exactly a
 non-empty connected edge subset.  All counts are exact Python integers.
 
-Three counting routes are provided:
+Two exact counting routes are provided:
 
 * a vertex-subset table (n <= 13), the subset-convolution logarithm of
   2^e(S) in O(n^2 2^n) int64 array operations modulo each of a few primes,
   with e(S) from ``_edge_counts``, which ``extremal``'s batched tables
   also call,
-* a recursive enumerator growing connected edge sets from an anchor edge,
-* a naive loop over all 2^m edge subsets (the cross-check oracle, m <= 18).
+* a recursive enumerator growing connected edge sets from an anchor edge
+  (m <= 25).
 
-The count queries take one of the first two: the subset DP when n <= 13
-and m - n > 2, otherwise the enumerator, which refuses m > 25.  On a
-near-tree (m - n <= 2), then, a query and ``count_by_enumeration`` are one
-route, and only the edge-subset loop checks them independently.
+``routes(g)`` lists the routes that take a graph, the table first when
+m - n > 2 and the enumerator first on a near-tree (m - n <= 2); the count
+queries take the first, and a check of them the next, where one takes it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, bits
+from .graph import Graph
 
 # Routing limits for count queries.  The subset DP costs O(n^2 2^n) array
-# operations whatever m is, the enumerator is linear in the number of
-# subgraphs it visits, the naive loop costs 2^m.  A near-tree (m - n <= 2)
-# has up to 2^m + n <= 2^(n+2) + n connected subgraphs (a star has
-# 2^(n-1) + n - 1), and the enumerator is the only route above n = 13, so
-# near-trees go to the enumerator at any size.  At n = 13 (a 2-CPU Xeon
-# host, Python 3.11, numpy 2.4; min of 20-30) the DP takes 3.6-4.0 ms on a
-# near-tree and the enumerator 0.06 ms on the 13-cycle, 1.0 ms on it with
-# chords 0-6 and 3-9, and 1.3 ms on the 13-star; a star with two or three
-# chords between its leaves (12.6k-22k subgraphs) still takes it 7-13 ms.
+# operations whatever m is, and the enumerator is linear in the number of
+# subgraphs it visits.  A near-tree (m - n <= 2) has up to 2^m + n <=
+# 2^(n+2) + n connected subgraphs (a star has 2^(n-1) + n - 1), and the
+# enumerator is the only route above n = 13, so near-trees go to the
+# enumerator at any size.  At n = 13 (a 2-CPU Xeon host, Python 3.11,
+# numpy 2.4; min of 20-30) the DP takes 3.6-4.0 ms on a near-tree and the
+# enumerator 0.06 ms on the 13-cycle, 1.0 ms on it with chords 0-6 and 3-9,
+# and 1.3 ms on the 13-star; a star with two or three chords between its
+# leaves (12.6k-22k subgraphs) still takes it 7-13 ms.
 _DP_MAX_N = 13
 _ENUM_MAX_M = 25
-_NAIVE_MAX_M = 18
 # moduli of the subset table: primes below 2^29, so that in int64 the
 # unreduced transforms, sums of 2^n residues, stay below 2^13 p < 2^62 and a
 # step of the logarithm stays above -(n + 1) p^2 >= -14 p^2 > -2^63; their
@@ -51,7 +49,7 @@ _PRIMES = (536870909, 536870879, 536870869)
 
 class CensusLimitError(ValueError):
     """A graph past census's exact routes: the subset DP takes n <= 13 and
-    the enumerator m <= 25 (the edge-subset oracle m <= 18)."""
+    the enumerator m <= 25."""
 
 
 def _req_mask(g: Graph, req: Collection[int]) -> int:
@@ -189,6 +187,11 @@ def _count_from_table(table: Sequence[int], size: int, req_mask: int) -> int:
     return sum(table[S] for S in range(size) if S & req_mask == req_mask)
 
 
+def _table_count(g: Graph, req: Collection[int]) -> int:
+    rmask = _req_mask(g, req)
+    return _count_from_table(connected_set_table(g), 1 << g.n, rmask)
+
+
 def _walk(g: Graph, rmask: int, visit: Callable[[int, int], None]) -> None:
     """Call ``visit(edge_mask, vertex_mask)`` once for every connected
     subgraph whose vertex set contains ``rmask``; bit i of ``edge_mask``
@@ -243,50 +246,38 @@ def count_by_enumeration(g: Graph, req: Collection[int] = ()) -> int:
     return total
 
 
-def count_by_edge_subsets(g: Graph, req: Collection[int] = ()) -> int:
-    """Independent oracle: loop over all 2^m edge subsets with a direct
-    connectivity check.  Exponential; kept only to cross-check conventions.
-    """
-    m = g.m
-    if m > _NAIVE_MAX_M:
-        raise CensusLimitError(f"naive subset loop needs m <= {_NAIVE_MAX_M}, got {m}")
-    rmask = _req_mask(g, req)
-    emask = [(1 << u) | (1 << v) for u, v in g.edges]
-    count = 0
-    if rmask.bit_count() <= 1:
-        count += g.n if rmask == 0 else 1
-    for sub in range(1, 1 << m):
-        chosen = [emask[j] for j in bits(sub)]
-        vmask = 0
-        for em in chosen:
-            vmask |= em
-        if vmask & rmask != rmask:
-            continue
-        # BFS over selected edges only
-        reached = vmask & -vmask
-        while True:
-            grown = reached
-            for em in chosen:
-                if em & grown:
-                    grown |= em
-            if grown == reached:
-                break
-            reached = grown
-        if reached == vmask:
-            count += 1
-    return count
+class Route(NamedTuple):
+    """An exact counting route: its name, its test of a graph, its count."""
+
+    name: str
+    takes: Callable[[Graph], bool]
+    count: Callable[[Graph, Collection[int]], int]
+
+
+# both counts look their route up in the module when called, so a wrapper
+# set on ``connected_set_table`` or ``count_by_enumeration`` sees each call
+_ROUTES = (
+    Route("table", lambda g: g.n <= _DP_MAX_N, _table_count),
+    Route("enumerate", lambda g: g.m <= _ENUM_MAX_M, lambda g, req: count_by_enumeration(g, req)),
+)
+
+
+def routes(g: Graph) -> list[Route]:
+    """The routes that take ``g``, in the order census prefers them: the
+    table first when m - n > 2, the enumerator first on a near-tree."""
+    order = _ROUTES if g.m - g.n > 2 else _ROUTES[::-1]
+    return [route for route in order if route.takes(g)]
 
 
 def _count(g: Graph, req: Collection[int]) -> int:
-    rmask = _req_mask(g, req)
-    if g.n <= _DP_MAX_N and g.m - g.n > 2:
-        return _count_from_table(connected_set_table(g), 1 << g.n, rmask)
-    if g.m <= _ENUM_MAX_M:
-        return count_by_enumeration(g, req)
-    raise CensusLimitError(
-        f"census counts graphs with n <= {_DP_MAX_N} (subset DP) or m <= {_ENUM_MAX_M}"
-        f" (enumerator), got n={g.n}, m={g.m}"
-    )
+    taken = routes(g)
+    if not taken:
+        _req_mask(g, req)  # a bad vertex is reported before the limit, as a route does
+        raise CensusLimitError(
+            f"census counts graphs with n <= {_DP_MAX_N} (subset DP) or m <= {_ENUM_MAX_M}"
+            f" (enumerator), got n={g.n}, m={g.m}"
+        )
+    return taken[0].count(g, req)
 
 
 def count_connected_subgraphs(g: Graph) -> int:

@@ -25,7 +25,7 @@ from .extremal import (
     search_min_F,
     search_min_vertex_subgraph_number,
 )
-from .graph import Graph, is_connected
+from .graph import Graph, cut_vertices, is_connected
 from .graphio import FormatError, parse_edge_list, parse_graph6, export_dot, serialize_graph6
 
 
@@ -50,8 +50,30 @@ def _read_graphs(path: str, fmt: str) -> list[Graph]:
         raise ValueError(f"bad input: {exc}") from exc
 
 
+def _decomposed(g: Graph, req: tuple[int, ...]) -> int:
+    """A decomposition rule's count, or census's where no rule covers ``req``."""
+    if len(req) >= 2:
+        return census.count_containing(g, req)
+    if req:
+        return decompose.subgraph_number_via_decomposition(g, req[0])
+    return decompose.count_via_decomposition(g)
+
+
+def _second_count(g: Graph, req: tuple[int, ...]) -> tuple[str, int]:
+    """``--method both``'s second value and its route: census's other route
+    where decomposition would only repeat census (no cut vertex) or has no
+    rule (two or more required vertices), else decomposition, or the
+    enumerator for two or more required vertices."""
+    others = census.routes(g)[1:]
+    if others and (len(req) >= 2 or not cut_vertices(g)):
+        return others[0].name, others[0].count(g, req)
+    if len(req) >= 2:
+        return "enumerate", census.count_by_enumeration(g, req)
+    return "decompose", _decomposed(g, req)
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
-    graphs = _read_graphs(args.infile, args.format)
+    # the flags are read before the input, so a usage error comes first
     req: tuple[int, ...] = ()
     if args.vertex is not None and args.containing is not None:
         raise ValueError("--vertex and --containing are mutually exclusive")
@@ -62,29 +84,20 @@ def _cmd_count(args: argparse.Namespace) -> int:
             req = tuple(int(x) for x in args.containing.split(",") if x != "")
         except ValueError as exc:
             raise ValueError(f"bad --containing list: {exc}") from exc
-    # with two or more required vertices, --method both checks by enumeration
-    second = "enumerate" if len(req) >= 2 else "decompose"
+    graphs = _read_graphs(args.infile, args.format)
     status = 0
     for g in graphs:
-        values = []
-        if args.method in ("brute", "both"):
-            values.append(census.count_containing(g, req))
-        if args.method in ("decompose", "both"):
-            if not req:
-                values.append(decompose.count_via_decomposition(g))
-            elif len(req) == 1:
-                values.append(decompose.subgraph_number_via_decomposition(g, req[0]))
-            elif args.method == "both":
-                # no decomposition rule is exposed for general required sets;
-                # the enumerator checks census there (census takes it itself
-                # only on near-trees)
-                values.append(census.count_by_enumeration(g, req))
-            else:
-                values.append(census.count_containing(g, req))
-        print(" ".join(str(v) for v in values))
-        if args.method == "both" and values[0] != values[1]:
-            print(f"MISMATCH brute={values[0]} {second}={values[1]}", file=sys.stderr)
-            status = 1
+        if args.method == "decompose":
+            print(_decomposed(g, req))
+        elif args.method == "brute":
+            print(census.count_containing(g, req))
+        else:
+            brute = census.count_containing(g, req)
+            route, second = _second_count(g, req)
+            print(brute, second)
+            if brute != second:
+                print(f"MISMATCH brute={brute} {route}={second}", file=sys.stderr)
+                status = 1
     return status
 
 
@@ -151,16 +164,9 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
     graphs = _read_graphs(args.infile, args.format)
     status = 0
     for g in graphs:
-        results = {}
-        results["census"] = census.count_connected_subgraphs(g)
-        try:
-            results["enumerate"] = census.count_by_enumeration(g)
-        except census.CensusLimitError:
-            pass
-        try:
-            results["subsets"] = census.count_by_edge_subsets(g)
-        except census.CensusLimitError:
-            pass
+        results = {"census": census.count_connected_subgraphs(g)}
+        for route in census.routes(g):
+            results[route.name] = route.count(g, ())
         if is_connected(g):
             results["decompose"] = decompose.count_via_decomposition(g)
         values = set(results.values())

@@ -71,6 +71,43 @@ def walk_oracle(g, rmask, visit):
         grow(1 << i, emask[i], 0, -1 << i + 1)
 
 
+_NAIVE_MAX_M = 18
+
+
+def count_by_edge_subsets(g, req=()):
+    """Independent oracle: loop over all 2^m edge subsets with a direct
+    connectivity check.  Exponential; kept only to cross-check conventions.
+    """
+    m = g.m
+    if m > _NAIVE_MAX_M:
+        raise census.CensusLimitError(f"naive subset loop needs m <= {_NAIVE_MAX_M}, got {m}")
+    rmask = census._req_mask(g, req)
+    emask = [(1 << u) | (1 << v) for u, v in g.edges]
+    count = 0
+    if rmask.bit_count() <= 1:
+        count += g.n if rmask == 0 else 1
+    for sub in range(1, 1 << m):
+        chosen = [emask[j] for j in bits(sub)]
+        vmask = 0
+        for em in chosen:
+            vmask |= em
+        if vmask & rmask != rmask:
+            continue
+        # BFS over selected edges only
+        reached = vmask & -vmask
+        while True:
+            grown = reached
+            for em in chosen:
+                if em & grown:
+                    grown |= em
+            if grown == reached:
+                break
+            reached = grown
+        if reached == vmask:
+            count += 1
+    return count
+
+
 def subset_table_oracle(g):
     """``census.connected_set_table`` by the direct recurrence over about
     3^n / 2 subset pairs.  Splitting an edge subset of G[S] by the component

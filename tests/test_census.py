@@ -9,7 +9,12 @@ from connsub.families import build, parse_family_spec
 from connsub.generate import connected_classes
 from connsub.graph import Graph
 
-from helpers import enumerate_connected_subgraphs, subset_table_oracle, walk_oracle
+from helpers import (
+    count_by_edge_subsets,
+    enumerate_connected_subgraphs,
+    subset_table_oracle,
+    walk_oracle,
+)
 from strategies import any_graphs, connected_graphs
 
 
@@ -152,11 +157,11 @@ class TestRouteAgreement:
             for g in connected_classes(n):
                 table = census.count_connected_subgraphs(g)
                 assert table == census.count_by_enumeration(g)
-                assert table == census.count_by_edge_subsets(g)
+                assert table == count_by_edge_subsets(g)
                 for v in range(n):
                     fv = census.subgraph_number(g, v)
                     assert fv == census.count_by_enumeration(g, (v,))
-                    assert fv == census.count_by_edge_subsets(g, (v,))
+                    assert fv == count_by_edge_subsets(g, (v,))
 
     @given(any_graphs(max_n=10))
     def test_random_graphs_all_routes(self, g):
@@ -166,7 +171,7 @@ class TestRouteAgreement:
         for req in req_options:
             a = census.count_containing(g, req)
             assert a == census.count_by_enumeration(g, req)
-            assert a == census.count_by_edge_subsets(g, req)
+            assert a == count_by_edge_subsets(g, req)
 
     @given(connected_graphs(max_n=10, max_extra=4))
     def test_random_connected_dp_vs_enumeration(self, g):
@@ -219,13 +224,24 @@ class TestInvariants:
                             assert got > cyc_max
 
 
-class TestLimits:
+class TestEdgeSubsetOracle:
     def test_naive_limit(self):
-        assert census.count_by_edge_subsets(G("C:n=10")) == 101
+        assert count_by_edge_subsets(G("C:n=10")) == 101
         dense = [(i, j) for i in range(8) for j in range(i + 1, 8)][:20]
         with pytest.raises(census.CensusLimitError):
-            census.count_by_edge_subsets(Graph.from_edges(8, dense))
+            count_by_edge_subsets(Graph.from_edges(8, dense))
 
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_cycles_past_the_table(self, n):
+        # 2-connected near-trees above 13 vertices: only the enumerator takes
+        # them, so no other census route checks F, f(0) or a pair count
+        g = G(f"C:n={n}")
+        assert [r.name for r in census.routes(g)] == ["enumerate"]
+        for req in ((), (0,), (0, n // 2)):
+            assert census.count_containing(g, req) == count_by_edge_subsets(g, req)
+
+
+class TestLimits:
     def test_large_sparse_uses_enumeration(self):
         g = G("C:n=20")
         assert census.count_connected_subgraphs(g) == 401

@@ -107,6 +107,27 @@ class TestCount:
         assert out.split()[1] == "0" and err.startswith("MISMATCH ")
         assert err == f"MISMATCH brute={out.split()[0]} enumerate=0\n"
 
+    @pytest.mark.parametrize(
+        "flags, req",
+        [([], ()), (["--vertex", "0"], (0,)), (["--containing", "0,3"], (0, 3))],
+        ids=["total", "vertex", "pair"],
+    )
+    def test_both_checks_a_near_tree_by_the_table(self, flags, req, capsys, monkeypatch):
+        # census counts the 8-cycle by the enumerator, and with no cut vertex
+        # decomposition would only repeat it: the subset table checks it
+        c8 = build(parse_family_spec("C:n=8"))
+        want = census.count_containing(c8, req)
+        monkeypatch.setattr(census, "count_by_enumeration", lambda g, req=(): 0)
+        rc, out, err = run(
+            capsys,
+            ["count", "--in", "-", "--method", "both", *flags],
+            stdin=serialize_graph6(c8) + "\n",
+            monkeypatch=monkeypatch,
+        )
+        assert rc == 1
+        assert out == f"0 {want}\n"
+        assert err == f"MISMATCH brute=0 table={want}\n"
+
 
 class TestFamily:
     def test_check_pass(self, capsys):
@@ -248,6 +269,15 @@ class TestOracleDiff:
         assert rc == 0
         assert out.count("ok F=") == 3
 
+    def test_a_near_tree_meets_both_census_routes(self, capsys, monkeypatch):
+        c8 = g6("C:n=8")
+        rc, out, _ = run(capsys, ["oracle-diff", "--in", "-"], stdin=c8, monkeypatch=monkeypatch)
+        assert rc == 0 and out == "ok F=65 routes=census,decompose,enumerate,table\n"
+        # a wrong enumerator shows against the table
+        monkeypatch.setattr(census, "count_by_enumeration", lambda g, req=(): 0)
+        rc, out, _ = run(capsys, ["oracle-diff", "--in", "-"], stdin=c8, monkeypatch=monkeypatch)
+        assert rc == 1 and out == "MISMATCH census=0 decompose=0 enumerate=0 table=65\n"
+
 
 class TestUsage:
     def test_unknown_command_exits_two(self, capsys):
@@ -279,6 +309,11 @@ EXIT_TWO = {
     "count-no-graphs": (["count", "--in", "-"], "\n"),
     "count-conflicting-flags": (["count", "--in", "-", "--vertex", "0", "--containing", "1,2"], g6("P:n=3")),
     "count-bad-containing": (["count", "--in", "-", "--containing", "a,b"], g6("P:n=3")),
+    "count-conflicting-flags-missing-file": (
+        ["count", "--in", "{tmp}/missing.g6", "--vertex", "0", "--containing", "1"],
+        None,
+    ),
+    "count-bad-containing-missing-file": (["count", "--in", "{tmp}/missing.g6", "--containing", "a"], None),
     "count-vertex-out-of-range": (["count", "--in", "-", "--vertex", "7"], g6("P:n=3")),
     "count-both-past-enumerator": (
         ["count", "--in", "-", "--containing", "0,1", "--method", "both"],
@@ -300,6 +335,14 @@ EXIT_TWO = {
 }
 
 
+# the error a case must report, where another error could also exit 2: the
+# flags are checked before the input is read
+EXIT_TWO_ERROR = {
+    "count-conflicting-flags-missing-file": "error: --vertex and --containing are mutually exclusive\n",
+    "count-bad-containing-missing-file": "error: bad --containing list: ",
+}
+
+
 @pytest.mark.parametrize("case", sorted(EXIT_TWO))
 def test_exit_two_contract(case, capsys, monkeypatch, tmp_path):
     argv, stdin = EXIT_TWO[case]
@@ -308,6 +351,7 @@ def test_exit_two_contract(case, capsys, monkeypatch, tmp_path):
     rc, _, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(EXIT_TWO_ERROR.get(case, "error: "))
 
 
 def cli_process(argv, **kw):

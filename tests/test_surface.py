@@ -76,3 +76,20 @@ def test_each_census_query_builds_one_subset_table(monkeypatch):
         calls.clear()
         query()
         assert calls == [g]
+
+
+def test_each_census_query_on_a_near_tree_walks_once(monkeypatch):
+    # the tracer books census.count_by_enumeration as its census.enum span;
+    # a near-tree (m - n <= 2) is counted by the enumerator alone
+    g = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+    real, calls = census.count_by_enumeration, []
+    monkeypatch.setattr(census, "count_by_enumeration", lambda h, req=(): calls.append(h) or real(h, req))
+    monkeypatch.setattr(census, "connected_set_table", lambda h: calls.append("table"))
+    for query in (
+        lambda: census.count_connected_subgraphs(g),
+        lambda: census.subgraph_number(g, 0),
+        lambda: census.count_containing(g, (0, 3)),
+    ):
+        calls.clear()
+        query()
+        assert calls == [g]
