@@ -164,10 +164,12 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
     graphs = _read_graphs(args.infile, args.format)
     status = 0
     for g in graphs:
-        results = {"census": census.count_connected_subgraphs(g)}
-        for route in census.routes(g):
-            results[route.name] = route.count(g, ())
-        if is_connected(g):
+        taken = census.routes(g)
+        if not taken:
+            census.count_connected_subgraphs(g)  # raises census's own limit error
+        results = {route.name: route.count(g, ()) for route in taken}
+        # without a cut vertex, decomposition hands the whole graph to census
+        if is_connected(g) and cut_vertices(g):
             results["decompose"] = decompose.count_via_decomposition(g)
         values = set(results.values())
         if len(values) == 1:

@@ -17,20 +17,20 @@ alike: ``extremal`` calls them on int64 arrays to evaluate every level's
 classes with a cut vertex from the two rooted parts each is glued from,
 and the recursion below calls ``vertex_count``.
 
-The recursion takes F(G) by the total rule at the least cut vertex, f_G(v)
-by the product rule whenever v is a cut vertex, and f_G(v) for any other v
-by the vertex rule, with G1 the part holding v and G2 the other parts at
-w.  It stops at 2-connected blocks, which census counts.  The pair count
-f_{G1}(v, w) does not recurse: census counts it on the whole part G1,
-which may itself hold cut vertices and be far larger than v's block, so
-census can refuse it though every block is small.
+The recursion, cached for one query, takes F(G) by the total rule at the
+least cut vertex, f_G(v) by the product rule whenever v is a cut vertex,
+and f_G(v) for any other v by the vertex rule, with G1 the part holding v
+and G2 the other parts at w.  It stops at 2-connected blocks, which census
+counts.  The pair count f_{G1}(v, w) does not recurse: census counts it on
+the whole part G1, which may itself hold cut vertices and be far larger
+than v's block, so census can refuse it though every block is small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
-from typing import Sequence
 
 from . import census
 from .graph import DisconnectedGraphError, Graph, bits, components, cut_vertices, reach
@@ -79,7 +79,7 @@ def vertex_count(f1v, f1vw, f2w):
 def count_via_decomposition(g: Graph) -> int:
     """F(G): the total rule at the least cut vertex, down to 2-connected
     blocks, which census counts."""
-    return _count(g, (), {})
+    return _query(g, ())
 
 
 def subgraph_number_via_decomposition(g: Graph, v: int) -> int:
@@ -87,47 +87,38 @@ def subgraph_number_via_decomposition(g: Graph, v: int) -> int:
     rule at the cut vertex that leaves v the smallest part."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return _count(g, (v,), {})
+    return _query(g, (v,))
 
 
-def _count(g: Graph, req: tuple[int, ...], memo: dict) -> int:
+def _query(g: Graph, req: tuple[int, ...]) -> int:
     """The connected subgraphs of g that hold every vertex of ``req``: F(g)
-    for (), f_g(v) for (v,) and the pair count for (v, w).  ``memo`` lives
-    for one top-level count, so a part met twice in it is counted once."""
-    key = (g, req)
-    if key not in memo:
-        memo[key] = _decompose(g, req, memo)
-    return memo[key]
+    for (), f_g(v) for (v,) and the pair count for (v, w).  ``count`` is
+    cached for this query alone, so a part or a pair met twice in it is
+    counted once."""
 
-
-def _decompose(g: Graph, req: tuple[int, ...], memo: dict) -> int:
-    if len(req) == 2:
-        return census.count_containing(g, req)
-    cuts = cut_vertices(g)
-    if not cuts:
-        return census.subgraph_number(g, *req) if req else census.count_connected_subgraphs(g)
-    if not req or req[0] in cuts:
+    @cache
+    def count(g: Graph, req: tuple[int, ...]) -> int:
+        if len(req) == 2:
+            return census.count_containing(g, req)
+        cuts = cut_vertices(g)
+        if not cuts:
+            return census.subgraph_number(g, *req) if req else census.count_connected_subgraphs(g)
+        if req and req[0] not in cuts:
+            # the vertex rule at the cut vertex that leaves v the smallest part
+            (v,) = req
+            full = (1 << g.n) - 1
+            w = min(cuts, key=lambda w: (reach(g.adj, v, full & ~(1 << w)).bit_count(), w))
+            parts = split_at(g, w)
+            mine = next(p for p in parts if v in p.vertices)
+            v_local = mine.vertices.index(v)
+            return vertex_count(
+                count(mine.graph, (v_local,)),
+                count(mine.graph, (v_local, mine.w_local)),
+                prod(count(p.graph, (p.w_local,)) for p in parts if p is not mine),
+            )
         # the product rule; F adds the subgraphs without w, each in one part
         parts = split_at(g, req[0] if req else min(cuts))
-        away = 0
-        if not req:
-            for p in parts:
-                away += _count(p.graph, (), memo) - _count(p.graph, (p.w_local,), memo)
-        return away + _product(parts, memo)
-    # the vertex rule at the cut vertex that leaves v the smallest part
-    (v,) = req
-    full = (1 << g.n) - 1
-    w = min(cuts, key=lambda w: (reach(g.adj, v, full & ~(1 << w)).bit_count(), w))
-    parts = split_at(g, w)
-    mine = next(p for p in parts if v in p.vertices)
-    v_local = mine.vertices.index(v)
-    return vertex_count(
-        _count(mine.graph, (v_local,), memo),
-        _count(mine.graph, (v_local, mine.w_local), memo),
-        _product([p for p in parts if p is not mine], memo),
-    )
+        away = 0 if req else sum(count(p.graph, ()) - count(p.graph, (p.w_local,)) for p in parts)
+        return away + prod(count(p.graph, (p.w_local,)) for p in parts)
 
-
-def _product(parts: Sequence[SplitPart], memo: dict) -> int:
-    """f at the shared vertex of parts glued there: the product rule."""
-    return prod(_count(p.graph, (p.w_local,), memo) for p in parts)
+    return count(g, req)

@@ -272,11 +272,27 @@ class TestOracleDiff:
     def test_a_near_tree_meets_both_census_routes(self, capsys, monkeypatch):
         c8 = g6("C:n=8")
         rc, out, _ = run(capsys, ["oracle-diff", "--in", "-"], stdin=c8, monkeypatch=monkeypatch)
-        assert rc == 0 and out == "ok F=65 routes=census,decompose,enumerate,table\n"
+        assert rc == 0 and out == "ok F=65 routes=enumerate,table\n"
         # a wrong enumerator shows against the table
         monkeypatch.setattr(census, "count_by_enumeration", lambda g, req=(): 0)
         rc, out, _ = run(capsys, ["oracle-diff", "--in", "-"], stdin=c8, monkeypatch=monkeypatch)
-        assert rc == 1 and out == "MISMATCH census=0 decompose=0 enumerate=0 table=65\n"
+        assert rc == 1 and out == "MISMATCH enumerate=0 table=65\n"
+
+    def test_each_route_counts_once(self, capsys, monkeypatch):
+        # decomposition joins only where a cut vertex splits the graph;
+        # without one it would hand the whole graph to census again
+        rc, out, _ = run(capsys, ["oracle-diff", "--in", "-"], stdin=g6("P:n=5"), monkeypatch=monkeypatch)
+        assert rc == 0 and out == "ok F=15 routes=decompose,enumerate,table\n"
+        calls = []
+        for attr in ("connected_set_table", "count_by_enumeration"):
+            real = getattr(census, attr)
+            monkeypatch.setattr(census, attr, lambda *a, _r=real, _n=attr: calls.append(_n) or _r(*a))
+        for g in (complete(6), build(parse_family_spec("C:n=8"))):
+            calls.clear()
+            stdin = serialize_graph6(g) + "\n"
+            rc, out, _ = run(capsys, ["oracle-diff", "--in", "-"], stdin=stdin, monkeypatch=monkeypatch)
+            assert rc == 0 and out.endswith(" routes=enumerate,table\n")
+            assert sorted(calls) == ["connected_set_table", "count_by_enumeration"]
 
 
 class TestUsage:

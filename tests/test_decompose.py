@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 
@@ -14,6 +16,21 @@ from strategies import connected_graphs
 
 def G(text):
     return build(parse_family_spec(text))
+
+
+@pytest.fixture
+def census_calls(monkeypatch):
+    """The census queries made while a test runs, as (name, edges, args)."""
+    calls = []
+    for name in ("count_connected_subgraphs", "subgraph_number", "count_containing"):
+        real = getattr(census, name)
+
+        def record(g, *args, _real=real, _name=name):
+            calls.append((_name, g.edges, args))
+            return _real(g, *args)
+
+        monkeypatch.setattr(census, name, record)
+    return calls
 
 
 class TestSplit:
@@ -165,19 +182,40 @@ class TestCutVertexRule:
         g = parse_graph6(BRANCHING)
         assert decompose.subgraph_number_via_decomposition(g, 0) == 25478409940
 
-    def test_equal_parts_are_counted_once(self, monkeypatch):
-        calls = []
-        for name in ("count_connected_subgraphs", "subgraph_number", "count_containing"):
-            real = getattr(census, name)
-
-            def record(g, *args, _real=real, _name=name):
-                calls.append((_name, g.edges, args))
-                return _real(g, *args)
-
-            monkeypatch.setattr(census, name, record)
+    def test_equal_parts_are_counted_once(self, census_calls):
         # the star's 11 parts at its centre are one K2, rooted alike
         assert decompose.count_via_decomposition(G("S:n=12")) == 2**11 + 11
-        assert calls == [("count_connected_subgraphs", ((0, 1),), ()), ("subgraph_number", ((0, 1),), (0,))]
+        assert census_calls == [("count_connected_subgraphs", ((0, 1),), ()), ("subgraph_number", ((0, 1),), (0,))]
+
+    def test_a_pair_count_met_again_is_counted_once(self, census_calls):
+        # down P5 from its end, every vertex rule splits off one K2 and asks
+        # for the pair count of that same K2 again
+        assert decompose.subgraph_number_via_decomposition(G("P:n=5"), 0) == 5
+        assert census_calls == [
+            ("subgraph_number", ((0, 1),), (0,)),
+            ("count_containing", ((0, 1),), ((0, 1),)),
+        ]
+
+    def test_no_count_outlives_its_query(self, census_calls):
+        g = G("S:n=12")
+        assert decompose.count_via_decomposition(g) == decompose.count_via_decomposition(g)
+        assert len(census_calls) == 4 and census_calls[:2] == census_calls[2:]
+
+    def test_census_calls_are_pinned(self, census_calls):
+        # F and every f(v) of the connected classes up to n = 6 and of named
+        # graphs, and f at the branching graph's cut vertices: the census
+        # calls, in order, of the rules above and their choice of cut vertex
+        graphs = [g for n in range(1, 7) for g in sorted(connected_classes(n), key=lambda g: g.adj)]
+        graphs += [G(t) for t in ("P:n=20", "S:n=13", "L:n=12,g=11", "T:l=3,m=3,d=4", "Q:n=9,k=3")]
+        assert len(graphs) == 148
+        for g in graphs:
+            decompose.count_via_decomposition(g)
+            for v in range(g.n):
+                decompose.subgraph_number_via_decomposition(g, v)
+        for v in (1, 8, 9):
+            decompose.subgraph_number_via_decomposition(parse_graph6(BRANCHING), v)
+        digest = hashlib.sha256(repr(census_calls).encode()).hexdigest()
+        assert digest == "1cb04c00012d72fb32063e63cc5dbefbaf5115dcfb5c1ea16b3bb7f38ee66dc2"
 
 
 @given(connected_graphs(min_n=8, max_n=11))
