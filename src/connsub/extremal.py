@@ -25,6 +25,10 @@ their partial sums F, f(v) and f(x, y) alike, is at most
 sum_S 2^{e(S)} <= 2^{n+m}, so int64 arithmetic is exact whenever
 n + m <= 62; the kernel checks that bound on every batch, reading m off
 the e(S) table it builds anyway, and refuses a batch that breaks it.
+The kernel bounds its working set by table entries, not by graphs: it
+takes a batch in chunks whose 2^n-row arrays hold about 2^18 entries each
+(2,048 graphs at n = 7, 1,024 at n = 8, 512 at n = 9), and writes each
+chunk's rows of outputs allocated once for the whole batch.
 
 The classes with a cut vertex never reach the kernel.  ``generate`` keeps
 each as the rooted parts (G1, r1), (G2, r2) of one gluing, at every n, and
@@ -42,7 +46,10 @@ Exactness: every value these rules form is a connected-subgraph count of
 the glued graph or a term of one, since (a - 1)(b - 1) < F and
 f1(x, r1)(b - 1) <= f(x), so each is at most 2^{n + m1 + m2}, and the
 evaluation refuses a batch with n + m1 + m2 > 62 exactly as the kernel
-does.  At n = 9 the largest is 9 + 29 = 38.
+does.  At n = 9 the largest is 9 + 29 = 38.  The rules run on the gluings
+of one part order n1 at a time, in slices of a few thousand rows whose
+temporaries hold about 2^15 entries each; every slice writes its rows of
+the outputs and checks the bound on its own rows.
 
 Equality with the census and decomposition routes is asserted exhaustively
 in the test suite (on every class with a cut vertex, at every n, against
@@ -106,7 +113,8 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 # batched counting kernel
 
-_CHUNK = 2048
+# entries per 2^n-row array of one kernel chunk: 512 graphs at n = 9
+_CHUNK_ENTRIES = 1 << 18
 
 
 @lru_cache(maxsize=None)
@@ -192,8 +200,9 @@ def evaluate_counts(graphs: Sequence[Graph], pairs: bool = False) -> tuple[np.nd
     total, cut, m, girth = (np.zeros(len(graphs), dtype=np.int64) for _ in range(4))
     f = np.zeros((len(graphs), n), dtype=np.int64)
     pair = np.zeros((len(graphs), n, n), dtype=np.int64) if pairs else None
-    for lo in range(0, len(graphs), _CHUNK):
-        chunk = graphs[lo : lo + _CHUNK]
+    step = max(1, _CHUNK_ENTRIES >> n)
+    for lo in range(0, len(graphs), step):
+        chunk = graphs[lo : lo + step]
         table = _tables(chunk)
         if not table[full].all():
             raise ValueError("evaluate_counts needs connected graphs")
@@ -237,6 +246,9 @@ def _minima(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # the classes with a cut vertex, from their parts
 
+# entries per temporary of one slice of gluings: 3,640 rows of 9 at n = 9
+_SLICE_ENTRIES = 1 << 15
+
 
 def _evaluate_gluings(pairs: Sequence[tuple[Graph, int, Graph, int]]) -> tuple[np.ndarray, ...]:
     """(F, f, k, tree, girth) of each gluing (g1, r1, g2, r2) of connected
@@ -264,27 +276,30 @@ def _evaluate_gluings(pairs: Sequence[tuple[Graph, int, Graph, int]]) -> tuple[n
     total, k, girths = (np.empty(len(pairs), dtype=np.int64) for _ in range(3))
     tree = np.empty(len(pairs), dtype=bool)
     fvec = np.empty((len(pairs), n), dtype=np.int64)
+    step = max(1, _SLICE_ENTRIES // n)
     for n1 in np.unique(n1s).tolist():
         n2 = n + 1 - n1
-        i = np.flatnonzero(n1s == n1)
-        j1, r1, j2, r2 = j1s[i], r1s[i], j2s[i], r2s[i]
         F1, f1, cut1, m1, girth1, pair1 = values[n1]
         F2, f2, cut2, m2, girth2, pair2 = values[n2]
-        m = m1[j1] + m2[j2]
-        _check_exact(n + int(m.max()))
-        # f_i(x, r_i) for every x of part i, and a = f1(r1), b = f2(r2)
-        at1, at2 = pair1[j1, r1], pair2[j2, r2]
-        a, b = f1[j1, r1], f2[j2, r2]
-        total[i] = decompose.merge_count(F1[j1], F2[j2], a, b)
-        fvec[i, :n1] = decompose.vertex_count(f1[j1], at1, b[:, None])
-        side2 = decompose.vertex_count(f2[j2], at2, a[:, None])
-        # glue drops g2's root and keeps its other vertices in order
-        fvec[i, n1:] = side2[np.arange(n2) != r2[:, None]].reshape(len(i), n2 - 1)
-        others1 = np.bitwise_count(cut1[j1] & ~(1 << r1))
-        others2 = np.bitwise_count(cut2[j2] & ~(1 << r2))
-        k[i] = others1 + others2 + 1
-        tree[i] = m == n - 1
-        girths[i] = np.minimum(girth1[j1], girth2[j2])
+        group = np.flatnonzero(n1s == n1)
+        for lo in range(0, len(group), step):
+            i = group[lo : lo + step]
+            j1, r1, j2, r2 = j1s[i], r1s[i], j2s[i], r2s[i]
+            m = m1[j1] + m2[j2]
+            _check_exact(n + int(m.max()))
+            # f_i(x, r_i) for every x of part i, and a = f1(r1), b = f2(r2)
+            at1, at2 = pair1[j1, r1], pair2[j2, r2]
+            a, b = f1[j1, r1], f2[j2, r2]
+            total[i] = decompose.merge_count(F1[j1], F2[j2], a, b)
+            fvec[i, :n1] = decompose.vertex_count(f1[j1], at1, b[:, None])
+            side2 = decompose.vertex_count(f2[j2], at2, a[:, None])
+            # glue drops g2's root and keeps its other vertices in order
+            fvec[i, n1:] = side2[np.arange(n2) != r2[:, None]].reshape(len(i), n2 - 1)
+            others1 = np.bitwise_count(cut1[j1] & ~(1 << r1))
+            others2 = np.bitwise_count(cut2[j2] & ~(1 << r2))
+            k[i] = others1 + others2 + 1
+            tree[i] = m == n - 1
+            girths[i] = np.minimum(girth1[j1], girth2[j2])
     return total, fvec, k, tree, girths
 
 

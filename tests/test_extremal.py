@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +229,19 @@ class TestCapFromParts:
         with pytest.raises(ValueError, match=r"n \+ m <= 37, batch has 38"):
             extremal._evaluate_gluings(pairs)
 
+    def test_the_int64_bound_is_checked_on_every_slice(self, monkeypatch):
+        # at 64 gluings a slice, K8 with a pendant edge sits past the first
+        # slice, so a guard that read only the first would pass the batch
+        n, rows = GENERATION_CAP, 64
+        pairs = generate.classes_with_cut_vertices(n).pairs
+        n1s = np.array([g1.n for g1, _, _, _ in pairs])
+        (bad,) = np.flatnonzero([n + g1.m + g2.m > 37 for g1, _, g2, _ in pairs])
+        assert bad not in np.flatnonzero(n1s == n1s.min())[:rows]
+        monkeypatch.setattr(extremal, "_SLICE_ENTRIES", rows * n)
+        monkeypatch.setattr(extremal, "_EXACT_MAX_N_PLUS_M", 37)
+        with pytest.raises(ValueError, match=r"n \+ m <= 37, batch has 38"):
+            extremal._evaluate_gluings(pairs)
+
     def test_cap_search_builds_no_graph_but_its_minimisers(self, monkeypatch):
         # composing and evaluating the cap glues nothing and runs no kernel
         # at the cap; a search glues only the minimisers it reports, and so
@@ -271,6 +285,50 @@ class TestCapFromParts:
         named = set().union(*(minimizer_keys(r) for r in reports if r.spec.k >= 1))
         assert len(set(glued)) == len(named)
         assert {canonical_key(glue(*parts)) for parts in glued} == named
+
+
+def traced_peak(call, *args):
+    """The result of ``call(*args)`` and the peak of its allocations under
+    tracemalloc, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    def test_a_kernel_batch_at_nine_peaks_below_twelve_megabytes(self):
+        # about 8.5 MB in chunks of 2^18 table entries (512 graphs at n = 9),
+        # 24.5 MB in chunks of 2,048 graphs: a chunk's tables set the peak,
+        # whatever the graphs; these are 2,048 classes of the cap, glued
+        pairs = generate.classes_with_cut_vertices(GENERATION_CAP).pairs[:2048]
+        _, peak = traced_peak(evaluate_counts, [glue(*parts) for parts in pairs])
+        assert peak < 12 << 20
+
+    def test_the_cap_evaluation_peaks_below_twenty_megabytes_over_its_outputs(self):
+        # about 14.8 MB over the outputs' 6.2 MB in slices of 2^15 entries
+        # and 2^18-entry kernel chunks, 29.9 MB with whole part-order groups
+        # and 2,048-graph chunks
+        pairs = generate.classes_with_cut_vertices(GENERATION_CAP).pairs
+        outputs, peak = traced_peak(extremal._evaluate_gluings, pairs)
+        assert peak - sum(a.nbytes for a in outputs) < 20 << 20
+
+    def test_small_chunks_and_slices_change_no_value(self, monkeypatch):
+        # 7 graphs a kernel chunk at n = 8 and 37 gluings a slice, each
+        # with a ragged last one, against the default budgets
+        graphs = list(connected_classes(8))[:300]
+        pairs = generate._composed(8).pairs
+        groups = np.unique([g1.n for g1, _, _, _ in pairs], return_counts=True)[1]
+        assert len(graphs) % 7 and (groups % 37).any()
+        want = evaluate_counts(graphs, True) + extremal._evaluate_gluings(pairs)
+        monkeypatch.setattr(extremal, "_CHUNK_ENTRIES", 7 << 8)
+        monkeypatch.setattr(extremal, "_SLICE_ENTRIES", 37 * 8)
+        got = evaluate_counts(graphs, True) + extremal._evaluate_gluings(pairs)
+        assert len(got) == len(want) == 11
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestSearches:
