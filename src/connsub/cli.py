@@ -3,7 +3,9 @@
 Exit codes: 0 success / all checks pass, 1 verification failure or
 counterexample, 2 usage, input or output error, including a graph too large
 for exact counting.  Counts always print as decimal strings.  ``-`` reads
-graphs from stdin, one graph6 line each.
+graphs from stdin, one graph6 line each.  ``count --method both`` compares
+the first two routes of ``decompose.routes`` (a lone route with itself), and
+``oracle-diff`` counts F by every one.
 
 ``main`` alone turns an exception into exit 2: a ``ValueError`` for bad
 input, an ``OSError`` for a failed read or write.
@@ -25,7 +27,7 @@ from .extremal import (
     search_min_F,
     search_min_vertex_subgraph_number,
 )
-from .graph import Graph, cut_vertices, is_connected
+from .graph import Graph
 from .graphio import FormatError, parse_edge_list, parse_graph6, export_dot, serialize_graph6
 
 
@@ -50,28 +52,6 @@ def _read_graphs(path: str, fmt: str) -> list[Graph]:
         raise ValueError(f"bad input: {exc}") from exc
 
 
-def _decomposed(g: Graph, req: tuple[int, ...]) -> int:
-    """A decomposition rule's count, or census's where no rule covers ``req``."""
-    if len(req) >= 2:
-        return census.count_containing(g, req)
-    if req:
-        return decompose.subgraph_number_via_decomposition(g, req[0])
-    return decompose.count_via_decomposition(g)
-
-
-def _second_count(g: Graph, req: tuple[int, ...]) -> tuple[str, int]:
-    """``--method both``'s second value and its route: census's other route
-    where decomposition would only repeat census (no cut vertex) or has no
-    rule (two or more required vertices), else decomposition, or the
-    enumerator for two or more required vertices."""
-    others = census.routes(g)[1:]
-    if others and (len(req) >= 2 or not cut_vertices(g)):
-        return others[0].name, others[0].count(g, req)
-    if len(req) >= 2:
-        return "enumerate", census.count_by_enumeration(g, req)
-    return "decompose", _decomposed(g, req)
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     # the flags are read before the input, so a usage error comes first
     req: tuple[int, ...] = ()
@@ -84,20 +64,18 @@ def _cmd_count(args: argparse.Namespace) -> int:
             req = tuple(int(x) for x in args.containing.split(",") if x != "")
         except ValueError as exc:
             raise ValueError(f"bad --containing list: {exc}") from exc
-    graphs = _read_graphs(args.infile, args.format)
     status = 0
-    for g in graphs:
-        if args.method == "decompose":
-            print(_decomposed(g, req))
-        elif args.method == "brute":
-            print(census.count_containing(g, req))
-        else:
-            brute = census.count_containing(g, req)
-            route, second = _second_count(g, req)
-            print(brute, second)
-            if brute != second:
-                print(f"MISMATCH brute={brute} {route}={second}", file=sys.stderr)
-                status = 1
+    for g in _read_graphs(args.infile, args.format):
+        if args.method != "both":
+            print((census if args.method == "brute" else decompose).count_containing(g, req))
+            continue
+        # the first two routes; a graph with one compares it with itself
+        first, second = (decompose.routes(g, req) * 2)[:2]
+        brute, count = first.count(g, req), second.count(g, req)
+        print(brute, count)
+        if brute != count:
+            print(f"MISMATCH brute={brute} {second.name}={count}", file=sys.stderr)
+            status = 1
     return status
 
 
@@ -161,16 +139,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_diff(args: argparse.Namespace) -> int:
-    graphs = _read_graphs(args.infile, args.format)
     status = 0
-    for g in graphs:
-        taken = census.routes(g)
-        if not taken:
-            census.count_connected_subgraphs(g)  # raises census's own limit error
-        results = {route.name: route.count(g, ()) for route in taken}
-        # without a cut vertex, decomposition hands the whole graph to census
-        if is_connected(g) and cut_vertices(g):
-            results["decompose"] = decompose.count_via_decomposition(g)
+    for g in _read_graphs(args.infile, args.format):
+        results = {route.name: route.count(g, ()) for route in decompose.routes(g)}
         values = set(results.values())
         if len(values) == 1:
             print(f"ok F={values.pop()} routes={','.join(sorted(results))}")
@@ -186,13 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact connected-subgraph counting and extremal search over small graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    io = argparse.ArgumentParser(add_help=False)  # count's and oracle-diff's input
+    io.add_argument("--in", dest="infile", required=True, help="input file or - for stdin")
+    io.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
 
-    p = sub.add_parser("count", help="count connected subgraphs of input graphs")
-    p.add_argument("--in", dest="infile", required=True, help="input file or - for stdin")
-    p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
+    p = sub.add_parser("count", parents=[io], help="count connected subgraphs of input graphs")
     p.add_argument("--vertex", type=int, help="count subgraphs containing this vertex")
     p.add_argument("--containing", help="comma-separated vertices all subgraphs must contain")
-    p.add_argument("--method", choices=("brute", "decompose", "both"), default="decompose")
+    p.add_argument("--method", choices=("brute", "decompose", "both"), default="decompose",
+                   help="brute: census's preferred route; decompose: cut-vertex decomposition;"
+                   " both: census's route checked against the next independent route")
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("family", help="closed-form counts for a named family")
@@ -212,12 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("table1", "theorems", "formulas"), required=True)
-    p.add_argument("--n-max", dest="n_max", type=int)
+    p.add_argument("--n-max", dest="n_max", type=int,
+                   help="formulas: the largest family order; table1: the search cap, at most"
+                   f" {GENERATION_CAP}; theorems: lowers each check's last n, never raises it")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("oracle-diff", help="cross-check every counting route on input graphs")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
+    p = sub.add_parser(
+        "oracle-diff", parents=[io], help="cross-check every counting route on input graphs"
+    )
     p.set_defaults(fn=_cmd_oracle_diff)
     return parser
 

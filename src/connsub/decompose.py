@@ -33,7 +33,7 @@ from functools import cache
 from math import prod
 
 from . import census
-from .graph import DisconnectedGraphError, Graph, bits, components, cut_vertices, reach
+from .graph import DisconnectedGraphError, Graph, bits, components, cut_vertices, is_connected, reach
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,29 @@ def subgraph_number_via_decomposition(g: Graph, v: int) -> int:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     return _query(g, (v,))
+
+
+def count_containing(g: Graph, req: tuple[int, ...]) -> int:
+    """The decomposition route's count: F(G), f_G(v), or census's for two or more vertices."""
+    if len(req) >= 2:
+        return census.count_containing(g, req)
+    return subgraph_number_via_decomposition(g, *req) if req else count_via_decomposition(g)
+
+
+_ROUTE = census.Route("decompose", lambda g: is_connected(g) and bool(cut_vertices(g)), count_containing)
+
+
+def routes(g: Graph, req: tuple[int, ...] = ()) -> list[census.Route]:
+    """Census's routes for ``g`` in census's order, with decomposition second
+    where ``g`` is connected, has a cut vertex and ``req`` holds at most one
+    vertex; elsewhere decomposition would only hand ``g`` to census, or has
+    no rule.  A graph that no census route takes raises census's limit error."""
+    taken = census.routes(g)
+    if not taken:
+        census.count_containing(g, req)  # raises census's own limit error
+    if len(req) <= 1 and _ROUTE.takes(g):
+        taken.insert(1, _ROUTE)
+    return taken
 
 
 def _query(g: Graph, req: tuple[int, ...]) -> int:

@@ -289,6 +289,41 @@ class TestBlockExpansion:
             block_expansion_count(g, 0b1001)
 
 
+def K(n):
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i)])
+
+
+class TestRoutes:
+    # the route names for req = (), (0,) and (0, 1)
+    @pytest.mark.parametrize(
+        "g, names",
+        [
+            (G("P:n=5"), [["enumerate", "decompose", "table"]] * 2 + [["enumerate", "table"]]),
+            (K(5), [["table", "enumerate"]] * 3),
+            (G("C:n=8"), [["enumerate", "table"]] * 3),
+            (G("P:n=20"), [["enumerate", "decompose"]] * 2 + [["enumerate"]]),
+            (K(8), [["table"]] * 3),
+            (Graph.from_edges(4, [(0, 1), (2, 3)]), [["enumerate", "table"]] * 3),
+        ],
+        ids=["P5", "K5", "C8", "P20", "K8", "2K2"],
+    )
+    def test_names_in_order_and_one_count(self, g, names):
+        for req, want in zip(((), (0,), (0, 1)), names):
+            taken = decompose.routes(g, req)
+            assert [route.name for route in taken] == want
+            assert {route.count(g, req) for route in taken} == {census.count_containing(g, req)}
+
+    @pytest.mark.parametrize("text", ["P:n=51", "C:n=30"])
+    def test_a_graph_past_census_raises_its_limit_error(self, text):
+        g = G(text)
+        with pytest.raises(CensusLimitError) as want:
+            census.count_connected_subgraphs(g)
+        for req in ((), (0,), (0, 1)):
+            with pytest.raises(CensusLimitError) as got:
+                decompose.routes(g, req)
+            assert str(got.value) == str(want.value)
+
+
 class TestOracleEquivalence:
     def test_exhaustive_small(self):
         for n in range(3, 7):
