@@ -91,8 +91,9 @@ def subgraph_number_via_decomposition(g: Graph, v: int) -> int:
 
 
 def count_containing(g: Graph, req: tuple[int, ...]) -> int:
-    """The decomposition route's count: F(G), f_G(v), or census's for two or more vertices."""
-    if len(req) >= 2:
+    """The decomposition route's count: F(G) or f_G(v) of a connected graph,
+    and census's for a disconnected graph or two or more vertices."""
+    if len(req) >= 2 or not is_connected(g):
         return census.count_containing(g, req)
     return subgraph_number_via_decomposition(g, *req) if req else count_via_decomposition(g)
 

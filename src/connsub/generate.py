@@ -120,14 +120,41 @@ The centre is isomorphism-invariant, so an isomorphism maps centre to
 centre (cut vertex to cut vertex, block to block), and the whole graph is
 the piece of its centre.
 
-A gluing with exactly one cut vertex w takes the fast path.  Gluing
+Composition codes a gluing at w from its parts, without building its tree.
+A piece's height is the distance in the tree from its root to its farthest
+leaf (1 for a leaf block); an arm of a node is the piece of a neighbour
+beyond it, one longer than that piece.
+
+Lemma (the walk).  (1) A node is the centre iff its two longest arms are
+equal.  Let D be the tree's diameter and c its centre, the middle of every
+longest path: two arms of c reach D/2, and a longer one would make a longer
+path.  Let x be any other node, d from c, and z the end of a longest path
+through c on the side away from x.  The arm of x towards c reaches z, d +
+D/2 away.  A leaf y in any other arm lies at most D/2 - d from x, since the
+path from y through x and c to z is at most D long.  So the longest arm of
+x leads towards c and is at least 2d longer than any other.  (2) A piece of
+the glued tree that does not hold w (except perhaps as its root) is a piece
+of one part, and its code and height there are that part's own: its
+blocks, and which of their vertices are cut vertices, are the same in both
+graphs.
+
+So a gluing's arms at w are both parts' pieces at their roots.  If the two
+longest tie, w is the centre; else the walk steps along the longest arm,
+which holds the centre, carrying the height of the arm back towards w, and
+stops at the first node whose two longest arms tie.  Only the nodes on the
+path back from the centre to w hold w, and each is coded once, from the
+piece before it on the path and its other pieces (one ``_Class.least`` per
+block); every other piece is read from its part's memo, a ``_Pieces`` per
+part class holding the height and code of each piece by (block, entry
+vertex), kept for one composition call.
+
+A part whose cut vertices lie within its root carries its bouquet there:
+its arms are leaves, each coded ``block key + bytes([root's orbit root in
+the block])``, and it needs no memo, since no walk enters a leaf.  Gluing
 (g1, r1) to (g2, r2) gives c1 + c2 + 1 cut vertices, where c_i counts the
-cut vertices of g_i other than r_i; so it gives exactly one, r1, iff
-cut(g1) <= {r1} and cut(g2) <= {r2}.  Its tree is a star of leaves around
-w, so its certificate is the concatenation of its sorted leaf codes,
-``block key + bytes([w's orbit root in the block])``: the bouquet.  A part
-whose cut set lies within its root carries its bouquet there, and the
-gluing's bouquet is the sorted union of its parts', built without the tree.
+cut vertices of g_i other than r_i; so two parts with bouquets give exactly
+one, w is the centre, and the certificate is the sorted union of their
+bouquets, joined without the arms.
 
 A class in either stratum is labeled only when a verdict or a record
 needs its labels, and then by one step, ``canon.canonize``: the canonical
@@ -223,8 +250,8 @@ class _Class:
 
 # a block of a graph: its class and its vertices in the class's canonical order
 _Block = tuple[_Class, bytes]
-# a rooted class as composition glues it: (graph, root, block list, bouquet)
-_Part = tuple[Graph, int, tuple[_Block, ...], tuple[bytes, ...] | None]
+# a rooted class as composition glues it: (graph, root, record, bouquet)
+_Part = tuple[Graph, int, _Class, tuple[bytes, ...] | None]
 # the rooted parts (g1, r1, g2, r2) that ``glue`` takes
 _Pair = tuple[Graph, int, Graph, int]
 
@@ -409,7 +436,7 @@ def rooted_classes(n: int) -> list[tuple[Graph, int]]:
 
 
 def _rooted_parts(n: int) -> list[_Part]:
-    """(graph, root, block list, bouquet) in the order of
+    """(graph, root, record, bouquet) in the order of
     ``rooted_classes(n)``.  The bouquet (see above) is None unless the
     graph's cut vertices lie within the root."""
     if not 1 <= n < GENERATION_CAP:
@@ -437,7 +464,7 @@ def _parts_of(
                 bouquet = tuple(
                     sorted(b.key + bytes([b.roots[verts.index(r)]]) for b, verts in cls.blocks)
                 )
-            yield key, (g, r, cls.blocks, bouquet)
+            yield key, (g, r, cls, bouquet)
 
 
 def _labels(n1: int, r1: int, n2: int, r2: int) -> list[int]:
@@ -465,82 +492,168 @@ def glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
 
 def _glued_blocks(p1: _Part, p2: _Part) -> list[_Block]:
     """The block list of the two parts glued, in ``glue``'s labels."""
-    g1, r1, blocks1, _ = p1
-    g2, r2, blocks2, _ = p2
+    g1, r1, cls1, _ = p1
+    g2, r2, cls2, _ = p2
     label = _labels(g1.n, r1, g2.n, r2)
-    return [*blocks1, *((cls, bytes(map(label.__getitem__, verts))) for cls, verts in blocks2)]
+    return [*cls1.blocks, *((b, bytes(map(label.__getitem__, verts))) for b, verts in cls2.blocks)]
 
 
-def _certificate(blocks: list[_Block], n: int) -> bytes:
-    """The certificate (see above) of a graph on n vertices with two or more
-    cut vertices, from its block list."""
-    at: list[list[int]] = [[] for _ in range(n)]  # the blocks at each vertex
-    for i, (_, verts) in enumerate(blocks):
-        for v in verts:
-            at[v].append(i)
-    # the block-cut tree: block i is node i, cut vertex v is node nb + v
-    nb = len(blocks)
-    cuts = [v for v in range(n) if len(at[v]) > 1]
-    nbrs: list[list[int]] = [[] for _ in range(nb)]
-    for v in cuts:
-        for i in at[v]:
-            nbrs[i].append(nb + v)
-    nbrs += at
-    # strip the leaves, layer by layer, down to the centre
-    deg = [len(ids) for ids in nbrs]
-    layer = [i for i in range(nb) if deg[i] == 1]
-    left = nb + len(cuts)
-    while left > len(layer):
-        left -= len(layer)
-        nxt = []
-        for u in layer:
-            deg[u] = 0
-            for w in nbrs[u]:
-                if deg[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centre = layer[0]
+class _Pieces:
+    """The pieces (see above) of one part class in its own labels, their
+    heights and codes memoised by (block, entry vertex), and the walk from
+    a glue vertex to the centre."""
 
-    def block_code(i: int, entry: int) -> bytes:
-        cls, verts = blocks[i]
-        if len(nbrs[i]) == 1:  # a leaf, entered at its one cut vertex
-            return cls.key + bytes([cls.roots[verts.index(entry)]])
-        colours = [
-            b"\xff" if v == entry else vertex_code(v, i) if len(at[v]) > 1 else b"\x00"
-            for v in verts
+    __slots__ = ("blocks", "at", "cuts", "heights", "codes")
+
+    def __init__(self, cls: _Class):
+        self.blocks = cls.blocks
+        self.at: list[list[int]] = [[] for _ in cls.roots]  # the blocks at each vertex
+        for i, (_, verts) in enumerate(self.blocks):
+            for v in verts:
+                self.at[v].append(i)
+        # per block, (position, vertex) of each of its cut vertices
+        self.cuts = [
+            [(k, v) for k, v in enumerate(verts) if len(self.at[v]) > 1] for _, verts in self.blocks
         ]
-        return cls.key + b"\xfe" + cls.least(colours)
+        self.heights: dict[tuple[int, int], int] = {}
+        self.codes: dict[tuple[int, int], bytes] = {}
 
-    def vertex_code(v: int, parent: int) -> bytes:
-        codes = sorted([block_code(j, v) for j in at[v] if j != parent])
+    def height(self, i: int, e: int) -> int:
+        """The height of block i's piece at e: 1 for a leaf."""
+        h = self.heights.get((i, e))
+        if h is None:
+            top = max((self.beyond(v, i) for _, v in self.cuts[i] if v != e), default=-1)
+            h = self.heights[i, e] = top + 2
+        return h
+
+    def beyond(self, v: int, i: int) -> int:
+        """The height of cut vertex v's piece under block i."""
+        return max(self.height(j, v) for j in self.at[v] if j != i)
+
+    def code(self, i: int, e: int) -> bytes:
+        """The code of block i's piece at e."""
+        c = self.codes.get((i, e))
+        if c is None:
+            cls, verts = self.blocks[i]
+            if self.height(i, e) == 1:
+                c = cls.key + bytes([cls.roots[verts.index(e)]])
+            else:
+                c = cls.key + b"\xfe" + cls.least(self.colours(i, e, b"\xff"))
+            self.codes[i, e] = c
+        return c
+
+    def under(self, v: int, i: int) -> bytes:
+        """The code of cut vertex v's piece under block i."""
+        codes = sorted([self.code(j, v) for j in self.at[v] if j != i])
         return bytes([len(codes)]) + b"".join(codes)
 
-    if centre < nb:
-        return block_code(centre, -1)
-    w = centre - nb
-    return b"".join(sorted([block_code(j, w) for j in at[w]]))
+    def colours(self, i: int, e: int, code: bytes, skip: int = -1) -> list[bytes]:
+        """Block i's colouring with ``code`` at e, the code under block i at
+        each other cut vertex but ``skip`` (0xff there) and a single 0 elsewhere."""
+        verts = self.blocks[i][1]
+        colours = [b"\x00"] * len(verts)
+        for k, v in self.cuts[i]:
+            if v != e:
+                colours[k] = b"\xff" if v == skip else self.under(v, i)
+        colours[verts.index(e)] = code
+        return colours
+
+    def centre(self, i: int, e: int, code: bytes, back: int) -> bytes:
+        """The certificate of a gluing whose longest arm at its glue vertex
+        e enters block i and is longer than any other: ``code`` is e's code
+        under block i and ``back`` the height of that piece plus one.  Each
+        node steps along its longest arm until its two longest tie, and is
+        coded as the piece of the node it steps to."""
+        while True:
+            cls = self.blocks[i][0]
+            ahead = [(self.beyond(u, i), u) for _, u in self.cuts[i] if u != e]
+            (h, v), *rest = sorted(ahead, reverse=True)
+            runner = max(back - 1, rest[0][0] if rest else 0)
+            if h == runner:  # block i is the centre
+                return cls.key + b"\xfe" + cls.least(self.colours(i, e, code))
+            code, back = cls.key + b"\xfe" + cls.least(self.colours(i, e, code, v)), runner + 2
+            # cut vertex v, entered from block i
+            ahead = [(self.height(k, v), k) for k in self.at[v] if k != i]
+            (h, j), *rest = sorted(ahead, reverse=True)
+            runner = max(back, rest[0][0] if rest else 0)
+            codes = [self.code(k, v) for _, k in rest] + [code]
+            if h == runner:  # v is the centre
+                return b"".join(sorted(codes + [self.code(j, v)]))
+            code, back = bytes([len(codes)]) + b"".join(sorted(codes)), runner + 1
+            i, e = j, v
+
+
+# a part's arms at its root, longest first: their heights and a closing 0,
+# then their codes and None for a bouquet, else their blocks and its pieces
+_Arms = tuple[tuple[int, ...], tuple[bytes, ...] | tuple[int, ...], _Pieces | None]
+
+
+def _arms(part: _Part, pieces: dict[_Class, _Pieces]) -> _Arms:
+    """The arms of ``part`` at its root, its class's pieces kept in ``pieces``."""
+    _, r, cls, bouquet = part
+    if bouquet is not None:  # its arms are its leaves
+        return (1,) * len(bouquet) + (0,), bouquet, None
+    own = pieces.get(cls)
+    if own is None:
+        own = pieces[cls] = _Pieces(cls)
+    heights, blocks = zip(*sorted(((own.height(i, r), i) for i in own.at[r]), reverse=True))
+    return heights + (0,), blocks, own
+
+
+def _codes(r: int, arms: _Arms, start: int = 0) -> tuple[bytes, ...]:
+    """The codes of a part's arms at its root r, from the ``start``-th longest on."""
+    _, own, pieces = arms
+    return own[start:] if pieces is None else tuple(pieces.code(i, r) for i in own[start:])
+
+
+def _certificate(r1: int, arms1: _Arms, r2: int, arms2: _Arms) -> bytes:
+    """The certificate of two parts glued at their roots r1 and r2, from
+    their arms: the sorted arm codes if the two longest arms tie, so that
+    the glue vertex is the centre, else the walk along the longest."""
+    if arms1[0] < arms2[0]:
+        r1, arms1, r2, arms2 = r2, arms2, r1, arms1
+    heights, own, pieces = arms1
+    runner = max(heights[1], arms2[0][0])
+    if heights[0] == runner:
+        return b"".join(sorted(_codes(r1, arms1) + _codes(r2, arms2)))
+    rest = _codes(r1, arms1, 1) + _codes(r2, arms2)
+    return pieces.centre(own[0], r1, bytes([len(rest)]) + b"".join(sorted(rest)), runner + 1)
 
 
 def _gluings(n: int) -> Iterator[tuple[_Part, _Part, bytes]]:
     """(part 1, part 2, certificate) for every pair of rooted classes
     composition glues into n vertices: n1 <= n2 and, when n1 == n2, each
-    unordered pair once.  A gluing with one cut vertex is certified by its
-    parts' bouquets, any other by its block-cut tree."""
+    unordered pair once.  Each part class's pieces are coded once per call;
+    a class of order n - 1 meets only the rooted K2, and its roots come in
+    a row, so one such class is kept at a time."""
+    pieces: dict[_Class, _Pieces] = {}
     for n1 in range(2, (n + 1) // 2 + 1):
         n2 = n + 1 - n1
-        left = _rooted_parts(n1)
-        right = left if n2 == n1 else _rooted_parts(n2)
-        for i, p1 in enumerate(left):
+        left = [(p, _arms(p, pieces)) for p in _rooted_parts(n1)]
+        if n2 == n1:
+            right = left
+        elif n1 == 2:  # the rooted K2 alone on the left
+            right = _one_class_at_a_time(_rooted_parts(n2))
+        else:
+            right = [(p, _arms(p, pieces)) for p in _rooted_parts(n2)]
+        for i, (p1, arms1) in enumerate(left):
             b1 = p1[3]
-            for p2 in right[i if n2 == n1 else 0 :]:
+            for p2, arms2 in right[i:] if n2 == n1 else right:
                 b2 = p2[3]
-                if b1 is not None and b2 is not None:
+                if b1 is not None and b2 is not None:  # one cut vertex
                     cert = b"".join(sorted(b1 + b2))
                 else:
-                    cert = _certificate(_glued_blocks(p1, p2), n)
+                    cert = _certificate(p1[1], arms1, p2[1], arms2)
                 yield p1, p2, cert
+
+
+def _one_class_at_a_time(parts: list[_Part]) -> Iterator[tuple[_Part, _Arms]]:
+    """Each part with its arms, keeping the pieces of the current class only."""
+    pieces: dict[_Class, _Pieces] = {}
+    for p in parts:
+        if p[2] not in pieces:
+            pieces.clear()
+        yield p, _arms(p, pieces)
 
 
 def _composed(n: int) -> _Gluings:
@@ -571,7 +684,7 @@ def classes_with_cut_vertices(n: int) -> Sequence[Graph]:
     classes: dict[bytes, _Class] = {}
     for pair in level.pairs:
         key, labeled[key], pos, roots, auts = canonize(glue(*pair))
-        parts = [(g, r, records[id(g)].blocks, None) for g, r in (pair[:2], pair[2:])]
+        parts = [(g, r, records[id(g)], None) for g, r in (pair[:2], pair[2:])]
         blocks = tuple((cls, bytes(pos[v] for v in verts)) for cls, verts in _glued_blocks(*parts))
         classes[key] = _Class(key, roots, auts, blocks, pair)
     return _put(n, "cut", labeled, classes)

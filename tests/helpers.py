@@ -178,6 +178,60 @@ def subset_tables(graphs):
     return extremal._tables(graphs).T
 
 
+def leaf_stripping_certificate(blocks, n):
+    """The certificate of ``generate``'s lemma for a connected graph on n
+    vertices with a cut vertex, from its block list: the block-cut tree is
+    built, its leaves are stripped layer by layer down to the centre, and
+    every piece is coded from scratch.  An oracle for composition, which
+    codes only the pieces on the path from the glue vertex to the centre."""
+    at = [[] for _ in range(n)]  # the blocks at each vertex
+    for i, (_, verts) in enumerate(blocks):
+        for v in verts:
+            at[v].append(i)
+    # the block-cut tree: block i is node i, cut vertex v is node nb + v
+    nb = len(blocks)
+    cuts = [v for v in range(n) if len(at[v]) > 1]
+    nbrs = [[] for _ in range(nb)]
+    for v in cuts:
+        for i in at[v]:
+            nbrs[i].append(nb + v)
+    nbrs += at
+    deg = [len(ids) for ids in nbrs]
+    layer = [i for i in range(nb) if deg[i] == 1]
+    left = nb + len(cuts)
+    while left > len(layer):
+        left -= len(layer)
+        nxt = []
+        for u in layer:
+            deg[u] = 0
+            for w in nbrs[u]:
+                if deg[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    centre = layer[0]
+
+    def block_code(i, entry):
+        cls, verts = blocks[i]
+        if len(nbrs[i]) == 1:  # a leaf, entered at its one cut vertex
+            return cls.key + bytes([cls.roots[verts.index(entry)]])
+        colours = [
+            b"\xff" if v == entry else vertex_code(v, i) if len(at[v]) > 1 else b"\x00"
+            for v in verts
+        ]
+        return cls.key + b"\xfe" + cls.least(colours)
+
+    def vertex_code(v, parent):
+        codes = sorted([block_code(j, v) for j in at[v] if j != parent])
+        return bytes([len(codes)]) + b"".join(codes)
+
+    if centre < nb:
+        return block_code(centre, -1)
+    w = centre - nb
+    return b"".join(sorted([block_code(j, w) for j in at[w]]))
+
+
 def _group(gens, n):
     """Every permutation of 0..n-1 that ``gens`` generate, enumerated: an
     oracle for the orbits the package closes under generators alone.  A

@@ -143,6 +143,17 @@ class TestCount:
         )
         assert rc == 0 and out == f"{want} {want}\n" and err == ""
 
+    @pytest.mark.parametrize(
+        "flags, want", [([], "9"), (["--vertex", "1"], "4")], ids=["total", "vertex"]
+    )
+    def test_decompose_hands_a_disconnected_graph_to_census(self, flags, want, capsys, monkeypatch):
+        # P3 + K2: decomposition has no rule for a disconnected graph, so its
+        # route is census's, as brute force counts it
+        for method in ("decompose", "brute"):
+            argv = ["count", "--in", "-", "--method", method, *flags]
+            rc, out, err = run(capsys, argv, stdin="DgC\n", monkeypatch=monkeypatch)
+            assert (rc, out, err) == (0, want + "\n", "")
+
     def test_both_checks_a_disconnected_graph_by_census_routes(self, capsys, monkeypatch):
         # decomposition takes no disconnected graph; census's two routes do
         two_k2 = serialize_graph6(Graph.from_edges(4, [(0, 1), (2, 3)])) + "\n"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import sys
@@ -26,7 +27,7 @@ from connsub.generate import (
 from connsub.graph import Graph, cut_vertices, is_connected
 from connsub.graphio import parse_graph6
 
-from helpers import _group, canonical_key, labeled_key
+from helpers import _group, canonical_key, labeled_key, leaf_stripping_certificate
 
 # connected graphs up to isomorphism, then the 2-connected stratum
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -444,6 +445,37 @@ def test_certificate_is_complete():
             assert key_of.setdefault(cert, key) == key
             assert cert_of.setdefault(key, cert) == cert
         assert len(key_of) == want
+
+
+def test_walk_gives_the_leaf_stripping_certificate():
+    # every gluing with n <= 8 gets, from its parts' pieces and the walk to
+    # the centre, the bytes the oracle builds from the whole block-cut tree;
+    # 3,463 of them have two or more cut vertices
+    tree = 0
+    for n in range(3, 9):
+        for p1, p2, cert in generate._gluings(n):
+            assert cert == leaf_stripping_certificate(generate._glued_blocks(p1, p2), n)
+            tree += p1[3] is None or p2[3] is None
+    assert tree == 3463
+
+
+def test_composition_keeps_no_piece_codes(monkeypatch):
+    # the parts' piece codes live for one composition: none outlives it
+    monkeypatch.setattr(generate, "_store", {})
+    for n in range(1, 8):
+        rooted_classes(n)
+    made = []
+    init = generate._Pieces.__init__
+
+    def counted(self, cls):
+        made.append(len(cls.roots))
+        init(self, cls)
+
+    monkeypatch.setattr(generate._Pieces, "__init__", counted)
+    gc.collect()
+    generate._composed(8)
+    assert set(made) == {3, 4, 5, 6, 7}
+    assert not [o for o in gc.get_objects() if isinstance(o, generate._Pieces)]
 
 
 def test_composition_labels_each_class_once_below_the_cap_and_none_at_it(monkeypatch):
