@@ -64,6 +64,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
             req = tuple(int(x) for x in args.containing.split(",") if x != "")
         except ValueError as exc:
             raise ValueError(f"bad --containing list: {exc}") from exc
+        if not req:
+            raise ValueError(f"bad --containing list: no vertex in {args.containing!r}")
     status = 0
     for g in _read_graphs(args.infile, args.format):
         if args.method != "both":

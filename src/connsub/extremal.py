@@ -70,7 +70,7 @@ import numpy as np
 from . import decompose
 from .canon import canonize
 from .census import _edge_counts
-from .generate import GENERATION_CAP, _augmented, _composed
+from .generate import GENERATION_CAP, _augmented, _Class, _composed, _Pair
 from .graph import Graph, bits
 from .graphio import serialize_graph6
 
@@ -250,29 +250,26 @@ def _minima(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SLICE_ENTRIES = 1 << 15
 
 
-def _evaluate_gluings(pairs: Sequence[tuple[Graph, int, Graph, int]]) -> tuple[np.ndarray, ...]:
-    """(F, f, k, tree, girth) of each gluing (g1, r1, g2, r2) of connected
-    classes into one order n, from the parts' values by the rules in the
-    module docstring: F, the f-vector as ``[gluing, x]`` in ``glue``'s
-    labels, the cut-vertex count, whether it is a tree and the girth
-    (``_NO_CYCLE`` if acyclic).  The values of each order are computed
-    once, for the classes the gluings use."""
-    g1s, r1s, g2s, r2s = zip(*pairs)
-    n = g1s[0].n + g2s[0].n - 1
-    # each class's row among the classes of its order, by identity: every
-    # part of a class is the one graph the class store holds for it
-    row: dict[int, int] = {}
+def _evaluate_gluings(pairs: Sequence[_Pair]) -> tuple[np.ndarray, ...]:
+    """(F, f, k, tree, girth) of each gluing (record 1, r1, record 2, r2) of
+    connected classes into one order n, from the parts' values by the rules
+    in the module docstring: F, the f-vector as ``[gluing, x]`` in
+    ``glue``'s labels, the cut-vertex count, whether it is a tree and the
+    girth (``_NO_CYCLE`` if acyclic).  The values of each order are
+    computed once, for the classes the gluings use."""
+    c1s, r1s, c2s, r2s = zip(*pairs)
+    n = c1s[0].graph.n + c2s[0].graph.n - 1
+    # each part class's row among the classes of its order
+    row: dict[_Class, int] = {}
     classes: dict[int, list[Graph]] = {}
-    for key, g in dict(zip(map(id, g1s + g2s), g1s + g2s)).items():
-        order = classes.setdefault(g.n, [])
-        row[key] = len(order)
-        order.append(g)
+    for cls in dict.fromkeys(c1s + c2s):
+        order = classes.setdefault(cls.graph.n, [])
+        row[cls] = len(order)
+        order.append(cls.graph)
     values = {order: evaluate_counts(graphs, True) for order, graphs in classes.items()}
-    j1s, j2s = (
-        np.fromiter(map(row.__getitem__, map(id, gs)), np.int64, len(gs)) for gs in (g1s, g2s)
-    )
+    j1s, j2s = (np.fromiter(map(row.__getitem__, cs), np.int64, len(cs)) for cs in (c1s, c2s))
     r1s, r2s = np.asarray(r1s), np.asarray(r2s)
-    n1s = np.fromiter((g.n for g in g1s), np.int64, len(g1s))
+    n1s = np.fromiter((cls.graph.n for cls in c1s), np.int64, len(c1s))
     total, k, girths = (np.empty(len(pairs), dtype=np.int64) for _ in range(3))
     tree = np.empty(len(pairs), dtype=bool)
     fvec = np.empty((len(pairs), n), dtype=np.int64)

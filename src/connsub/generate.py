@@ -161,30 +161,31 @@ needs its labels, and then by one step, ``canon.canonize``: the canonical
 key and copy, and the orbit roots and automorphism generators of that same
 labeling, already in canonical labels, so nothing here translates them.
 Composition stores each level's classes with a cut vertex as a
-``_Gluings``, the rooted parts (g1, r1, g2, r2) of each certificate's first
-gluing, glued when read, and ``extremal`` evaluates them from the parts'
-counts.  Augmentation stores each level's accepted children: unlabeled if
-accepted by the singleton rule, else the canonical copy its verdict made,
-with that labeling's key, roots and generators below the cap; ``extremal``
-evaluates them as they are.  The first read of a level's records
-(``block_classes(n)`` or ``classes_with_cut_vertices(n)``, so also
-``connected_classes(n)``, ``_rooted_parts(n)`` and augmenting n + 1)
-canonises each kept gluing, whose labels fix ``canonize``'s generators, and
-each unlabeled child, and files the level by canonical key; each cut record
-keeps its pair.  Nothing reads the cap's records, so neither stratum keeps
-any there: its classes with a cut vertex are never labeled, and its
-children keep no labeling, so ``block_classes(GENERATION_CAP)``, which no
-search reads, labels each of them, those labeled for their verdict again.
+``_Gluings``: the rooted parts (record 1, r1, record 2, r2) of each
+certificate's first gluing, in certificate order, glued when read, and
+``extremal`` evaluates them from the parts' counts.  Augmentation stores
+each level's accepted children: unlabeled if accepted by the singleton
+rule, else the canonical copy its verdict made, which gets its record at
+once below the cap; ``extremal`` evaluates the children as they are.  The
+first read of a level's records (``block_classes(n)`` or
+``classes_with_cut_vertices(n)``, so also ``connected_classes(n)``,
+``_rooted_parts(n)`` and augmenting n + 1) canonises each kept gluing,
+whose labels fix ``canonize``'s generators, and each unlabeled child, and
+files the level by canonical key; each cut record keeps its pair.  Nothing
+reads the cap's records, so neither stratum keeps a labeling there: its
+classes with a cut vertex are never labeled, and ``block_classes`` labels
+each of its children, those labeled for their verdict again, into records
+of key and graph alone.
 
-The classes live in one store, per vertex count and stratum ("cut" or
-"block"): keys in sorted order, with the graph and the record of each; for
-a cut stratum not yet read, the parts of each keyed by certificate; for a
-block stratum not yet read, no keys, its accepted children and, below the
-cap, each child's labeling (None if unlabeled).  A certificate begins with
-a block's vertex count, below n, so it sorts before the canonical keys and
-``connected_classes(GENERATION_CAP)`` is not in canonical-key order.  No
-level above the cap is generated, and ``rooted_classes(n)`` reads the orbit
-roots of level n's records per call.
+The classes live in one store.  A read level, per vertex count and stratum
+("cut" or "block"), is one tuple of records in key order.  A level not yet
+read lives under its own key: (n, "gluings") for the part pairs, (n,
+"children") for the children beside their records (None if unlabeled; none
+at the cap).  A certificate begins with a block's vertex count, below n, so
+it sorts before the canonical keys: ``connected_classes(GENERATION_CAP)``
+gives the classes with a cut vertex in certificate order, then the others.
+No level above the cap is generated, and ``rooted_classes(n)`` reads the
+orbit roots of level n's records per call.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator, Sequence
 from itertools import zip_longest
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .canon import canonize, orbit
 from .graph import MAX_VERTICES, Graph, components, cut_vertices
@@ -210,26 +211,28 @@ _shared: dict[bytes | tuple, bytes | tuple] = {}
 
 
 class _Class:
-    """A class below ``GENERATION_CAP`` as augmentation extends it and
-    composition glues it: its key, per canonical label the least label of
-    its Aut-orbit, generators of Aut in canonical labels, its block list
-    (``None``: its own single block) and, if glued, the pair it was glued from.
-    Equal roots, vertex orders, permutations and generator lists are shared
-    between classes.  Two leaf pairs of ``canonize``'s search may give the
-    same generator; it is kept once, as every orbit closure pays for each
-    generator."""
+    """A class as the store holds it: its key and graph and, below
+    ``GENERATION_CAP``, what augmentation and composition read: per canonical
+    label the least label of its Aut-orbit, generators of Aut in canonical
+    labels, its block list (``None``: its own single block) and, if glued,
+    the pair it was glued from.  Equal roots, vertex orders, permutations and
+    generator lists are shared between classes.  Two leaf pairs of
+    ``canonize``'s search may give the same generator; it is kept once, as
+    every orbit closure pays for each generator."""
 
-    __slots__ = ("key", "roots", "gens", "blocks", "pair")
+    __slots__ = ("key", "graph", "roots", "gens", "blocks", "pair")
 
     def __init__(
         self,
         key: bytes,
-        roots: bytes,
-        auts: list[tuple[int, ...]],
+        graph: Graph,
+        roots: bytes = b"",
+        auts: list[tuple[int, ...]] = (),
         blocks: tuple[_Block, ...] | None = None,
         pair: _Pair | None = None,
     ):
         self.key = key
+        self.graph = graph
         self.roots = _shared.setdefault(roots, roots)
         gens = tuple(_shared.setdefault(a, a) for a in dict.fromkeys(auts))
         self.gens = _shared.setdefault(gens, gens)
@@ -250,10 +253,10 @@ class _Class:
 
 # a block of a graph: its class and its vertices in the class's canonical order
 _Block = tuple[_Class, bytes]
-# a rooted class as composition glues it: (graph, root, record, bouquet)
-_Part = tuple[Graph, int, _Class, tuple[bytes, ...] | None]
-# the rooted parts (g1, r1, g2, r2) that ``glue`` takes
-_Pair = tuple[Graph, int, Graph, int]
+# a rooted class as composition glues it: (record, root, bouquet)
+_Part = tuple[_Class, int, tuple[bytes, ...] | None]
+# the rooted parts (record 1, r1, record 2, r2) of a gluing
+_Pair = tuple[_Class, int, _Class, int]
 
 
 class _Gluings(Sequence[Graph]):
@@ -266,31 +269,16 @@ class _Gluings(Sequence[Graph]):
         return len(self.pairs)
 
     def __getitem__(self, i: int) -> Graph:
-        return glue(*self.pairs[i])
+        cls1, r1, cls2, r2 = self.pairs[i]
+        return glue(cls1.graph, r1, cls2.graph, r2)
 
 
-# a child labeled for its verdict: its key, orbit roots and generators as
-# ``canonize`` gave them, beside its canonical copy
-_Label = tuple[bytes, bytes, list[tuple[int, ...]]]
-
-# the class store (see above): (n, stratum) -> (sorted keys, graphs, records),
-# or for a block stratum not yet read, ((), children, labelings)
+# the class store (see above): (n, "block" or "cut") -> a read level;
+# (n, "children") and (n, "gluings") -> a level not yet read
 _store: dict[
     tuple[int, str],
-    tuple[tuple[bytes, ...], Sequence[Graph], tuple[_Class, ...] | tuple[_Label | None, ...]],
+    tuple[_Class, ...] | tuple[tuple[Graph, ...], tuple[_Class | None, ...]] | _Gluings,
 ] = {}
-
-
-def _put(
-    n: int, stratum: str, graphs: dict[bytes, Graph | _Pair], classes: dict[bytes, _Class]
-) -> Sequence[Graph]:
-    """Store level n of a stratum by key (see above); returns its graphs in key order."""
-    keys = tuple(sorted(graphs))
-    level = tuple(graphs[k] for k in keys)
-    if stratum == "cut" and not classes:
-        level = _Gluings(level)
-    _store[n, stratum] = (keys, level, tuple(classes[k] for k in keys) if classes else ())
-    return level
 
 
 def _augmented(n: int) -> Sequence[Graph]:
@@ -299,59 +287,61 @@ def _augmented(n: int) -> Sequence[Graph]:
     above); key-ordered once labeled."""
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"classes are generated for n in 1..{GENERATION_CAP}")
-    if (n, "block") not in _store:
+    if (n, "block") in _store:
+        return block_classes(n)
+    if (n, "children") not in _store:
         if n <= 2:  # K1 and K2
-            level = (Graph(n, (0,) if n == 1 else (0b10, 0b01)),), (None,)
+            _store[n, "children"] = (Graph(n, (0,) if n == 1 else (0b10, 0b01)),), (None,)
         else:
-            level = _two_connected(n)
-        _store[n, "block"] = ((), *level)
-    return _store[n, "block"][1]
+            _store[n, "children"] = _two_connected(n)
+    return _store[n, "children"][0]
 
 
 def block_classes(n: int) -> tuple[Graph, ...]:
     """The connected classes on n vertices without a cut vertex: K1, K2
     and, for n >= 3, the 2-connected classes, canonically labeled in key
-    order; the first call labels the level and builds its records."""
-    level = _augmented(n)
-    keys, _, labels = _store[n, "block"]
-    if keys:
-        return level
-    graphs: dict[bytes, Graph] = {}
-    classes: dict[bytes, _Class] = {}
-    for g, label in zip_longest(level, labels):
-        if label is None:
-            key, g, _, roots, auts = canonize(g)
-        else:
-            key, roots, auts = label
-        graphs[key] = g
-        if n < GENERATION_CAP:
-            classes[key] = _Class(key, roots, auts)
-    return _put(n, "block", graphs, classes)
+    order; the first call labels the level's unlabeled children and files
+    its records by key."""
+    if (n, "block") not in _store:
+        children = _augmented(n)
+        _, labeled = _store.pop((n, "children"))
+        records = []
+        for g, cls in zip_longest(children, labeled):
+            if cls is None:
+                key, g, _, roots, auts = canonize(g)
+                cls = _Class(key, g, roots, auts) if n < GENERATION_CAP else _Class(key, g)
+            records.append(cls)
+        _store[n, "block"] = tuple(sorted(records, key=attrgetter("key")))
+    return tuple(cls.graph for cls in _store[n, "block"])
 
 
 def connected_classes(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, one representative per
     isomorphism class, canonically labeled except the classes with a cut
-    vertex at ``GENERATION_CAP``; the two strata merged in key order."""
-    block_classes(n)
+    vertex at ``GENERATION_CAP``: below the cap the two strata merged in key
+    order, at the cap the classes with a cut vertex in certificate order and
+    then the others in key order."""
+    blocks = block_classes(n)
+    if n == GENERATION_CAP:
+        return (*classes_with_cut_vertices(n), *blocks)
     classes_with_cut_vertices(n)
-    strata = [zip(*_store[n, s][:2]) for s in ("block", "cut")]
-    return tuple(g for _, g in heapq.merge(*strata, key=itemgetter(0)))
+    strata = (_store[n, "block"], _store[n, "cut"])
+    return tuple(cls.graph for cls in heapq.merge(*strata, key=attrgetter("key")))
 
 
-def _two_connected(n: int) -> tuple[tuple[Graph, ...], tuple[_Label | None, ...]]:
+def _two_connected(n: int) -> tuple[tuple[Graph, ...], tuple[_Class | None, ...]]:
     """The accepted children of canonical augmentation on n >= 3 vertices,
     one per 2-connected class (see the lemma above), and below the cap the
-    labeling of each: None for a child accepted by the singleton rule, which
+    record of each: None for a child accepted by the singleton rule, which
     is kept unlabeled; any other is labeled for its verdict and kept as its
-    canonical copy."""
+    canonical copy, with the record that labeling gives."""
     new = n - 1
     children: list[Graph] = []
-    labels: list[_Label | None] = []
+    labeled: list[_Class | None] = []
     connected_classes(n - 1)  # stores both strata of the parents' level
     for stratum in ("block", "cut"):
-        _, parents, records = _store[n - 1, stratum]
-        for parent, record in zip(parents, records, strict=True):
+        for record in _store[n - 1, stratum]:
+            parent = record.graph
             for subset in _subset_orbit_reps(parent, record.gens):
                 # the new vertex n - 1 joined to every vertex of the subset
                 adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
@@ -359,18 +349,19 @@ def _two_connected(n: int) -> tuple[tuple[Graph, ...], tuple[_Label | None, ...]
                 best = _deletion_candidates(adj, subset.bit_count())
                 if best is None:
                     continue
-                child, label = Graph(n, tuple(adj)), None
+                child, cls = Graph(n, tuple(adj)), None
                 if len(best) > 1:  # else B(child) = {new}: accepted unlabeled
                     key, child, pos, roots, auts = canonize(child)
                     # m(child), the least canonical label in the Aut-invariant
                     # set ``best``, is the least label of its orbit
                     if roots[pos[new]] != min(pos[v] for v in best):
                         continue
-                    label = key, roots, auts
+                    if n < GENERATION_CAP:
+                        cls = _Class(key, child, roots, auts)
                 children.append(child)
                 if n < GENERATION_CAP:
-                    labels.append(label)
-    return tuple(children), tuple(labels)
+                    labeled.append(cls)
+    return tuple(children), tuple(labeled)
 
 
 def _deletion_candidates(adj: list[int], size: int) -> list[int] | None:
@@ -432,26 +423,24 @@ def rooted_classes(n: int) -> list[tuple[Graph, int]]:
     """(graph, root) pairs: each connected class on n vertices with one root
     per vertex orbit, the orbit's smallest vertex.  Kept for
     n < ``GENERATION_CAP``, the sizes composition glues."""
-    return [(g, root) for g, root, _, _ in _rooted_parts(n)]
+    return [(cls.graph, root) for cls, root, _ in _rooted_parts(n)]
 
 
-def _rooted_parts(n: int) -> list[_Part]:
-    """(graph, root, record, bouquet) in the order of
-    ``rooted_classes(n)``.  The bouquet (see above) is None unless the
-    graph's cut vertices lie within the root."""
+def _rooted_parts(n: int) -> Iterator[_Part]:
+    """(record, root, bouquet) in the order of ``rooted_classes(n)``, made
+    as they are read.  The bouquet (see above) is None unless the class's
+    cut vertices lie within the root."""
     if not 1 <= n < GENERATION_CAP:
         raise ValueError(f"rooted classes are kept for n in 1..{GENERATION_CAP - 1}")
     block_classes(n)
     classes_with_cut_vertices(n)
-    strata = [_parts_of(*_store[n, s]) for s in ("block", "cut")]
-    return [part for _, part in heapq.merge(*strata, key=itemgetter(0))]
+    strata = [_parts_of(_store[n, s]) for s in ("block", "cut")]
+    return heapq.merge(*strata, key=lambda part: part[0].key)
 
 
-def _parts_of(
-    keys: tuple[bytes, ...], graphs: tuple[Graph, ...], classes: tuple[_Class, ...]
-) -> Iterator[tuple[bytes, _Part]]:
-    """(key, part) for each orbit root of each class of one stored level."""
-    for key, g, cls in zip(keys, graphs, classes, strict=True):
+def _parts_of(classes: tuple[_Class, ...]) -> Iterator[_Part]:
+    """A part for each orbit root of each class of one stored level."""
+    for cls in classes:
         # the cut vertices: the vertices in two or more blocks
         seen = cut = 0
         for _, verts in cls.blocks:
@@ -464,7 +453,7 @@ def _parts_of(
                 bouquet = tuple(
                     sorted(b.key + bytes([b.roots[verts.index(r)]]) for b, verts in cls.blocks)
                 )
-            yield key, (g, r, cls, bouquet)
+            yield cls, r, bouquet
 
 
 def _labels(n1: int, r1: int, n2: int, r2: int) -> list[int]:
@@ -490,11 +479,9 @@ def glue(g1: Graph, r1: int, g2: Graph, r2: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _glued_blocks(p1: _Part, p2: _Part) -> list[_Block]:
-    """The block list of the two parts glued, in ``glue``'s labels."""
-    g1, r1, cls1, _ = p1
-    g2, r2, cls2, _ = p2
-    label = _labels(g1.n, r1, g2.n, r2)
+def _glued_blocks(cls1: _Class, r1: int, cls2: _Class, r2: int) -> list[_Block]:
+    """The block list of the two rooted classes glued, in ``glue``'s labels."""
+    label = _labels(cls1.graph.n, r1, cls2.graph.n, r2)
     return [*cls1.blocks, *((b, bytes(map(label.__getitem__, verts))) for b, verts in cls2.blocks)]
 
 
@@ -590,7 +577,7 @@ _Arms = tuple[tuple[int, ...], tuple[bytes, ...] | tuple[int, ...], _Pieces | No
 
 def _arms(part: _Part, pieces: dict[_Class, _Pieces]) -> _Arms:
     """The arms of ``part`` at its root, its class's pieces kept in ``pieces``."""
-    _, r, cls, bouquet = part
+    cls, r, bouquet = part
     if bouquet is not None:  # its arms are its leaves
         return (1,) * len(bouquet) + (0,), bouquet, None
     own = pieces.get(cls)
@@ -625,7 +612,8 @@ def _gluings(n: int) -> Iterator[tuple[_Part, _Part, bytes]]:
     composition glues into n vertices: n1 <= n2 and, when n1 == n2, each
     unordered pair once.  Each part class's pieces are coded once per call;
     a class of order n - 1 meets only the rooted K2, and its roots come in
-    a row, so one such class is kept at a time."""
+    a row, so its parts are made as they are glued and one such class's
+    pieces are kept at a time."""
     pieces: dict[_Class, _Pieces] = {}
     for n1 in range(2, (n + 1) // 2 + 1):
         n2 = n + 1 - n1
@@ -637,9 +625,9 @@ def _gluings(n: int) -> Iterator[tuple[_Part, _Part, bytes]]:
         else:
             right = [(p, _arms(p, pieces)) for p in _rooted_parts(n2)]
         for i, (p1, arms1) in enumerate(left):
-            b1 = p1[3]
+            b1 = p1[2]
             for p2, arms2 in right[i:] if n2 == n1 else right:
-                b2 = p2[3]
+                b2 = p2[2]
                 if b1 is not None and b2 is not None:  # one cut vertex
                     cert = b"".join(sorted(b1 + b2))
                 else:
@@ -647,44 +635,44 @@ def _gluings(n: int) -> Iterator[tuple[_Part, _Part, bytes]]:
                 yield p1, p2, cert
 
 
-def _one_class_at_a_time(parts: list[_Part]) -> Iterator[tuple[_Part, _Arms]]:
+def _one_class_at_a_time(parts: Iterator[_Part]) -> Iterator[tuple[_Part, _Arms]]:
     """Each part with its arms, keeping the pieces of the current class only."""
     pieces: dict[_Class, _Pieces] = {}
     for p in parts:
-        if p[2] not in pieces:
+        if p[0] not in pieces:
             pieces.clear()
         yield p, _arms(p, pieces)
 
 
 def _composed(n: int) -> _Gluings:
-    """Level n's part pairs, each certificate's first gluing; key-ordered once labeled."""
+    """Level n's part pairs, each certificate's first gluing: in certificate
+    order until the level is read, then in key order."""
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"classes are generated for n in 1..{GENERATION_CAP}")
-    if (n, "cut") not in _store:
+    if (n, "cut") in _store:
+        return _Gluings(tuple(cls.pair for cls in _store[n, "cut"]))
+    if (n, "gluings") not in _store:
         pairs: dict[bytes, _Pair] = {}
-        for p1, p2, cert in _gluings(n):
+        for (cls1, r1, _), (cls2, r2, _), cert in _gluings(n):
             if cert not in pairs:
-                pairs[cert] = (p1[0], p1[1], p2[0], p2[1])
-        _put(n, "cut", pairs, {})
-    _, level, classes = _store[n, "cut"]
-    return _Gluings(tuple(cls.pair for cls in classes)) if classes else level
+                pairs[cert] = cls1, r1, cls2, r2
+        _store[n, "gluings"] = _Gluings(tuple(pairs[cert] for cert in sorted(pairs)))
+    return _store[n, "gluings"]
 
 
 def classes_with_cut_vertices(n: int) -> Sequence[Graph]:
     """All connected classes on n vertices having at least one cut vertex:
     below ``GENERATION_CAP`` canonically labeled in key order, the first call
     building the level's records; at the cap glued when read (see above)."""
-    level = _store[n, "cut"][1] if (n, "cut") in _store else _composed(n)
-    if n == GENERATION_CAP or not isinstance(level, _Gluings) or not level:
-        return level
-    # the parts' records, by the identity of the graph the store holds
-    stored = [_store[m, stratum][1:] for m in range(2, n) for stratum in ("block", "cut")]
-    records = {id(g): cls for graphs, classes in stored for g, cls in zip(graphs, classes)}
-    labeled: dict[bytes, Graph] = {}
-    classes: dict[bytes, _Class] = {}
-    for pair in level.pairs:
-        key, labeled[key], pos, roots, auts = canonize(glue(*pair))
-        parts = [(g, r, records[id(g)], None) for g, r in (pair[:2], pair[2:])]
-        blocks = tuple((cls, bytes(pos[v] for v in verts)) for cls, verts in _glued_blocks(*parts))
-        classes[key] = _Class(key, roots, auts, blocks, pair)
-    return _put(n, "cut", labeled, classes)
+    if n >= GENERATION_CAP:
+        return _composed(n)
+    if (n, "cut") not in _store:
+        level = _composed(n)
+        records = []
+        for pair, g in zip(level.pairs, level):
+            key, g, pos, roots, auts = canonize(g)
+            blocks = tuple((b, bytes(pos[v] for v in vs)) for b, vs in _glued_blocks(*pair))
+            records.append(_Class(key, g, roots, auts, blocks, pair))
+        del _store[n, "gluings"]
+        _store[n, "cut"] = tuple(sorted(records, key=attrgetter("key")))
+    return tuple(cls.graph for cls in _store[n, "cut"])

@@ -393,6 +393,9 @@ EXIT_TWO = {
         None,
     ),
     "count-bad-containing-missing-file": (["count", "--in", "{tmp}/missing.g6", "--containing", "a"], None),
+    "count-empty-containing": (["count", "--in", "-", "--containing", ","], g6("P:n=3")),
+    "count-blank-containing": (["count", "--in", "-", "--containing", ""], g6("P:n=3")),
+    "count-empty-containing-missing-file": (["count", "--in", "{tmp}/missing.g6", "--containing", ","], None),
     "count-vertex-out-of-range": (["count", "--in", "-", "--vertex", "7"], g6("P:n=3")),
     "count-both-past-census": (["count", "--in", "-", "--vertex", "25", "--method", "both"], g6("P:n=51")),
     "family-bad-spec": (["family", "--spec", "L:n=6,g=6"], None),
@@ -415,6 +418,9 @@ EXIT_TWO = {
 EXIT_TWO_ERROR = {
     "count-conflicting-flags-missing-file": "error: --vertex and --containing are mutually exclusive\n",
     "count-bad-containing-missing-file": "error: bad --containing list: ",
+    "count-empty-containing": "error: bad --containing list: ",
+    "count-blank-containing": "error: bad --containing list: ",
+    "count-empty-containing-missing-file": "error: bad --containing list: ",
 }
 
 

@@ -207,7 +207,8 @@ class TestCapFromParts:
             member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
             for lo in range(0, len(cat), 2048):
                 rows = slice(lo, lo + 2048)
-                graphs = [glue(*parts) for parts in cat.graphs.pairs[rows]]
+                pairs = cat.graphs.pairs[rows]
+                graphs = [glue(c1.graph, r1, c2.graph, r2) for c1, r1, c2, r2 in pairs]
                 tables = subset_tables(graphs)
                 want = np.stack([tables[:, member[:, x]].sum(axis=1) for x in range(n)], axis=1)
                 assert (fvec[rows] == want).all()
@@ -234,8 +235,8 @@ class TestCapFromParts:
         # slice, so a guard that read only the first would pass the batch
         n, rows = GENERATION_CAP, 64
         pairs = generate.classes_with_cut_vertices(n).pairs
-        n1s = np.array([g1.n for g1, _, _, _ in pairs])
-        (bad,) = np.flatnonzero([n + g1.m + g2.m > 37 for g1, _, g2, _ in pairs])
+        n1s = np.array([cls1.graph.n for cls1, _, _, _ in pairs])
+        (bad,) = np.flatnonzero([n + c1.graph.m + c2.graph.m > 37 for c1, _, c2, _ in pairs])
         assert bad not in np.flatnonzero(n1s == n1s.min())[:rows]
         monkeypatch.setattr(extremal, "_SLICE_ENTRIES", rows * n)
         monkeypatch.setattr(extremal, "_EXACT_MAX_N_PLUS_M", 37)
@@ -248,7 +249,7 @@ class TestCapFromParts:
         # does a search below the cap
         generate.rooted_classes(GENERATION_CAP - 1)  # level 8's records
         store = dict(generate._store)
-        store.pop((GENERATION_CAP, "cut"), None)
+        store.pop((GENERATION_CAP, "gluings"), None)
         monkeypatch.setattr(generate, "_store", store)
         monkeypatch.setattr(extremal, "_catalog_cache", {})
         kernel_calls, glued = [], []
@@ -304,7 +305,8 @@ class TestWorkingSet:
         # 24.5 MB in chunks of 2,048 graphs: a chunk's tables set the peak,
         # whatever the graphs; these are 2,048 classes of the cap, glued
         pairs = generate.classes_with_cut_vertices(GENERATION_CAP).pairs[:2048]
-        _, peak = traced_peak(evaluate_counts, [glue(*parts) for parts in pairs])
+        graphs = [glue(c1.graph, r1, c2.graph, r2) for c1, r1, c2, r2 in pairs]
+        _, peak = traced_peak(evaluate_counts, graphs)
         assert peak < 12 << 20
 
     def test_the_cap_evaluation_peaks_below_twenty_megabytes_over_its_outputs(self):
@@ -320,7 +322,7 @@ class TestWorkingSet:
         # with a ragged last one, against the default budgets
         graphs = list(connected_classes(8))[:300]
         pairs = generate._composed(8).pairs
-        groups = np.unique([g1.n for g1, _, _, _ in pairs], return_counts=True)[1]
+        groups = np.unique([cls1.graph.n for cls1, _, _, _ in pairs], return_counts=True)[1]
         assert len(graphs) % 7 and (groups % 37).any()
         want = evaluate_counts(graphs, True) + extremal._evaluate_gluings(pairs)
         monkeypatch.setattr(extremal, "_CHUNK_ENTRIES", 7 << 8)

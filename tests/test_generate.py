@@ -156,8 +156,8 @@ def test_unlabeled_verdicts_match_the_labeled_verdict():
         connected_classes(n - 1)
         accepted, singletons = [], 0
         for stratum in ("block", "cut"):
-            _, parents, records = generate._store[n - 1, stratum]
-            for parent, cls in zip(parents, records):
+            for cls in generate._store[n - 1, stratum]:
+                parent = cls.graph
                 for s in generate._subset_orbit_reps(parent, cls.gens):
                     adj = [a | 1 << new if s >> v & 1 else a for v, a in enumerate(parent.adj)]
                     adj.append(s)
@@ -178,17 +178,17 @@ def test_unlabeled_verdicts_match_the_labeled_verdict():
         assert len(accepted) == TWO_CONNECTED_COUNTS[n] >= singletons
         assert [canonical_key(g) for g in children] == accepted
         # an unlabeled child keeps its labels, the new vertex last; a
-        # labeled one is its canonical copy with that labeling's key, orbit
-        # roots and generators
+        # labeled one is its canonical copy, held by its record with that
+        # labeling's key, orbit roots and generators
         assert sum(label is None for label in labels) == singletons
         for g, label in zip(children, labels, strict=True):
             if label is None:
                 assert generate._deletion_candidates(list(g.adj), g.adj[new].bit_count()) == [new]
             else:
-                key, roots, auts = label
+                assert label.graph is g
                 again, _, _, roots_again, _ = canon.canonize(g)
-                assert (key, roots) == (again, roots_again)
-                assert all(g.relabel(a) == g for a in auts)
+                assert (label.key, label.roots) == (again, roots_again)
+                assert all(g.relabel(a) == g for a in label.gens)
     # at n = 8, 5,369 of the 7,352 children that pass the invariant screen
     assert singletons == 5369
 
@@ -199,10 +199,8 @@ def test_stored_generators_generate_each_class_group():
     for n in range(1, 8):
         connected_classes(n)
         for stratum in ("block", "cut"):
-            _, graphs, classes = generate._store[n, stratum]
-            assert len(classes) == len(graphs)
-            for g, cls in zip(graphs, classes):
-                want = _group(canonical_labeling(g)[2], n)
+            for cls in generate._store[n, stratum]:
+                want = _group(canonical_labeling(cls.graph)[2], n)
                 assert _group(cls.gens, n) == want
 
 
@@ -225,8 +223,8 @@ def test_subset_orbit_reps_are_the_least_of_each_orbit():
     for n in range(1, 8):
         connected_classes(n)
         for stratum in ("block", "cut"):
-            _, graphs, classes = generate._store[n, stratum]
-            for g, cls in zip(graphs, classes):
+            for cls in generate._store[n, stratum]:
+                g = cls.graph
                 group = _group(cls.gens, n)
                 want = {
                     min(sum(1 << perm[v] for v in range(n) if s >> v & 1) for perm in group)
@@ -259,10 +257,14 @@ def test_least_image_is_the_least_over_the_group(monkeypatch):
 
 
 def test_cap_certificates_are_pinned():
-    # the cap's classes with a cut vertex, keyed by certificate in sorted
-    # order: the certificate bytes fix the order of the cap's rows
-    generate._composed(GENERATION_CAP)
-    certificates = generate._store[GENERATION_CAP, "cut"][0]
+    # the cap's classes with a cut vertex, the first gluing of each
+    # certificate in sorted certificate order: the certificate bytes fix the
+    # order of the cap's rows
+    first = {}
+    for (cls1, r1, _), (cls2, r2, _), cert in generate._gluings(GENERATION_CAP):
+        first.setdefault(cert, (cls1, r1, cls2, r2))
+    certificates = sorted(first)
+    assert generate._composed(GENERATION_CAP).pairs == tuple(first[c] for c in certificates)
     assert len(certificates) == 67_014
     digest = hashlib.sha256(b"".join(bytes([len(c)]) + c for c in certificates))
     assert digest.hexdigest() == (
@@ -279,12 +281,36 @@ def test_cap_classes_store_no_generators(monkeypatch):
     # the cap's accepted children keep no labeling, even those labeled for
     # their verdict
     assert len(generate._augmented(7)) == TWO_CONNECTED_COUNTS[7]
-    keys, _, labels = generate._store[7, "block"]
-    assert keys == labels == ()
+    assert generate._store[7, "children"][1] == ()
     assert len(connected_classes(7)) == CONNECTED_COUNTS[7]
     for stratum in ("block", "cut"):
-        assert any(cls.gens for cls in generate._store[6, stratum][2])
-        assert generate._store[7, stratum][2] == ()
+        assert any(cls.gens for cls in generate._store[6, stratum])
+    # the cap's block records hold only key and graph; its classes with a
+    # cut vertex stay part pairs
+    assert not any(cls.gens or cls.roots for cls in generate._store[7, "block"])
+    assert (7, "cut") not in generate._store
+
+
+def test_connected_classes_at_the_cap(monkeypatch):
+    # at the cap, connected_classes gives each class once: first the classes
+    # with a cut vertex, glued from the first gluing of each certificate in
+    # sorted certificate order, then the block classes in key order; the
+    # cap's records keep no generators
+    monkeypatch.setattr(generate, "_store", {})
+    monkeypatch.setattr(generate, "GENERATION_CAP", 7)
+    first = {}
+    for (cls1, r1, _), (cls2, r2, _), cert in generate._gluings(7):
+        first.setdefault(cert, (cls1, r1, cls2, r2))
+    pairs = [first[cert] for cert in sorted(first)]
+    classes = connected_classes(7)
+    assert len(classes) == len({canonical_key(g) for g in classes}) == CONNECTED_COUNTS[7]
+    cut = len(pairs)
+    assert cut == CONNECTED_COUNTS[7] - TWO_CONNECTED_COUNTS[7]
+    assert classes[:cut] == tuple(glue(c1.graph, r1, c2.graph, r2) for c1, r1, c2, r2 in pairs)
+    blocks = generate._store[7, "block"]
+    assert classes[cut:] == tuple(cls.graph for cls in blocks)
+    assert [cls.key for cls in blocks] == sorted(canonical_key(g) for g in classes[cut:])
+    assert not any(cls.gens for cls in blocks)
 
 
 def test_class_records_are_pinned():
@@ -294,8 +320,9 @@ def test_class_records_are_pinned():
     for n in range(1, 9):
         connected_classes(n)
         for stratum in ("block", "cut"):
-            keys, _, classes = generate._store[n, stratum]
-            assert tuple(cls.key for cls in classes) == keys
+            classes = generate._store[n, stratum]
+            keys = [cls.key for cls in classes]
+            assert keys == sorted(keys)
             for cls in classes:
                 blocks = b"".join(b.key + verts for b, verts in cls.blocks)
                 digest.update(cls.key + cls.roots + bytes([len(cls.blocks)]) + blocks)
@@ -355,17 +382,18 @@ def test_block_class_search_skips_composing_its_level(monkeypatch):
     assert search_min_F(ClassSpec(8, 0)).class_size == TWO_CONNECTED_COUNTS[8]
     assert composed and max(composed) <= 7
     assert sum(evaluated) == TWO_CONNECTED_COUNTS[8]
-    # every stored level is one of the two strata
-    assert {stratum for _, stratum in generate._store} == {"block", "cut"}
-    assert (8, "cut") not in generate._store
+    # every stored level is one of the two strata, read or not
+    assert {stratum for _, stratum in generate._store} == {"block", "cut", "children"}
+    assert (8, "cut") not in generate._store and (8, "gluings") not in generate._store
 
 
 def test_block_class_search_labels_only_undecided_children(monkeypatch):
     # from an empty store the n = 8 search over 2-connected classes labels
     # the levels below 8, the children with two or more deletion candidates
-    # and its minimiser, and builds no record at n = 8; the first read of
-    # block_classes(8) labels the rest and builds the 7,123 records, and a
-    # second read labels none
+    # and its minimiser, and builds a record at n = 8 only for each child
+    # labeled for its verdict; the first read of block_classes(8) labels the
+    # rest and builds their records, 7,123 in all, and a second read labels
+    # none
     monkeypatch.setattr(generate, "_store", {})
     monkeypatch.setattr(extremal, "_catalog_cache", {})
     labeled, records = [], []
@@ -385,11 +413,11 @@ def test_block_class_search_labels_only_undecided_children(monkeypatch):
     report = search_min_F(ClassSpec(8, 0))
     assert report.class_size == TWO_CONNECTED_COUNTS[8]
     assert len(labeled) <= 3000
-    assert 8 not in records
-    unlabeled = generate._store[8, "block"][2].count(None)
+    unlabeled = generate._store[8, "children"][1].count(None)
     # of the 7,352 children that pass the invariant screen, 5,369 are
     # accepted unlabeled and the rest labeled for their verdict
     assert unlabeled == 5369
+    assert records.count(8) == TWO_CONNECTED_COUNTS[8] - unlabeled
     assert labeled.count(8) == 7352 - unlabeled + len(report.minimizers)
     labeled.clear()
     assert len(generate.block_classes(8)) == TWO_CONNECTED_COUNTS[8]
@@ -422,6 +450,30 @@ def test_block_reports_do_not_depend_on_when_the_level_is_labeled(monkeypatch):
     assert [len(found) for found in reports.values()] == [1, 1]
 
 
+def test_cut_reports_do_not_depend_on_when_the_level_is_labeled(monkeypatch):
+    # the catalog reads level 8's part pairs in certificate order if the
+    # level is not labeled yet, and in key order, rebuilt from its records'
+    # pairs, if it is; both objectives report the same for every k either way
+    rooted_classes(7)
+    below = {level: entry for level, entry in generate._store.items() if level[0] < 8}
+    reports = {}
+    for read_first in (True, False):
+        monkeypatch.setattr(generate, "_store", dict(below))
+        monkeypatch.setattr(extremal, "_catalog_cache", {})
+        if read_first:
+            classes_with_cut_vertices(8)
+        for _ in range(2):  # the second pass after the level is read
+            for k in range(1, 7):
+                for search in (search_min_F, search_min_vertex_subgraph_number):
+                    report = replace(search(ClassSpec(8, k)), wall_time_ms=0)
+                    reports.setdefault((search, k), set()).add(report)
+            classes_with_cut_vertices(8)
+        rows = extremal.catalog(8, "cut").graphs.pairs
+        assert (rows == tuple(cls.pair for cls in generate._store[8, "cut"])) == read_first
+    assert len(reports) == 12
+    assert [len(found) for found in reports.values()] == [1] * 12
+
+
 def test_cut_vertex_stratum_matches_filter():
     for n in range(3, 8):
         by_filter = {
@@ -438,8 +490,8 @@ def test_certificate_is_complete():
     for n, want in {3: 1, 4: 3, 5: 11, 6: 56, 7: 385, 8: 3994}.items():
         key_of: dict[bytes, bytes] = {}
         cert_of: dict[bytes, bytes] = {}
-        for (g1, r1, _, b1), (g2, r2, _, b2), cert in generate._gluings(n):
-            glued = glue(g1, r1, g2, r2)
+        for (cls1, r1, b1), (cls2, r2, b2), cert in generate._gluings(n):
+            glued = glue(cls1.graph, r1, cls2.graph, r2)
             assert (b1 is not None and b2 is not None) == (len(cut_vertices(glued)) == 1)
             key = canonical_key(glued)
             assert key_of.setdefault(cert, key) == key
@@ -454,8 +506,9 @@ def test_walk_gives_the_leaf_stripping_certificate():
     tree = 0
     for n in range(3, 9):
         for p1, p2, cert in generate._gluings(n):
-            assert cert == leaf_stripping_certificate(generate._glued_blocks(p1, p2), n)
-            tree += p1[3] is None or p2[3] is None
+            blocks = generate._glued_blocks(*p1[:2], *p2[:2])
+            assert cert == leaf_stripping_certificate(blocks, n)
+            tree += p1[2] is None or p2[2] is None
     assert tree == 3463
 
 
