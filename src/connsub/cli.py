@@ -27,7 +27,7 @@ from .extremal import (
     search_min_F,
     search_min_vertex_subgraph_number,
 )
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 from .graphio import FormatError, parse_edge_list, parse_graph6, export_dot, serialize_graph6
 
 
@@ -124,6 +124,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--n-max must be at least 1")
     if args.suite == "table1" and args.n_max is not None and args.n_max > GENERATION_CAP:
         raise ValueError(f"--n-max for table1 searches must be at most {GENERATION_CAP}")
+    # every family spec up to --n-max is listed before the first is built
+    if args.suite == "formulas" and args.n_max is not None and args.n_max > MAX_VERTICES:
+        raise ValueError(f"--n-max for formulas must be at most {MAX_VERTICES}")
     n_max = () if args.n_max is None else (args.n_max,)  # absent: each suite's default
     if args.suite == "formulas":
         reports = [verify.verify_formulas(*n_max)]
@@ -189,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("table1", "theorems", "formulas"), required=True)
     p.add_argument("--n-max", dest="n_max", type=int,
-                   help="formulas: the largest family order; table1: the search cap, at most"
+                   help="formulas: the largest family order, at most"
+                   f" {MAX_VERTICES}; table1: the search cap, at most"
                    f" {GENERATION_CAP}; theorems: lowers each check's last n, never raises it")
     p.set_defaults(fn=_cmd_verify)
 

@@ -19,12 +19,12 @@ name        parameters                     graph
 ==========  =============================  ==========================================
 
 Each family is one ``_Family`` row in ``_FAMILIES``: its parameter names,
-validity rules, edges, closed-form total and, per special-vertex tag, the
-vertex and its closed-form count.  Spec checking, ``build``, the special
-vertices and the closed forms are lookups into that row.  Labelings are
-fixed (cycle vertices first, then path and leaf vertices in order) so
-serialized output is byte-stable.  Every closed form here is cross-checked
-against brute-force counting in the test suite.
+validity rules, vertex count, edges, closed-form total and, per
+special-vertex tag, the vertex and its closed-form count.  Spec checking,
+``build``, the special vertices and the closed forms are lookups into that
+row.  Labelings are fixed (cycle vertices first, then path and leaf
+vertices in order) so serialized output is byte-stable.  Every closed form
+here is cross-checked against brute-force counting in the test suite.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .decompose import merge_count
-from .graph import Edge, Graph
+from .graph import MAX_VERTICES, Edge, Graph
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,10 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 def build(fs: FamilySpec) -> Graph:
     """Construct the family graph with its fixed deterministic labeling."""
-    n, edges = _FAMILIES[fs.name].edges(**dict(fs.params))
-    return Graph.from_edges(n, edges)
+    fam, params = _FAMILIES[fs.name], dict(fs.params)
+    if not 1 <= (n := fam.order(**params)) <= MAX_VERTICES:  # before any edge is built
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+    return Graph.from_edges(n, fam.edges(**params))
 
 
 def special_tags(name: str) -> tuple[str, ...]:
@@ -154,16 +156,16 @@ def _star(center: int, leaves: Iterable[int]) -> list[Edge]:
     return [(center, v) for v in leaves]
 
 
-def _dumbbell(n: int, m1: int, m2: int) -> tuple[int, list[Edge]]:
+def _dumbbell(n: int, m1: int, m2: int) -> list[Edge]:
     t = n + 2 - m1 - m2  # path vertices, counting the two on the cycles
     path = [0, *range(m1, m1 + t - 1)]
-    return n, _cycle(range(m1)) + _path(path) + _cycle([path[-1], *range(m1 + t - 1, n)])
+    return _cycle(range(m1)) + _path(path) + _cycle([path[-1], *range(m1 + t - 1, n)])
 
 
-def _cycle_broom(n: int, k: int) -> tuple[int, list[Edge]]:
+def _cycle_broom(n: int, k: int) -> list[Edge]:
     c = n - k - 1
     hub = c + k - 2  # the broom's star centre, last of its k path vertices
-    return n, _cycle(range(c)) + _path([0, *range(c, hub + 1)]) + _star(hub, (n - 2, n - 1))
+    return _cycle(range(c)) + _path([0, *range(c, hub + 1)]) + _star(hub, (n - 2, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +247,8 @@ class _Family:
 
     params: tuple[str, ...]
     rules: tuple[tuple[Callable[..., bool], str], ...]  # (must hold, message otherwise)
-    edges: Callable[..., tuple[int, list[Edge]]]  # vertex count and edge list
+    order: Callable[..., int]  # vertex count
+    edges: Callable[..., list[Edge]]
     F: Callable[..., int]
     special: dict[str, tuple[Callable[..., int], Callable[..., int]]]  # tag -> (vertex, f)
     sweep: Callable[[int], Iterable[tuple[int, ...]]]  # parameter values up to n_max vertices
@@ -255,7 +258,8 @@ _FAMILIES: dict[str, _Family] = {
     "P": _Family(
         ("n",),
         ((lambda n: n >= 1, "path needs n >= 1"),),
-        lambda n: (n, _path(range(n))),
+        lambda n: n,
+        lambda n: _path(range(n)),
         lambda n: comb(n + 1, 2),
         {"end": (lambda n: 0, lambda n: n)},
         lambda N: ((n,) for n in range(1, N + 1)),
@@ -263,7 +267,8 @@ _FAMILIES: dict[str, _Family] = {
     "C": _Family(
         ("n",),
         ((lambda n: n >= 3, "cycle needs n >= 3"),),
-        lambda n: (n, _cycle(range(n))),
+        lambda n: n,
+        lambda n: _cycle(range(n)),
         _cycle_F,
         {"any": (lambda n: 0, _cycle_f)},
         lambda N: ((n,) for n in range(3, N + 1)),
@@ -271,7 +276,8 @@ _FAMILIES: dict[str, _Family] = {
     "S": _Family(
         ("n",),
         ((lambda n: n >= 2, "star needs n >= 2"),),
-        lambda n: (n, _star(0, range(1, n))),
+        lambda n: n,
+        lambda n: _star(0, range(1, n)),
         lambda n: (1 << (n - 1)) + n - 1,
         {
             "center": (lambda n: 0, lambda n: 1 << (n - 1)),
@@ -282,7 +288,8 @@ _FAMILIES: dict[str, _Family] = {
     "L": _Family(
         ("n", "g"),
         ((lambda n, g: 3 <= g <= n - 1, "lollipop needs 3 <= g <= n-1 (use C for g = n)"),),
-        lambda n, g: (n, _cycle(range(g)) + _path([0, *range(g, n)])),
+        lambda n, g: n,
+        lambda n, g: _cycle(range(g)) + _path([0, *range(g, n)]),
         _lollipop_F,
         {
             "pendant": (lambda n, g: n - 1, _lollipop_pendant_f),
@@ -296,6 +303,7 @@ _FAMILIES: dict[str, _Family] = {
             (lambda n, m1, m2: m1 >= 3 and m2 >= 3, "dumbbell cycles need m1, m2 >= 3"),
             (lambda n, m1, m2: n >= m1 + m2 - 1, "dumbbell needs n >= m1 + m2 - 1"),
         ),
+        lambda n, m1, m2: n,
         _dumbbell,
         _dumbbell_F,
         {"cut": (lambda n, m1, m2: 0, _dumbbell_cut_f)},
@@ -310,7 +318,8 @@ _FAMILIES: dict[str, _Family] = {
     "PS": _Family(
         ("k", "m"),
         ((lambda k, m: k >= 1 and m >= 1, "broom needs k >= 1 and m >= 1"),),
-        lambda k, m: (k + m, _path(range(k)) + _star(k - 1, range(k, k + m))),
+        lambda k, m: k + m,
+        lambda k, m: _path(range(k)) + _star(k - 1, range(k, k + m)),
         _broom_F,
         {
             "path_end": (lambda k, m: 0, _broom_f_path_end),
@@ -326,9 +335,9 @@ _FAMILIES: dict[str, _Family] = {
                 "double broom needs l, m >= 1 and d >= 2",
             ),
         ),
+        lambda l, m, d: l + m + d,
         lambda l, m, d: (
-            l + m + d,
-            _path(range(d)) + _star(0, range(d, d + l)) + _star(d - 1, range(d + l, d + l + m)),
+            _path(range(d)) + _star(0, range(d, d + l)) + _star(d - 1, range(d + l, d + l + m))
         ),
         _double_broom_F,
         {},
@@ -348,6 +357,7 @@ _FAMILIES: dict[str, _Family] = {
                 "Q needs k >= 2 and a cycle of length n-k-1 >= 3",
             ),
         ),
+        lambda n, k: n,
         _cycle_broom,
         _cycle_broom_F,
         {"glue": (lambda n, k: 0, lambda n, k: _cycle_f(n - k - 1) * _broom_f_path_end(k, 2))},

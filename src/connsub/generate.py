@@ -171,21 +171,17 @@ first read of a level's records (``block_classes(n)`` or
 ``classes_with_cut_vertices(n)``, so also ``connected_classes(n)``,
 ``_rooted_parts(n)`` and augmenting n + 1) canonises each kept gluing,
 whose labels fix ``canonize``'s generators, and each unlabeled child, and
-files the level by canonical key; each cut record keeps its pair.  Nothing
-reads the cap's records, so neither stratum keeps a labeling there: its
-classes with a cut vertex are never labeled, and ``block_classes`` labels
-each of its children, those labeled for their verdict again, into records
-of key and graph alone.
+files the level by canonical key.
 
-The classes live in one store.  A read level, per vertex count and stratum
-("cut" or "block"), is one tuple of records in key order.  A level not yet
-read lives under its own key: (n, "gluings") for the part pairs, (n,
-"children") for the children beside their records (None if unlabeled; none
-at the cap).  A certificate begins with a block's vertex count, below n, so
-it sorts before the canonical keys: ``connected_classes(GENERATION_CAP)``
-gives the classes with a cut vertex in certificate order, then the others.
-No level above the cap is generated, and ``rooted_classes(n)`` reads the
-orbit roots of level n's records per call.
+The classes live in one store, which keeps every level the same way.  A
+read level, per vertex count and stratum ("cut" or "block"), is one tuple
+of records in key order, each a full record at any n.  A level's part
+pairs stay under (n, "gluings") for life, so a cut level has one row
+order, the certificate order, whether or not its records were read.  A
+block level's children sit under (n, "children") beside their records
+(None if unlabeled; none at the cap) until the level is read.  No level
+above the cap is generated, and ``rooted_classes(n)`` reads the orbit
+roots of level n's records per call.
 """
 
 from __future__ import annotations
@@ -211,36 +207,34 @@ _shared: dict[bytes | tuple, bytes | tuple] = {}
 
 
 class _Class:
-    """A class as the store holds it: its key and graph and, below
-    ``GENERATION_CAP``, what augmentation and composition read: per canonical
-    label the least label of its Aut-orbit, generators of Aut in canonical
-    labels, its block list (``None``: its own single block) and, if glued,
-    the pair it was glued from.  Equal roots, vertex orders, permutations and
-    generator lists are shared between classes.  Two leaf pairs of
-    ``canonize``'s search may give the same generator; it is kept once, as
-    every orbit closure pays for each generator."""
+    """A class as the store holds it: its key and graph, per canonical label
+    the least label of its Aut-orbit, generators of Aut in canonical labels
+    and its block list (``None``: its own single block).  Equal roots,
+    vertex orders, permutations and generator lists are shared between
+    classes.  Two leaf pairs of ``canonize``'s search may give the same
+    generator; it is kept once, as every orbit closure pays for each
+    generator."""
 
-    __slots__ = ("key", "graph", "roots", "gens", "blocks", "pair")
+    __slots__ = ("key", "graph", "roots", "gens", "blocks")
 
     def __init__(
         self,
         key: bytes,
         graph: Graph,
-        roots: bytes = b"",
-        auts: list[tuple[int, ...]] = (),
+        roots: bytes,
+        auts: list[tuple[int, ...]],
         blocks: tuple[_Block, ...] | None = None,
-        pair: _Pair | None = None,
     ):
         self.key = key
         self.graph = graph
         self.roots = _shared.setdefault(roots, roots)
-        gens = tuple(_shared.setdefault(a, a) for a in dict.fromkeys(auts))
+        unique = dict.fromkeys(auts)
+        gens = tuple(map(_shared.setdefault, unique, unique))
         self.gens = _shared.setdefault(gens, gens)
         if blocks is None:
             own = bytes(range(len(roots)))  # its canonical labels
             blocks = ((self, _shared.setdefault(own, own)),)
         self.blocks = blocks
-        self.pair = pair
 
     def least(self, colours: list[bytes]) -> bytes:
         """The least image under Aut of ``colours``, one per canonical label."""
@@ -274,7 +268,7 @@ class _Gluings(Sequence[Graph]):
 
 
 # the class store (see above): (n, "block" or "cut") -> a read level;
-# (n, "children") and (n, "gluings") -> a level not yet read
+# (n, "gluings") -> a cut level's part pairs; (n, "children") -> an unread block level
 _store: dict[
     tuple[int, str],
     tuple[_Class, ...] | tuple[tuple[Graph, ...], tuple[_Class | None, ...]] | _Gluings,
@@ -309,7 +303,7 @@ def block_classes(n: int) -> tuple[Graph, ...]:
         for g, cls in zip_longest(children, labeled):
             if cls is None:
                 key, g, _, roots, auts = canonize(g)
-                cls = _Class(key, g, roots, auts) if n < GENERATION_CAP else _Class(key, g)
+                cls = _Class(key, g, roots, auts)
             records.append(cls)
         _store[n, "block"] = tuple(sorted(records, key=attrgetter("key")))
     return tuple(cls.graph for cls in _store[n, "block"])
@@ -317,13 +311,9 @@ def block_classes(n: int) -> tuple[Graph, ...]:
 
 def connected_classes(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, one representative per
-    isomorphism class, canonically labeled except the classes with a cut
-    vertex at ``GENERATION_CAP``: below the cap the two strata merged in key
-    order, at the cap the classes with a cut vertex in certificate order and
-    then the others in key order."""
-    blocks = block_classes(n)
-    if n == GENERATION_CAP:
-        return (*classes_with_cut_vertices(n), *blocks)
+    isomorphism class, canonically labeled: the two strata merged in key
+    order."""
+    block_classes(n)
     classes_with_cut_vertices(n)
     strata = (_store[n, "block"], _store[n, "cut"])
     return tuple(cls.graph for cls in heapq.merge(*strata, key=attrgetter("key")))
@@ -645,12 +635,10 @@ def _one_class_at_a_time(parts: Iterator[_Part]) -> Iterator[tuple[_Part, _Arms]
 
 
 def _composed(n: int) -> _Gluings:
-    """Level n's part pairs, each certificate's first gluing: in certificate
-    order until the level is read, then in key order."""
+    """Level n's part pairs, each certificate's first gluing, in certificate
+    order."""
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"classes are generated for n in 1..{GENERATION_CAP}")
-    if (n, "cut") in _store:
-        return _Gluings(tuple(cls.pair for cls in _store[n, "cut"]))
     if (n, "gluings") not in _store:
         pairs: dict[bytes, _Pair] = {}
         for (cls1, r1, _), (cls2, r2, _), cert in _gluings(n):
@@ -660,19 +648,16 @@ def _composed(n: int) -> _Gluings:
     return _store[n, "gluings"]
 
 
-def classes_with_cut_vertices(n: int) -> Sequence[Graph]:
-    """All connected classes on n vertices having at least one cut vertex:
-    below ``GENERATION_CAP`` canonically labeled in key order, the first call
-    building the level's records; at the cap glued when read (see above)."""
-    if n >= GENERATION_CAP:
-        return _composed(n)
+def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
+    """All connected classes on n vertices having at least one cut vertex,
+    canonically labeled in key order; the first call labels the level's
+    gluings and files its records by key."""
     if (n, "cut") not in _store:
         level = _composed(n)
         records = []
         for pair, g in zip(level.pairs, level):
             key, g, pos, roots, auts = canonize(g)
             blocks = tuple((b, bytes(pos[v] for v in vs)) for b, vs in _glued_blocks(*pair))
-            records.append(_Class(key, g, roots, auts, blocks, pair))
-        del _store[n, "gluings"]
+            records.append(_Class(key, g, roots, auts, blocks))
         _store[n, "cut"] = tuple(sorted(records, key=attrgetter("key")))
     return tuple(cls.graph for cls in _store[n, "cut"])

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from connsub import census
+from connsub import census, families
 from connsub.cli import main
 from connsub.families import build, parse_family_spec
 from connsub.generate import connected_classes
@@ -194,6 +194,20 @@ class TestFamily:
         rc, out, _ = run(capsys, ["family", "--spec", "L:n=6,g=5", "--emit", "dot"])
         assert rc == 0 and "graph G {" in out
 
+    @pytest.mark.parametrize(
+        "spec, n", [("P:n=500000000", 500000000), ("PS:k=60,m=5", 65), ("T:l=1,m=1,d=63", 65)]
+    )
+    def test_too_many_vertices_exit_two_before_any_edge(self, spec, n, capsys, monkeypatch):
+        # the vertex count is refused before the edge list is built, so half
+        # a billion vertices cost no memory
+        def unbuilt(*args):
+            raise AssertionError("an edge list was built")
+
+        for builder in ("_path", "_cycle", "_star"):
+            monkeypatch.setattr(families, builder, unbuilt)
+        rc, out, err = run(capsys, ["family", "--spec", spec])
+        assert (rc, out, err) == (2, "", f"error: vertex count must be in 1..64, got {n}\n")
+
     def test_bad_spec_exits_two(self, capsys):
         rc, _, err = run(capsys, ["family", "--spec", "L:n=6,g=6"])
         assert rc == 2
@@ -275,6 +289,18 @@ class TestVerify:
         rc, out, err = run(capsys, ["verify", "--suite", "theorems", "--n-max", "5"])
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_formulas_past_the_vertex_bound_exit_two_before_listing_specs(
+        self, capsys, monkeypatch
+    ):
+        # the bound is checked before the O(n_max^3) specs are listed
+        def unlisted(n_max):
+            raise AssertionError("the specs were listed")
+
+        monkeypatch.setattr(families, "specs_up_to", unlisted)
+        rc, out, err = run(capsys, ["verify", "--suite", "formulas", "--n-max", "100000"])
+        assert (rc, out) == (2, "")
+        assert err == "error: --n-max for formulas must be at most 64\n"
 
     def test_table1_over_cap_exits_two(self, capsys):
         rc, out, err = run(capsys, ["verify", "--suite", "table1", "--n-max", "10"])

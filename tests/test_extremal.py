@@ -225,7 +225,7 @@ class TestCapFromParts:
     def test_refuses_a_cap_batch_beyond_the_int64_bound(self, monkeypatch):
         # the parts' tables (n + m <= 8 + 28) pass a bound of 37; the largest
         # gluing, K8 with a pendant edge (9 + 29), does not
-        pairs = generate.classes_with_cut_vertices(GENERATION_CAP).pairs
+        pairs = generate._composed(GENERATION_CAP).pairs
         monkeypatch.setattr(extremal, "_EXACT_MAX_N_PLUS_M", 37)
         with pytest.raises(ValueError, match=r"n \+ m <= 37, batch has 38"):
             extremal._evaluate_gluings(pairs)
@@ -234,7 +234,7 @@ class TestCapFromParts:
         # at 64 gluings a slice, K8 with a pendant edge sits past the first
         # slice, so a guard that read only the first would pass the batch
         n, rows = GENERATION_CAP, 64
-        pairs = generate.classes_with_cut_vertices(n).pairs
+        pairs = generate._composed(n).pairs
         n1s = np.array([cls1.graph.n for cls1, _, _, _ in pairs])
         (bad,) = np.flatnonzero([n + c1.graph.m + c2.graph.m > 37 for c1, _, c2, _ in pairs])
         assert bad not in np.flatnonzero(n1s == n1s.min())[:rows]
@@ -304,7 +304,7 @@ class TestWorkingSet:
         # about 8.5 MB in chunks of 2^18 table entries (512 graphs at n = 9),
         # 24.5 MB in chunks of 2,048 graphs: a chunk's tables set the peak,
         # whatever the graphs; these are 2,048 classes of the cap, glued
-        pairs = generate.classes_with_cut_vertices(GENERATION_CAP).pairs[:2048]
+        pairs = generate._composed(GENERATION_CAP).pairs[:2048]
         graphs = [glue(c1.graph, r1, c2.graph, r2) for c1, r1, c2, r2 in pairs]
         _, peak = traced_peak(evaluate_counts, graphs)
         assert peak < 12 << 20
@@ -313,7 +313,7 @@ class TestWorkingSet:
         # about 14.8 MB over the outputs' 6.2 MB in slices of 2^15 entries
         # and 2^18-entry kernel chunks, 29.9 MB with whole part-order groups
         # and 2,048-graph chunks
-        pairs = generate.classes_with_cut_vertices(GENERATION_CAP).pairs
+        pairs = generate._composed(GENERATION_CAP).pairs
         outputs, peak = traced_peak(extremal._evaluate_gluings, pairs)
         assert peak - sum(a.nbytes for a in outputs) < 20 << 20
 

@@ -272,45 +272,25 @@ def test_cap_certificates_are_pinned():
     )
 
 
-def test_cap_classes_store_no_generators(monkeypatch):
-    # nothing augments or glues the cap, so neither stratum keeps records
-    # there, not even once read; both keep them one level below, with
-    # generators (an asymmetric class has none)
+def test_searches_at_the_cap_build_no_records(monkeypatch):
+    # with the cap at 7, both objectives for every k read the cap through
+    # its unread views: no record tuple is built there, and the children
+    # labeled for their verdict keep no record; a read of the cap gives full
+    # records, generators included, and leaves its part pairs as they were
     monkeypatch.setattr(generate, "_store", {})
+    monkeypatch.setattr(extremal, "_catalog_cache", {})
     monkeypatch.setattr(generate, "GENERATION_CAP", 7)
-    # the cap's accepted children keep no labeling, even those labeled for
-    # their verdict
-    assert len(generate._augmented(7)) == TWO_CONNECTED_COUNTS[7]
+    for k in range(8):
+        for search in (search_min_F, search_min_vertex_subgraph_number):
+            search(ClassSpec(7, k))
+    assert (7, "block") not in generate._store and (7, "cut") not in generate._store
+    assert len(generate._store[7, "children"][0]) == TWO_CONNECTED_COUNTS[7]
     assert generate._store[7, "children"][1] == ()
+    pairs = generate._composed(7)
     assert len(connected_classes(7)) == CONNECTED_COUNTS[7]
     for stratum in ("block", "cut"):
-        assert any(cls.gens for cls in generate._store[6, stratum])
-    # the cap's block records hold only key and graph; its classes with a
-    # cut vertex stay part pairs
-    assert not any(cls.gens or cls.roots for cls in generate._store[7, "block"])
-    assert (7, "cut") not in generate._store
-
-
-def test_connected_classes_at_the_cap(monkeypatch):
-    # at the cap, connected_classes gives each class once: first the classes
-    # with a cut vertex, glued from the first gluing of each certificate in
-    # sorted certificate order, then the block classes in key order; the
-    # cap's records keep no generators
-    monkeypatch.setattr(generate, "_store", {})
-    monkeypatch.setattr(generate, "GENERATION_CAP", 7)
-    first = {}
-    for (cls1, r1, _), (cls2, r2, _), cert in generate._gluings(7):
-        first.setdefault(cert, (cls1, r1, cls2, r2))
-    pairs = [first[cert] for cert in sorted(first)]
-    classes = connected_classes(7)
-    assert len(classes) == len({canonical_key(g) for g in classes}) == CONNECTED_COUNTS[7]
-    cut = len(pairs)
-    assert cut == CONNECTED_COUNTS[7] - TWO_CONNECTED_COUNTS[7]
-    assert classes[:cut] == tuple(glue(c1.graph, r1, c2.graph, r2) for c1, r1, c2, r2 in pairs)
-    blocks = generate._store[7, "block"]
-    assert classes[cut:] == tuple(cls.graph for cls in blocks)
-    assert [cls.key for cls in blocks] == sorted(canonical_key(g) for g in classes[cut:])
-    assert not any(cls.gens for cls in blocks)
+        assert any(cls.gens for cls in generate._store[7, stratum])
+    assert generate._composed(7) is pairs
 
 
 def test_class_records_are_pinned():
@@ -382,8 +362,8 @@ def test_block_class_search_skips_composing_its_level(monkeypatch):
     assert search_min_F(ClassSpec(8, 0)).class_size == TWO_CONNECTED_COUNTS[8]
     assert composed and max(composed) <= 7
     assert sum(evaluated) == TWO_CONNECTED_COUNTS[8]
-    # every stored level is one of the two strata, read or not
-    assert {stratum for _, stratum in generate._store} == {"block", "cut", "children"}
+    # every stored level is a read stratum, part pairs or unread children
+    assert {tag for _, tag in generate._store} == {"block", "cut", "gluings", "children"}
     assert (8, "cut") not in generate._store and (8, "gluings") not in generate._store
 
 
@@ -451,15 +431,16 @@ def test_block_reports_do_not_depend_on_when_the_level_is_labeled(monkeypatch):
 
 
 def test_cut_reports_do_not_depend_on_when_the_level_is_labeled(monkeypatch):
-    # the catalog reads level 8's part pairs in certificate order if the
-    # level is not labeled yet, and in key order, rebuilt from its records'
-    # pairs, if it is; both objectives report the same for every k either way
+    # the catalog reads level 8's part pairs in certificate order whether
+    # or not the level is labeled, and the pairs outlive that labeling; both
+    # objectives report the same for every k either way
     rooted_classes(7)
     below = {level: entry for level, entry in generate._store.items() if level[0] < 8}
     reports = {}
     for read_first in (True, False):
         monkeypatch.setattr(generate, "_store", dict(below))
         monkeypatch.setattr(extremal, "_catalog_cache", {})
+        pairs = generate._composed(8)
         if read_first:
             classes_with_cut_vertices(8)
         for _ in range(2):  # the second pass after the level is read
@@ -468,8 +449,7 @@ def test_cut_reports_do_not_depend_on_when_the_level_is_labeled(monkeypatch):
                     report = replace(search(ClassSpec(8, k)), wall_time_ms=0)
                     reports.setdefault((search, k), set()).add(report)
             classes_with_cut_vertices(8)
-        rows = extremal.catalog(8, "cut").graphs.pairs
-        assert (rows == tuple(cls.pair for cls in generate._store[8, "cut"])) == read_first
+        assert extremal.catalog(8, "cut").graphs is generate._composed(8) is pairs
     assert len(reports) == 12
     assert [len(found) for found in reports.values()] == [1] * 12
 
@@ -533,8 +513,8 @@ def test_composition_keeps_no_piece_codes(monkeypatch):
 
 def test_composition_labels_each_class_once_below_the_cap_and_none_at_it(monkeypatch):
     # below the cap the first gluing of each certificate is labeled and the
-    # rest are dropped; at the cap every class with a cut vertex is kept
-    # unlabeled, keyed by its certificate
+    # rest are dropped; composing the cap labels nothing, and keeps every
+    # class with a cut vertex unlabeled, as the parts of its first gluing
     want = Counter(len(cut_vertices(g)) for g in classes_with_cut_vertices(8))
     monkeypatch.setattr(generate, "_store", {})
     for n in range(1, 8):
@@ -548,10 +528,10 @@ def test_composition_labels_each_class_once_below_the_cap_and_none_at_it(monkeyp
 
     monkeypatch.setattr(canon, "canonical_labeling", counted)
     assert len(classes_with_cut_vertices(8)) == len(labeled) == 3994
-    del generate._store[8, "cut"]
+    del generate._store[8, "cut"], generate._store[8, "gluings"]
     labeled.clear()
     monkeypatch.setattr(generate, "GENERATION_CAP", 8)
-    composed = classes_with_cut_vertices(8)
+    composed = generate._composed(8)
     assert labeled == []
     assert len(composed) == CONNECTED_COUNTS[8] - TWO_CONNECTED_COUNTS[8] == 3994
     assert Counter(len(cut_vertices(g)) for g in composed) == want
