@@ -7,9 +7,10 @@ Runs ``perfbench/run.py`` once in each checkout per pair, BASE first in even
 pairs and CHANGE first in odd ones, with the same seed on both sides of a
 pair (the first pair uses ``--seed``, the next ``--seed + 1``, ...).  For
 each end-to-end metric that ``BENCHMARK.json`` lists, it then prints each
-side's median with its quartiles, the change of the medians, and in how
-many pairs CHANGE was better than BASE.  Progress goes to stderr; the exit
-code is 1 if any run failed or reported ``correct: false``.
+side's median with its quartiles, the change of the medians, in how many
+pairs CHANGE was better than BASE, and a verdict against the metric's bound
+(see ``verdict``).  Progress goes to stderr; the exit code is 1 if any run
+failed or reported ``correct: false``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """"worse beyond bound" if CHANGE's median is worse than BASE's by more
+    than ``bound`` times BASE's median; else "unresolved" if BASE's
+    quartile distance exceeds that much, unless every CHANGE run is better
+    than every BASE run; else "within bound"."""
+    b1, bm, b3 = quartiles(base)
+    cm = quartiles(change)[1]
+    if (cm - bm if better == "lower" else bm - cm) > bound * bm:
+        return "worse beyond bound"
+    beats_all = max(change) < min(base) if better == "lower" else min(change) > max(base)
+    if b3 - b1 > bound * bm and not beats_all:
+        return "unresolved"
+    return "within bound"
 
 
 def fmt(value: float) -> str:
@@ -89,7 +105,8 @@ def main() -> int:
         delta = (cm - bm) / bm * 100 if bm else float("nan")
         print(f"  {name} ({metric['unit']}, {better} is better): "
               f"{fmt(bm)} [{fmt(b1)}-{fmt(b3)}] -> {fmt(cm)} [{fmt(c1)}-{fmt(c3)}] "
-              f"({delta:+.1f} %), change better in {won} of {args.pairs}")
+              f"({delta:+.1f} %), change better in {won} of {args.pairs}; "
+              f"{verdict(base, change, better, metric['bound'])}")
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in results[side])
         attempted = sum(r["attempted"] for r in results[side])

@@ -32,10 +32,11 @@ from .graphio import FormatError, parse_edge_list, parse_graph6, export_dot, ser
 
 
 def _read_graphs(path: str, fmt: str) -> list[Graph]:
+    # stdin is decoded as files are, whatever encoding the environment sets
+    # for Python's own streams, so the same bytes get the same error
     if path == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
     else:
-        # decoded as stdin is, so the same bytes get the same error
         try:
             with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 text = fh.read()

@@ -3,16 +3,16 @@
 Every connected graph lies in exactly one of two strata, and each stratum
 has its own generator:
 
-* ``classes_with_cut_vertices(n)`` -- cut-vertex composition: every
-  connected graph with a cut vertex is two smaller connected graphs (each
-  with >= 2 vertices) glued at one vertex, and every such gluing has a cut
-  vertex.  Gluing orbit representatives of all smaller rooted classes
-  therefore enumerates exactly the classes with k >= 1.  Repeated gluings
-  are dropped by the block-cut tree certificate below, which needs no
+* ``_composed(n)`` -- cut-vertex composition: every connected graph with
+  a cut vertex is two smaller connected graphs (each with >= 2 vertices)
+  glued at one vertex, and every such gluing has a cut vertex.  Gluing
+  orbit representatives of all smaller rooted classes therefore
+  enumerates exactly the classes with k >= 1.  Repeated gluings are
+  dropped by the block-cut tree certificate below, which needs no
   canonical labeling, so composition labels nothing at any level; a class
   is labeled once, when its level's records are first read.
 
-* ``block_classes(n)`` -- the classes without a cut vertex: K1 and K2 as
+* ``_augmented(n)`` -- the classes without a cut vertex: K1 and K2 as
   seeds, and for n >= 3 the 2-connected classes by canonical augmentation
   (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): each
   connected class P on n - 1 vertices gets a new vertex joined to a subset
@@ -23,9 +23,8 @@ has its own generator:
   (exactly the children that are 2-connected), and no vertex of the child
   has degree below |S|.
 
-``connected_classes(n)`` and ``rooted_classes(n)`` merge the two strata in
-key order; nothing stores the union, so each class is generated and stored
-once, in its own stratum.
+Each class is generated once, by its own stratum's generator, and a read
+level keeps both strata in one tuple of records in key order.
 
 Lemma (each 2-connected class is accepted exactly once).  For a vertex v
 of a child G, let I(v) be the sorted degrees of v's neighbours and the
@@ -167,28 +166,25 @@ certificate's first gluing, in certificate order, glued when read, and
 each level's accepted children: unlabeled if accepted by the singleton
 rule, else the canonical copy its verdict made, which gets its record at
 once below the cap; ``extremal`` evaluates the children as they are.  The
-first read of a level's records (``block_classes(n)`` or
-``classes_with_cut_vertices(n)``, so also ``connected_classes(n)``,
-``_rooted_parts(n)`` and augmenting n + 1) canonises each kept gluing,
-whose labels fix ``canonize``'s generators, and each unlabeled child, and
-files the level by canonical key.
+first read of a level's records (any of the three public readers,
+``_rooted_parts(n)`` or augmenting n + 1) canonises each unlabeled child,
+drops the children, then canonises each kept gluing, whose labels fix
+``canonize``'s generators, and files the whole level by canonical key.
 
 The classes live in one store, which keeps every level the same way.  A
-read level, per vertex count and stratum ("cut" or "block"), is one tuple
-of records in key order, each a full record at any n.  A level's part
-pairs stay under (n, "gluings") for life, so a cut level has one row
-order, the certificate order, whether or not its records were read.  A
-block level's children sit under (n, "children") beside their records
-(None if unlabeled; none at the cap) until the level is read.  No level
-above the cap is generated, and ``rooted_classes(n)`` reads the orbit
-roots of level n's records per call.
+read level is one tuple of records under (n, "records"), in key order,
+each a full record at any n.  A level's part pairs stay under
+(n, "gluings") for life, so its classes with a cut vertex have one row
+order, the certificate order, whether or not its records were read.  Its
+children sit under (n, "children") beside the records of those labeled
+for their verdict, by position (none at the cap), until the level is
+read.  No level above the cap is generated, and ``rooted_classes(n)``
+reads the orbit roots of level n's records per call.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterator, Sequence
-from itertools import zip_longest
 from operator import attrgetter, itemgetter
 
 from .canon import canonize, orbit
@@ -267,11 +263,11 @@ class _Gluings(Sequence[Graph]):
         return glue(cls1.graph, r1, cls2.graph, r2)
 
 
-# the class store (see above): (n, "block" or "cut") -> a read level;
-# (n, "gluings") -> a cut level's part pairs; (n, "children") -> an unread block level
+# the class store (see above): (n, "records") -> a read level; (n, "gluings")
+# -> a level's part pairs; (n, "children") -> an unread level's accepted children
 _store: dict[
     tuple[int, str],
-    tuple[_Class, ...] | tuple[tuple[Graph, ...], tuple[_Class | None, ...]] | _Gluings,
+    tuple[_Class, ...] | tuple[tuple[Graph, ...], dict[int, _Class]] | _Gluings,
 ] = {}
 
 
@@ -281,77 +277,89 @@ def _augmented(n: int) -> Sequence[Graph]:
     above); key-ordered once labeled."""
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"classes are generated for n in 1..{GENERATION_CAP}")
-    if (n, "block") in _store:
+    if (n, "records") in _store:
         return block_classes(n)
     if (n, "children") not in _store:
         if n <= 2:  # K1 and K2
-            _store[n, "children"] = (Graph(n, (0,) if n == 1 else (0b10, 0b01)),), (None,)
+            _store[n, "children"] = (Graph(n, (0,) if n == 1 else (0b10, 0b01)),), {}
         else:
             _store[n, "children"] = _two_connected(n)
     return _store[n, "children"][0]
 
 
-def block_classes(n: int) -> tuple[Graph, ...]:
-    """The connected classes on n vertices without a cut vertex: K1, K2
-    and, for n >= 3, the 2-connected classes, canonically labeled in key
-    order; the first call labels the level's unlabeled children and files
-    its records by key."""
-    if (n, "block") not in _store:
+def _records(n: int) -> tuple[_Class, ...]:
+    """Level n's records, both strata, in key order.  The first call labels
+    the level's unlabeled children, drops the children, then labels its
+    gluings, and files them all by key."""
+    if (n, "records") not in _store:
         children = _augmented(n)
         _, labeled = _store.pop((n, "children"))
         records = []
-        for g, cls in zip_longest(children, labeled):
+        for i, g in enumerate(children):
+            cls = labeled.get(i)
             if cls is None:
                 key, g, _, roots, auts = canonize(g)
                 cls = _Class(key, g, roots, auts)
             records.append(cls)
-        _store[n, "block"] = tuple(sorted(records, key=attrgetter("key")))
-    return tuple(cls.graph for cls in _store[n, "block"])
+        # freed before the first gluing is labeled, so the two are never held at once
+        del children, labeled
+        level = _composed(n)
+        for pair, g in zip(level.pairs, level):
+            key, g, pos, roots, auts = canonize(g)
+            blocks = tuple((b, bytes(pos[v] for v in vs)) for b, vs in _glued_blocks(*pair))
+            records.append(_Class(key, g, roots, auts, blocks))
+        _store[n, "records"] = tuple(sorted(records, key=attrgetter("key")))
+    return _store[n, "records"]
+
+
+def block_classes(n: int) -> tuple[Graph, ...]:
+    """The connected classes on n vertices without a cut vertex: K1, K2
+    and, for n >= 3, the 2-connected classes, canonically labeled in key
+    order."""
+    return tuple(cls.graph for cls in _records(n) if len(cls.blocks) == 1)
+
+
+def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
+    """All connected classes on n vertices having at least one cut vertex,
+    canonically labeled in key order."""
+    return tuple(cls.graph for cls in _records(n) if len(cls.blocks) > 1)
 
 
 def connected_classes(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, one representative per
-    isomorphism class, canonically labeled: the two strata merged in key
-    order."""
-    block_classes(n)
-    classes_with_cut_vertices(n)
-    strata = (_store[n, "block"], _store[n, "cut"])
-    return tuple(cls.graph for cls in heapq.merge(*strata, key=attrgetter("key")))
+    isomorphism class, canonically labeled in key order."""
+    return tuple(cls.graph for cls in _records(n))
 
 
-def _two_connected(n: int) -> tuple[tuple[Graph, ...], tuple[_Class | None, ...]]:
+def _two_connected(n: int) -> tuple[tuple[Graph, ...], dict[int, _Class]]:
     """The accepted children of canonical augmentation on n >= 3 vertices,
-    one per 2-connected class (see the lemma above), and below the cap the
-    record of each: None for a child accepted by the singleton rule, which
-    is kept unlabeled; any other is labeled for its verdict and kept as its
-    canonical copy, with the record that labeling gives."""
+    one per 2-connected class (see the lemma above).  A child accepted by
+    the singleton rule is kept unlabeled; any other is labeled for its
+    verdict and kept as its canonical copy, and below the cap the record
+    that labeling gives is kept too, by the child's position."""
     new = n - 1
     children: list[Graph] = []
-    labeled: list[_Class | None] = []
-    connected_classes(n - 1)  # stores both strata of the parents' level
-    for stratum in ("block", "cut"):
-        for record in _store[n - 1, stratum]:
-            parent = record.graph
-            for subset in _subset_orbit_reps(parent, record.gens):
-                # the new vertex n - 1 joined to every vertex of the subset
-                adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
-                adj.append(subset)
-                best = _deletion_candidates(adj, subset.bit_count())
-                if best is None:
+    labeled: dict[int, _Class] = {}
+    for record in _records(n - 1):
+        parent = record.graph
+        for subset in _subset_orbit_reps(parent, record.gens):
+            # the new vertex n - 1 joined to every vertex of the subset
+            adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
+            adj.append(subset)
+            best = _deletion_candidates(adj, subset.bit_count())
+            if best is None:
+                continue
+            child = Graph(n, tuple(adj))
+            if len(best) > 1:  # else B(child) = {new}: accepted unlabeled
+                key, child, pos, roots, auts = canonize(child)
+                # m(child), the least canonical label in the Aut-invariant
+                # set ``best``, is the least label of its orbit
+                if roots[pos[new]] != min(pos[v] for v in best):
                     continue
-                child, cls = Graph(n, tuple(adj)), None
-                if len(best) > 1:  # else B(child) = {new}: accepted unlabeled
-                    key, child, pos, roots, auts = canonize(child)
-                    # m(child), the least canonical label in the Aut-invariant
-                    # set ``best``, is the least label of its orbit
-                    if roots[pos[new]] != min(pos[v] for v in best):
-                        continue
-                    if n < GENERATION_CAP:
-                        cls = _Class(key, child, roots, auts)
-                children.append(child)
                 if n < GENERATION_CAP:
-                    labeled.append(cls)
-    return tuple(children), tuple(labeled)
+                    labeled[len(children)] = _Class(key, child, roots, auts)
+            children.append(child)
+    return tuple(children), labeled
 
 
 def _deletion_candidates(adj: list[int], size: int) -> list[int] | None:
@@ -422,14 +430,11 @@ def _rooted_parts(n: int) -> Iterator[_Part]:
     cut vertices lie within the root."""
     if not 1 <= n < GENERATION_CAP:
         raise ValueError(f"rooted classes are kept for n in 1..{GENERATION_CAP - 1}")
-    block_classes(n)
-    classes_with_cut_vertices(n)
-    strata = [_parts_of(_store[n, s]) for s in ("block", "cut")]
-    return heapq.merge(*strata, key=lambda part: part[0].key)
+    return _parts_of(_records(n))
 
 
 def _parts_of(classes: tuple[_Class, ...]) -> Iterator[_Part]:
-    """A part for each orbit root of each class of one stored level."""
+    """A part for each orbit root of each class of one read level."""
     for cls in classes:
         # the cut vertices: the vertices in two or more blocks
         seen = cut = 0
@@ -646,18 +651,3 @@ def _composed(n: int) -> _Gluings:
                 pairs[cert] = cls1, r1, cls2, r2
         _store[n, "gluings"] = _Gluings(tuple(pairs[cert] for cert in sorted(pairs)))
     return _store[n, "gluings"]
-
-
-def classes_with_cut_vertices(n: int) -> tuple[Graph, ...]:
-    """All connected classes on n vertices having at least one cut vertex,
-    canonically labeled in key order; the first call labels the level's
-    gluings and files its records by key."""
-    if (n, "cut") not in _store:
-        level = _composed(n)
-        records = []
-        for pair, g in zip(level.pairs, level):
-            key, g, pos, roots, auts = canonize(g)
-            blocks = tuple((b, bytes(pos[v] for v in vs)) for b, vs in _glued_blocks(*pair))
-            records.append(_Class(key, g, roots, auts, blocks))
-        _store[n, "cut"] = tuple(sorted(records, key=attrgetter("key")))
-    return tuple(cls.graph for cls in _store[n, "cut"])

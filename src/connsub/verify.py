@@ -26,8 +26,6 @@ from .extremal import (
 )
 from .canon import canonize
 from .generate import (
-    block_classes,
-    classes_with_cut_vertices,
     connected_classes,
     glue,
     rooted_classes,
@@ -130,7 +128,7 @@ def _block_pair_offence(n: int, star4: str) -> str | None:
     """For graphs with k <= n-3 cut vertices, except the 4-star (canonical
     graph6 ``star4``): any two vertices of any block have pair count at
     least 2(n-k)-1.  The first pair that breaks the floor, or None."""
-    graphs = [*block_classes(n), *classes_with_cut_vertices(n)]
+    graphs = connected_classes(n)
     _, _, cuts, _, _, pair = evaluate_counts(graphs, True)
 
     def g6(g: Graph) -> str:

@@ -81,9 +81,10 @@ def test_medians_quartiles_and_wins(ab):
     assert code == 0
     assert out == [
         "w: 5 alternated pairs, seeds 1-5, --seconds 2; median [quartiles]",
-        "  run_s (s, lower is better): 3 [2-4] -> 2 [2-2] (-33.3 %), change better in 3 of 5",
+        "  run_s (s, lower is better): 3 [2-4] -> 2 [2-2] (-33.3 %), change better in 3 of 5;"
+        " unresolved",
         "  items_per_s (1/s, higher is better): 300 [200-400] -> 300 [200-400] (+0.0 %),"
-        " change better in 0 of 5",
+        " change better in 0 of 5; unresolved",
         "  base: 0 of 50 operations failed, correct True",
         "  change: 0 of 50 operations failed, correct True",
     ]
@@ -97,12 +98,36 @@ def test_a_single_pair_is_its_own_median_and_quartiles(ab):
     assert code == 0
     assert out[1:] == [
         "  run_s (s, lower is better): 1.5 [1.5-1.5] -> 1.25 [1.25-1.25] (-16.7 %),"
-        " change better in 1 of 1",
+        " change better in 1 of 1; within bound",
         "  items_per_s (1/s, higher is better): 1,234 [1,234-1,234] -> 1,234 [1,234-1,234]"
-        " (+0.0 %), change better in 0 of 1",
+        " (+0.0 %), change better in 0 of 1; within bound",
         "  base: 0 of 10 operations failed, correct True",
         "  change: 1 of 10 operations failed, correct True",
     ]
+
+
+@pytest.mark.parametrize(
+    "base_s, change_s, want",
+    [
+        # run_s 30 % worse, beyond its 0.25 bound; items_per_s, read here as
+        # 100 / run_s, is 23 % worse, inside it
+        ([1.0, 1.0, 1.0], [1.3, 1.3, 1.3], ("worse beyond bound", "within bound")),
+        ([1.0, 1.0, 1.0], [1.2, 1.2, 1.2], ("within bound", "within bound")),
+        # base quartiles 0.75 and 1.25 about a median of 1: a spread of 0.5
+        ([0.5, 1.0, 1.5], [1.0, 1.0, 1.0], ("unresolved", "unresolved")),
+        # a spread of 0.35 for run_s, but every change run beats every base run
+        ([0.9, 1.0, 1.6], [0.8, 0.8, 0.8], ("within bound", "within bound")),
+    ],
+    ids=["worse", "within", "unresolved", "beats-every-run"],
+)
+def test_each_metric_gets_a_verdict_against_its_bound(ab, base_s, change_s, want):
+    def canned(side, seed):
+        run_s = (base_s if side == "base" else change_s)[seed - 1]
+        return result(run_s, 100 / run_s)
+
+    code, _, out = ab(canned, pairs=3)
+    assert code == 0
+    assert tuple(line.rsplit("; ", 1)[1] for line in out[1:3]) == want
 
 
 @pytest.mark.parametrize("wrong", ["base", "change"])

@@ -22,7 +22,7 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
         import io
         import sys
 
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
@@ -473,9 +473,23 @@ def test_package_runs_as_a_module(capsys):
 
 
 @pytest.mark.parametrize(
-    "data", [b"\xff\n", "é\n".encode(), b"A\x80_\n"], ids=["ff", "utf8", "80"]
+    "data, encoding",
+    [
+        (b"\xff\n", None),
+        ("é\n".encode(), None),
+        (b"A\x80_\n", None),
+        # stdin is decoded as files are, not by the encoding the environment
+        # sets for Python's own streams
+        (b"\xff\n", "utf-8:strict"),
+        ("é\n".encode(), "latin-1"),
+    ],
+    ids=["ff", "utf8", "80", "ff-strict", "utf8-latin1"],
 )
-def test_non_ascii_bytes_same_error_from_file_and_stdin(data, tmp_path):
+def test_non_ascii_bytes_same_error_from_file_and_stdin(data, encoding, tmp_path, monkeypatch):
+    if encoding is None:
+        monkeypatch.delenv("PYTHONIOENCODING", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONIOENCODING", encoding)
     path = tmp_path / "g.g6"
     path.write_bytes(data)
     errs = []

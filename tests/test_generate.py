@@ -146,42 +146,42 @@ def _deletion_set(adj):
 
 def test_unlabeled_verdicts_match_the_labeled_verdict():
     # on every child at every level <= 8 whose new vertex is a deletion
-    # candidate, in augmentation's order, the labeled verdict accepts iff
+    # candidate, in augmentation's order (its parents in key order, both
+    # strata together), the labeled verdict accepts iff
     # the new vertex lies in the orbit of m(G), the vertex of B(G) with the
     # least canonical label: it accepts every child whose only deletion
     # candidate is the new vertex, and augmentation keeps exactly the
     # children it accepts
     for n in range(3, 9):
         new = n - 1
-        connected_classes(n - 1)
         accepted, singletons = [], 0
-        for stratum in ("block", "cut"):
-            for cls in generate._store[n - 1, stratum]:
-                parent = cls.graph
-                for s in generate._subset_orbit_reps(parent, cls.gens):
-                    adj = [a | 1 << new if s >> v & 1 else a for v, a in enumerate(parent.adj)]
-                    adj.append(s)
-                    best = generate._deletion_candidates(adj, s.bit_count())
-                    b = _deletion_set(adj)
-                    assert best == (sorted(b, key=lambda v: v != new) if new in b else None)
-                    if best is None:  # the orbit of m(G) lies in B(G)
-                        continue
-                    key, _, pos, roots, _ = canon.canonize(Graph(n, tuple(adj)))
-                    least = min(b, key=pos.__getitem__)
-                    verdict = roots[pos[new]] == roots[pos[least]]
-                    if best == [new]:
-                        assert verdict
-                        singletons += 1
-                    if verdict:
-                        accepted.append(key)
+        for cls in generate._records(n - 1):
+            parent = cls.graph
+            for s in generate._subset_orbit_reps(parent, cls.gens):
+                adj = [a | 1 << new if s >> v & 1 else a for v, a in enumerate(parent.adj)]
+                adj.append(s)
+                best = generate._deletion_candidates(adj, s.bit_count())
+                b = _deletion_set(adj)
+                assert best == (sorted(b, key=lambda v: v != new) if new in b else None)
+                if best is None:  # the orbit of m(G) lies in B(G)
+                    continue
+                key, _, pos, roots, _ = canon.canonize(Graph(n, tuple(adj)))
+                least = min(b, key=pos.__getitem__)
+                verdict = roots[pos[new]] == roots[pos[least]]
+                if best == [new]:
+                    assert verdict
+                    singletons += 1
+                if verdict:
+                    accepted.append(key)
         children, labels = generate._two_connected(n)
         assert len(accepted) == TWO_CONNECTED_COUNTS[n] >= singletons
         assert [canonical_key(g) for g in children] == accepted
         # an unlabeled child keeps its labels, the new vertex last; a
         # labeled one is its canonical copy, held by its record with that
         # labeling's key, orbit roots and generators
-        assert sum(label is None for label in labels) == singletons
-        for g, label in zip(children, labels, strict=True):
+        assert len(children) - len(labels) == singletons
+        for i, g in enumerate(children):
+            label = labels.get(i)
             if label is None:
                 assert generate._deletion_candidates(list(g.adj), g.adj[new].bit_count()) == [new]
             else:
@@ -197,11 +197,9 @@ def test_stored_generators_generate_each_class_group():
     # the store keeps each class's generators below the cap; they generate
     # the same group as a fresh labeling of the stored canonical graph
     for n in range(1, 8):
-        connected_classes(n)
-        for stratum in ("block", "cut"):
-            for cls in generate._store[n, stratum]:
-                want = _group(canonical_labeling(cls.graph)[2], n)
-                assert _group(cls.gens, n) == want
+        for cls in generate._records(n):
+            want = _group(canonical_labeling(cls.graph)[2], n)
+            assert _group(cls.gens, n) == want
 
 
 def _screened(p):
@@ -221,16 +219,14 @@ def test_subset_orbit_reps_are_the_least_of_each_orbit():
     # against the enumerated group: one subset per orbit of screened
     # subsets, the orbit's least mask, in ascending order
     for n in range(1, 8):
-        connected_classes(n)
-        for stratum in ("block", "cut"):
-            for cls in generate._store[n, stratum]:
-                g = cls.graph
-                group = _group(cls.gens, n)
-                want = {
-                    min(sum(1 << perm[v] for v in range(n) if s >> v & 1) for perm in group)
-                    for s in _screened(g)
-                }
-                assert generate._subset_orbit_reps(g, cls.gens) == sorted(want)
+        for cls in generate._records(n):
+            g = cls.graph
+            group = _group(cls.gens, n)
+            want = {
+                min(sum(1 << perm[v] for v in range(n) if s >> v & 1) for perm in group)
+                for s in _screened(g)
+            }
+            assert generate._subset_orbit_reps(g, cls.gens) == sorted(want)
 
 
 def test_least_image_is_the_least_over_the_group(monkeypatch):
@@ -283,29 +279,29 @@ def test_searches_at_the_cap_build_no_records(monkeypatch):
     for k in range(8):
         for search in (search_min_F, search_min_vertex_subgraph_number):
             search(ClassSpec(7, k))
-    assert (7, "block") not in generate._store and (7, "cut") not in generate._store
-    assert len(generate._store[7, "children"][0]) == TWO_CONNECTED_COUNTS[7]
-    assert generate._store[7, "children"][1] == ()
+    assert (7, "records") not in generate._store
+    children, labeled = generate._store[7, "children"]
+    assert len(children) == TWO_CONNECTED_COUNTS[7] and labeled == {}
     pairs = generate._composed(7)
-    assert len(connected_classes(7)) == CONNECTED_COUNTS[7]
-    for stratum in ("block", "cut"):
-        assert any(cls.gens for cls in generate._store[7, stratum])
+    records = generate._records(7)
+    assert len(records) == CONNECTED_COUNTS[7]
+    assert any(cls.gens for cls in records if len(cls.blocks) == 1)
+    assert any(cls.gens for cls in records if len(cls.blocks) > 1)
     assert generate._composed(7) is pairs
 
 
 def test_class_records_are_pinned():
-    # every record on at most 8 vertices, in store order: its key, its
-    # orbit roots and its block list (each block's class key and vertices)
+    # every record on at most 8 vertices, per level those with one block
+    # and then the rest, each in key order: its key, its orbit roots and its
+    # block list (each block's class key and vertices)
     digest = hashlib.sha256()
     for n in range(1, 9):
-        connected_classes(n)
-        for stratum in ("block", "cut"):
-            classes = generate._store[n, stratum]
-            keys = [cls.key for cls in classes]
-            assert keys == sorted(keys)
-            for cls in classes:
-                blocks = b"".join(b.key + verts for b, verts in cls.blocks)
-                digest.update(cls.key + cls.roots + bytes([len(cls.blocks)]) + blocks)
+        records = generate._records(n)
+        keys = [cls.key for cls in records]
+        assert keys == sorted(keys)
+        for cls in sorted(records, key=lambda cls: len(cls.blocks) > 1):
+            blocks = b"".join(b.key + verts for b, verts in cls.blocks)
+            digest.update(cls.key + cls.roots + bytes([len(cls.blocks)]) + blocks)
     assert digest.hexdigest() == (
         "52b71c57ed8bf358257c70bd603b6917cd98154bdf58912b64c0bcf4fabac009"
     )
@@ -336,7 +332,7 @@ def test_cut_class_search_skips_augmenting_its_level(monkeypatch):
     monkeypatch.setattr(generate, "_two_connected", spy)
     assert search_min_F(ClassSpec(7, 2)).class_size > 0
     assert augmented and max(augmented) < 7
-    assert (7, "block") not in generate._store
+    assert (7, "children") not in generate._store and (7, "records") not in generate._store
 
 
 def test_block_class_search_skips_composing_its_level(monkeypatch):
@@ -345,7 +341,7 @@ def test_block_class_search_skips_composing_its_level(monkeypatch):
     monkeypatch.setattr(generate, "_store", {})
     monkeypatch.setattr(extremal, "_catalog_cache", {})
     composed = []
-    compose = generate.classes_with_cut_vertices
+    compose = generate._composed
     evaluated = []
     kernel = extremal.evaluate_counts
 
@@ -357,14 +353,14 @@ def test_block_class_search_skips_composing_its_level(monkeypatch):
         evaluated.append(len(graphs))
         return kernel(graphs)
 
-    monkeypatch.setattr(generate, "classes_with_cut_vertices", compose_spy)
+    monkeypatch.setattr(generate, "_composed", compose_spy)
     monkeypatch.setattr(extremal, "evaluate_counts", kernel_spy)
     assert search_min_F(ClassSpec(8, 0)).class_size == TWO_CONNECTED_COUNTS[8]
     assert composed and max(composed) <= 7
     assert sum(evaluated) == TWO_CONNECTED_COUNTS[8]
-    # every stored level is a read stratum, part pairs or unread children
-    assert {tag for _, tag in generate._store} == {"block", "cut", "gluings", "children"}
-    assert (8, "cut") not in generate._store and (8, "gluings") not in generate._store
+    # every stored level is read records, part pairs or unread children
+    assert {tag for _, tag in generate._store} == {"records", "gluings", "children"}
+    assert (8, "records") not in generate._store and (8, "gluings") not in generate._store
 
 
 def test_block_class_search_labels_only_undecided_children(monkeypatch):
@@ -372,8 +368,8 @@ def test_block_class_search_labels_only_undecided_children(monkeypatch):
     # the levels below 8, the children with two or more deletion candidates
     # and its minimiser, and builds a record at n = 8 only for each child
     # labeled for its verdict; the first read of block_classes(8) labels the
-    # rest and builds their records, 7,123 in all, and a second read labels
-    # none
+    # rest and the 3,994 classes with a cut vertex and builds their records,
+    # 11,117 in all, and a second read labels none
     monkeypatch.setattr(generate, "_store", {})
     monkeypatch.setattr(extremal, "_catalog_cache", {})
     labeled, records = [], []
@@ -393,7 +389,7 @@ def test_block_class_search_labels_only_undecided_children(monkeypatch):
     report = search_min_F(ClassSpec(8, 0))
     assert report.class_size == TWO_CONNECTED_COUNTS[8]
     assert len(labeled) <= 3000
-    unlabeled = generate._store[8, "children"][1].count(None)
+    unlabeled = len(generate._augmented(8)) - len(generate._store[8, "children"][1])
     # of the 7,352 children that pass the invariant screen, 5,369 are
     # accepted unlabeled and the rest labeled for their verdict
     assert unlabeled == 5369
@@ -401,8 +397,8 @@ def test_block_class_search_labels_only_undecided_children(monkeypatch):
     assert labeled.count(8) == 7352 - unlabeled + len(report.minimizers)
     labeled.clear()
     assert len(generate.block_classes(8)) == TWO_CONNECTED_COUNTS[8]
-    assert labeled == [8] * unlabeled
-    assert records.count(8) == TWO_CONNECTED_COUNTS[8]
+    assert labeled == [8] * (unlabeled + 3994)
+    assert records.count(8) == CONNECTED_COUNTS[8]
     labeled.clear()
     generate.block_classes(8)
     assert labeled == []
@@ -513,12 +509,14 @@ def test_composition_keeps_no_piece_codes(monkeypatch):
 
 def test_composition_labels_each_class_once_below_the_cap_and_none_at_it(monkeypatch):
     # below the cap the first gluing of each certificate is labeled and the
-    # rest are dropped; composing the cap labels nothing, and keeps every
-    # class with a cut vertex unlabeled, as the parts of its first gluing
+    # rest are dropped, beside the level's unlabeled children; composing
+    # the cap labels nothing, and keeps every class with a cut vertex
+    # unlabeled, as the parts of its first gluing
     want = Counter(len(cut_vertices(g)) for g in classes_with_cut_vertices(8))
     monkeypatch.setattr(generate, "_store", {})
     for n in range(1, 8):
         rooted_classes(n)
+    unlabeled = len(generate._augmented(8)) - len(generate._store[8, "children"][1])
     labeled = []
     label = canon.canonical_labeling
 
@@ -527,8 +525,8 @@ def test_composition_labels_each_class_once_below_the_cap_and_none_at_it(monkeyp
         return label(g)
 
     monkeypatch.setattr(canon, "canonical_labeling", counted)
-    assert len(classes_with_cut_vertices(8)) == len(labeled) == 3994
-    del generate._store[8, "cut"], generate._store[8, "gluings"]
+    assert len(classes_with_cut_vertices(8)) == len(labeled) - unlabeled == 3994
+    del generate._store[8, "records"], generate._store[8, "gluings"]
     labeled.clear()
     monkeypatch.setattr(generate, "GENERATION_CAP", 8)
     composed = generate._composed(8)
@@ -538,13 +536,15 @@ def test_composition_labels_each_class_once_below_the_cap_and_none_at_it(monkeyp
 
 
 def test_level_is_labeled_only_when_its_records_are_read(monkeypatch):
-    # from a store holding levels <= 7, the n = 8 searches with a cut vertex
-    # label only the minimisers they name; the first read of level 8's
-    # records labels its 3,994 classes, and a second read labels none
+    # from a store holding levels <= 7 and level 8's children, the n = 8
+    # searches with a cut vertex label only the minimisers they name; the
+    # first read of level 8's records labels its 3,994 classes with a cut
+    # vertex and its unlabeled children, and a second read labels none
     monkeypatch.setattr(generate, "_store", {})
     monkeypatch.setattr(extremal, "_catalog_cache", {})
     for n in range(1, 8):
         rooted_classes(n)
+    unlabeled = len(generate._augmented(8)) - len(generate._store[8, "children"][1])
     labeled = []
     label = canon.canonical_labeling
 
@@ -560,10 +560,32 @@ def test_level_is_labeled_only_when_its_records_are_read(monkeypatch):
             named.update(search(ClassSpec(8, k)).minimizers)
     assert named and sorted(labeled) == sorted(canonical_key(parse_graph6(s)) for s in named)
     labeled.clear()
-    assert len(classes_with_cut_vertices(8)) == len(labeled) == 3994
+    assert len(classes_with_cut_vertices(8)) == len(labeled) - unlabeled == 3994
     labeled.clear()
     assert len(classes_with_cut_vertices(8)) == 3994
     assert labeled == []
+
+
+def test_children_are_freed_before_the_gluings_are_labeled(monkeypatch):
+    # the first read of a level drops its unlabeled children before it
+    # labels its first gluing, so the two are never held together
+    monkeypatch.setattr(generate, "_store", {})
+    for n in range(1, 8):
+        rooted_classes(n)
+    children, labeled = generate._augmented(8), generate._store[8, "children"][1]
+    held = [next(g for i, g in enumerate(children) if i not in labeled)]
+    del children, labeled
+    referrers = []
+    canonize = generate.canonize
+
+    def spy(g):
+        if not referrers and cut_vertices(g):
+            referrers.append([r for r in gc.get_referrers(held[0]) if r is not held])
+        return canonize(g)
+
+    monkeypatch.setattr(generate, "canonize", spy)
+    assert len(connected_classes(8)) == CONNECTED_COUNTS[8]
+    assert referrers == [[]]
 
 
 def test_rooted_classes_orbits():
