@@ -123,11 +123,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max is not None and args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
-    if args.suite == "table1" and args.n_max is not None and args.n_max > GENERATION_CAP:
-        raise ValueError(f"--n-max for table1 searches must be at most {GENERATION_CAP}")
-    # every family spec up to --n-max is listed before the first is built
-    if args.suite == "formulas" and args.n_max is not None and args.n_max > MAX_VERTICES:
-        raise ValueError(f"--n-max for formulas must be at most {MAX_VERTICES}")
     n_max = () if args.n_max is None else (args.n_max,)  # absent: each suite's default
     if args.suite == "formulas":
         reports = [verify.verify_formulas(*n_max)]

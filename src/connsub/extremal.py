@@ -8,13 +8,13 @@ the full minimizer set.  Classes come from the two disjoint strata of
 classes with one, so a search never generates the other stratum of its
 level.  Each stratum is evaluated once per vertex count and kept as a
 catalog of columns: the class graphs, and beside them one array per value
-(k, F, min_v f, the mask of the vertices attaining it, girth, and whether
-it is a tree).  A search is a boolean mask over those columns and a minimum over
-the rows it keeps.  Counts do not depend on labels, so a catalog's graphs
-need not be canonically labeled: the classes with a cut vertex are not,
-and are glued only when read, and a level of 2-connected classes that
-``generate`` has not labeled yet holds the children augmentation accepted,
-most of them unlabeled.  A report glues, canonises and serialises only its
+(k, F, min_v f, the mask of the vertices attaining it, and girth, whose
+acyclic rows are the trees).  A search is a boolean mask over those
+columns and a minimum over the rows it keeps.  Counts do not depend on
+labels, so a catalog's graphs need not be canonically labeled: the classes
+with a cut vertex are not, and are glued only when read, and a level of
+2-connected classes that ``generate`` has not labeled yet holds the
+children augmentation accepted, most of them unlabeled.  A report glues, canonises and serialises only its
 minimizers and names each by its canonical graph6, with argmin vertices in
 canonical labels.
 
@@ -40,8 +40,8 @@ with a = f1(r1) and b = f2(r2), ``decompose.merge_count`` gives
 F = F1 + F2 - 1 + (a - 1)(b - 1) and ``decompose.vertex_count`` gives
 f(x) = f1(x) + f1(x, r1)(b - 1) for x in G1 (at x = r1 this is ab), and
 symmetrically for G2.  The glued graph has k = c1 + c2 + 1 cut vertices,
-c_i counting those of G_i other than r_i; every cycle lies in one part, so
-its girth is the lesser of theirs; and it is a tree iff m1 + m2 = n - 1.
+c_i counting those of G_i other than r_i; and every cycle lies in one
+part, so its girth is the lesser of theirs.
 Exactness: every value these rules form is a connected-subgraph count of
 the glued graph or a term of one, since (a - 1)(b - 1) < F and
 f1(x, r1)(b - 1) <= f(x), so each is at most 2^{n + m1 + m2}, and the
@@ -251,12 +251,12 @@ _SLICE_ENTRIES = 1 << 15
 
 
 def _evaluate_gluings(pairs: Sequence[_Pair]) -> tuple[np.ndarray, ...]:
-    """(F, f, k, tree, girth) of each gluing (record 1, r1, record 2, r2) of
+    """(F, f, k, girth) of each gluing (record 1, r1, record 2, r2) of
     connected classes into one order n, from the parts' values by the rules
     in the module docstring: F, the f-vector as ``[gluing, x]`` in
-    ``glue``'s labels, the cut-vertex count, whether it is a tree and the
-    girth (``_NO_CYCLE`` if acyclic).  The values of each order are
-    computed once, for the classes the gluings use."""
+    ``glue``'s labels, the cut-vertex count and the girth (``_NO_CYCLE`` if
+    acyclic).  The values of each order are computed once, for the classes
+    the gluings use."""
     c1s, r1s, c2s, r2s = zip(*pairs)
     n = c1s[0].graph.n + c2s[0].graph.n - 1
     # each part class's row among the classes of its order
@@ -271,7 +271,6 @@ def _evaluate_gluings(pairs: Sequence[_Pair]) -> tuple[np.ndarray, ...]:
     r1s, r2s = np.asarray(r1s), np.asarray(r2s)
     n1s = np.fromiter((cls.graph.n for cls in c1s), np.int64, len(c1s))
     total, k, girths = (np.empty(len(pairs), dtype=np.int64) for _ in range(3))
-    tree = np.empty(len(pairs), dtype=bool)
     fvec = np.empty((len(pairs), n), dtype=np.int64)
     step = max(1, _SLICE_ENTRIES // n)
     for n1 in np.unique(n1s).tolist():
@@ -282,8 +281,7 @@ def _evaluate_gluings(pairs: Sequence[_Pair]) -> tuple[np.ndarray, ...]:
         for lo in range(0, len(group), step):
             i = group[lo : lo + step]
             j1, r1, j2, r2 = j1s[i], r1s[i], j2s[i], r2s[i]
-            m = m1[j1] + m2[j2]
-            _check_exact(n + int(m.max()))
+            _check_exact(n + int((m1[j1] + m2[j2]).max()))
             # f_i(x, r_i) for every x of part i, and a = f1(r1), b = f2(r2)
             at1, at2 = pair1[j1, r1], pair2[j2, r2]
             a, b = f1[j1, r1], f2[j2, r2]
@@ -295,9 +293,8 @@ def _evaluate_gluings(pairs: Sequence[_Pair]) -> tuple[np.ndarray, ...]:
             others1 = np.bitwise_count(cut1[j1] & ~(1 << r1))
             others2 = np.bitwise_count(cut2[j2] & ~(1 << r2))
             k[i] = others1 + others2 + 1
-            tree[i] = m == n - 1
             girths[i] = np.minimum(girth1[j1], girth2[j2])
-    return total, fvec, k, tree, girths
+    return total, fvec, k, girths
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +306,8 @@ class _Catalog:
     """The evaluated classes of one stratum at one vertex count, as columns:
     the class graphs and, row for row, int64 arrays of the cut-vertex count,
     F, min_v f, the mask of the vertices attaining it and the girth
-    (``_NO_CYCLE`` if acyclic), and a bool array of the trees; ``names``
-    holds the canonical forms of the rows a report has named."""
+    (``_NO_CYCLE`` if acyclic); ``names`` holds the canonical forms of the
+    rows a report has named."""
 
     graphs: Sequence[Graph]
     k: np.ndarray
@@ -318,7 +315,6 @@ class _Catalog:
     f_min: np.ndarray
     argmin: np.ndarray
     girth: np.ndarray
-    tree: np.ndarray
     names: dict[int, tuple[str, tuple[int, ...]]] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -336,7 +332,7 @@ class _Catalog:
 
 
 # a stratum or a class that holds no graph
-_EMPTY = _Catalog((), *np.zeros((6, 0), dtype=np.int64))
+_EMPTY = _Catalog((), *np.zeros((5, 0), dtype=np.int64))
 
 _catalog_cache: dict[tuple[int, str], _Catalog] = {}
 
@@ -356,11 +352,11 @@ def catalog(n: int, stratum: str) -> _Catalog:
             _catalog_cache[n, stratum] = _EMPTY
             return _EMPTY
         if stratum == "cut":
-            total, f, k, tree, girth = _evaluate_gluings(graphs.pairs)
+            total, f, k, girth = _evaluate_gluings(graphs.pairs)
         else:
-            total, f, cut, m, girth = evaluate_counts(graphs)
-            k, tree = np.bitwise_count(cut).astype(np.int64), m == n - 1
-        _catalog_cache[n, stratum] = _Catalog(graphs, k, total, *_minima(f), girth, tree)
+            total, f, cut, _, girth = evaluate_counts(graphs)
+            k = np.bitwise_count(cut).astype(np.int64)
+        _catalog_cache[n, stratum] = _Catalog(graphs, k, total, *_minima(f), girth)
     return _catalog_cache[n, stratum]
 
 
@@ -371,7 +367,8 @@ def _class_rows(spec: ClassSpec) -> tuple[_Catalog, np.ndarray]:
     cat = _EMPTY if impossible else catalog(spec.n, "cut" if spec.k >= 1 else "block")
     keep = cat.k == spec.k
     if spec.subset != "all":
-        keep &= cat.tree == (spec.subset == "trees")
+        # a connected graph is a tree exactly when it has no cycle
+        keep &= (cat.girth == _NO_CYCLE) == (spec.subset == "trees")
     if spec.min_girth is not None:
         # an acyclic graph has no cycle to break the floor
         keep &= (cat.girth >= spec.min_girth) | (cat.girth == _NO_CYCLE)

@@ -403,8 +403,6 @@ def _subset_orbit_reps(p: Graph, gens: tuple[tuple[int, ...], ...]) -> list[int]
         and s & below[size] == below[size]
         and all(s & side for side in sides)
     ]
-    if not gens:  # only singleton orbits
-        return kept
     getters = [itemgetter(*a) for a in gens]
     seen: set[tuple[int, ...]] = set()
     reps = []

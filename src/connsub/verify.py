@@ -25,12 +25,8 @@ from .extremal import (
     search_min_vertex_subgraph_number,
 )
 from .canon import canonize
-from .generate import (
-    connected_classes,
-    glue,
-    rooted_classes,
-)
-from .graph import Graph, bits, blocks, cut_vertices
+from .generate import GENERATION_CAP, connected_classes, glue, rooted_classes
+from .graph import MAX_VERTICES, Graph, bits, blocks, cut_vertices
 from .graphio import parse_graph6, serialize_graph6
 
 
@@ -130,19 +126,15 @@ def _block_pair_offence(n: int, star4: str) -> str | None:
     least 2(n-k)-1.  The first pair that breaks the floor, or None."""
     graphs = connected_classes(n)
     _, _, cuts, _, _, pair = evaluate_counts(graphs, True)
-
-    def g6(g: Graph) -> str:
-        return serialize_graph6(canonize(g)[1])
-
     for g, cut, counts in zip(graphs, cuts.tolist(), pair):
         k = cut.bit_count()
-        if k > n - 3 or (n == 4 and g6(g) == star4):
+        if k > n - 3 or (n == 4 and serialize_graph6(g) == star4):
             continue
         bound = 2 * (n - k) - 1
         for block in blocks(g):
             for u, v in combinations(bits(block), 2):
                 if counts[u, v] < bound:
-                    return f"{g6(g)} pair ({u},{v}): {counts[u, v]} < {bound}"
+                    return f"{serialize_graph6(g)} pair ({u},{v}): {counts[u, v]} < {bound}"
     return None
 
 
@@ -505,7 +497,17 @@ class Table1Report:
         return out
 
 
-def verify_table1(search_n_max: int = 9) -> Table1Report:
+def _check_n_max(n_max: int, top: int, what: str) -> None:
+    """Refuse an n_max outside 1..top, in the words of the CLI's --n-max."""
+    if not 1 <= n_max <= top:
+        rule = f"for {what} must be at most {top}" if n_max > top else "must be at least 1"
+        raise ValueError(f"--n-max {rule}")
+
+
+def verify_table1(search_n_max: int = GENERATION_CAP) -> Table1Report:
+    """Both tiers of the reference table, tier (b) searched up to
+    n = ``search_n_max``, which is refused outside 1..``GENERATION_CAP``."""
+    _check_n_max(search_n_max, GENERATION_CAP, "table1 searches")
     tier_a: list[CellResult] = []
     tier_b: list[TierBResult] = []
     for (n, k), cell in sorted(REFERENCE_TABLE.items()):
@@ -567,7 +569,9 @@ def compare_family(fs: families.FamilySpec) -> Iterator[tuple[str | None, int, i
 
 def verify_formulas(n_max: int = 12) -> VerdictReport:
     """Every family closed form, of F and of each special vertex's f,
-    equals its decomposition count."""
+    equals its decomposition count, on the orders up to ``n_max``, which
+    is refused outside 1..``MAX_VERTICES`` before any spec is listed."""
+    _check_n_max(n_max, MAX_VERTICES, "formulas")
     rep = VerdictReport("formulas")
     for fs in families.specs_up_to(n_max):
         detail = "".join(

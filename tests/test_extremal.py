@@ -173,14 +173,16 @@ class TestBatchKernel:
 
 class TestCatalogColumns:
     def test_structure_columns_match_the_graph_oracles(self):
-        # below the cap, k, girth and the tree flag are read off the subset
-        # table; cut_vertices, graph.girth and g.m are the oracles
+        # below the cap, k and girth are read off the subset table, and the
+        # trees are the acyclic rows; cut_vertices, graph.girth and g.m are
+        # the oracles
         for n in range(1, GENERATION_CAP):
             for stratum in ("block", "cut"):
                 cat = extremal.catalog(n, stratum)
                 assert cat.k.tolist() == [len(cut_vertices(g)) for g in cat.graphs]
                 assert cat.girth.tolist() == [girth(g) or extremal._NO_CYCLE for g in cat.graphs]
-                assert cat.tree.tolist() == [g.m == n - 1 for g in cat.graphs]
+                acyclic = cat.girth == extremal._NO_CYCLE
+                assert acyclic.tolist() == [g.m == n - 1 for g in cat.graphs]
 
     def test_count_columns_match_census(self):
         for n in range(1, 8):
@@ -203,7 +205,7 @@ class TestCapFromParts:
         for n, size in sizes.items():
             cat = extremal.catalog(n, "cut")
             assert len(cat) == size
-            _, fvec, _, _, _ = extremal._evaluate_gluings(cat.graphs.pairs)
+            _, fvec, _, _ = extremal._evaluate_gluings(cat.graphs.pairs)
             member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
             for lo in range(0, len(cat), 2048):
                 rows = slice(lo, lo + 2048)
@@ -217,7 +219,8 @@ class TestCapFromParts:
                 assert (cat.total[rows] == total).all()
                 assert (cat.f_min[rows] == f_min).all() and (cat.argmin[rows] == argmin).all()
                 assert (cat.k[rows] == np.bitwise_count(cut)).all()
-                assert (cat.tree[rows] == (m == n - 1)).all() and (cat.girth[rows] == girths).all()
+                assert ((cat.girth[rows] == extremal._NO_CYCLE) == (m == n - 1)).all()
+                assert (cat.girth[rows] == girths).all()
                 assert cat.girth[rows].tolist() == [
                     girth(g) or extremal._NO_CYCLE for g in graphs
                 ]
@@ -328,7 +331,7 @@ class TestWorkingSet:
         monkeypatch.setattr(extremal, "_CHUNK_ENTRIES", 7 << 8)
         monkeypatch.setattr(extremal, "_SLICE_ENTRIES", 37 * 8)
         got = evaluate_counts(graphs, True) + extremal._evaluate_gluings(pairs)
-        assert len(got) == len(want) == 11
+        assert len(got) == len(want) == 10
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -465,6 +468,24 @@ class TestTheoremRegistry:
             verify_theorem("girth-free-agreement", 5)
         assert verify_theorem("edge-monotonicity", 2).items
         assert verify_theorem("branch-move-decrease", 1).passed
+
+    def test_formulas_and_table1_refuse_their_bounds_before_any_work(self, monkeypatch):
+        # called from Python, not only through the CLI: each suite checks
+        # its own n_max before it lists a spec or counts a graph
+        from connsub import decompose, families, verify
+
+        def unreached(*args):
+            raise AssertionError("the suite started before checking its bound")
+
+        monkeypatch.setattr(families, "specs_up_to", unreached)
+        monkeypatch.setattr(verify, "search_min_F", unreached)
+        monkeypatch.setattr(decompose, "count_via_decomposition", unreached)
+        with pytest.raises(ValueError, match="^--n-max for formulas must be at most 64$"):
+            verify.verify_formulas(65)
+        with pytest.raises(ValueError, match="^--n-max must be at least 1$"):
+            verify.verify_formulas(0)
+        with pytest.raises(ValueError, match="^--n-max for table1 searches must be at most 9$"):
+            verify.verify_table1(10)
 
     def test_floor_row_fails_an_unexpected_empty_class(self):
         # no tree on n vertices has n - 1 cut vertices; a row without an
