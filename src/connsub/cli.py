@@ -188,9 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("table1", "theorems", "formulas"), required=True)
     p.add_argument("--n-max", dest="n_max", type=int,
-                   help="formulas: the largest family order, at most"
-                   f" {MAX_VERTICES}; table1: the search cap, at most"
-                   f" {GENERATION_CAP}; theorems: lowers each check's last n, never raises it")
+                   help=f"formulas: the largest family order, at most {MAX_VERTICES}, exiting 2"
+                   " above 25, where census refuses F(C26); table1: the search cap, at most"
+                   f" {GENERATION_CAP}; theorems: lowers each check's last n, never raises it,"
+                   " exiting 2 below 6, where girth-free-agreement starts")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser(

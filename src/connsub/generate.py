@@ -70,6 +70,9 @@ orbit roots and Aut generators in canonical labels (as ``canonize`` gave
 them), and its block list: per block, the block's class (K2 or a
 2-connected class, itself a record) and its vertices in that class's
 canonical order.  A class without a cut vertex is its own single block.
+The record reads its cut vertices, those in two or more blocks, from that
+list once, as a mask: augmentation splits a parent there, and composition
+reads a part's bouquet and pieces from it, so no block DFS runs here.
 Every block of a gluing is a block of one part, so the glued graph's list
 is the parts' lists with g2's vertices renamed as ``glue`` renames them,
 and the canonical relabeling renames them again: no block is ever labeled.
@@ -166,9 +169,9 @@ certificate's first gluing, in certificate order, glued when read, and
 each level's accepted children: unlabeled if accepted by the singleton
 rule, else the canonical copy its verdict made, which gets its record at
 once below the cap; ``extremal`` evaluates the children as they are.  The
-first read of a level's records (any of the three public readers,
-``_rooted_parts(n)`` or augmenting n + 1) canonises each unlabeled child,
-drops the children, then canonises each kept gluing, whose labels fix
+first read of a level's records (any of the four public readers, or
+augmenting n + 1) canonises each unlabeled child, puts the canonical copies
+in the children's place, then canonises each kept gluing, whose labels fix
 ``canonize``'s generators, and files the whole level by canonical key.
 
 The classes live in one store, which keeps every level the same way.  A
@@ -176,10 +179,12 @@ read level is one tuple of records under (n, "records"), in key order,
 each a full record at any n.  A level's part pairs stay under
 (n, "gluings") for life, so its classes with a cut vertex have one row
 order, the certificate order, whether or not its records were read.  Its
-children sit under (n, "children") beside the records of those labeled
-for their verdict, by position (none at the cap), until the level is
-read.  No level above the cap is generated, and ``rooted_classes(n)``
-reads the orbit roots of level n's records per call.
+classes without a cut vertex stay under (n, "children") for life, in
+augmentation order, so they have one row order too: the accepted children
+beside the records of those labeled for their verdict, by position (none
+at the cap), until the level is read, and their canonical copies after.
+No level above the cap is generated, and ``rooted_classes(n)`` reads the
+orbit roots of level n's records per call.
 """
 
 from __future__ import annotations
@@ -188,7 +193,7 @@ from collections.abc import Iterator, Sequence
 from operator import attrgetter, itemgetter
 
 from .canon import canonize, orbit
-from .graph import MAX_VERTICES, Graph, components, cut_vertices
+from .graph import MAX_VERTICES, Graph, bits, components
 
 # largest n an exhaustive search generates; n = 10 would need about 2 M
 # classes with a cut vertex from composition alone
@@ -204,14 +209,14 @@ _shared: dict[bytes | tuple, bytes | tuple] = {}
 
 class _Class:
     """A class as the store holds it: its key and graph, per canonical label
-    the least label of its Aut-orbit, generators of Aut in canonical labels
-    and its block list (``None``: its own single block).  Equal roots,
-    vertex orders, permutations and generator lists are shared between
-    classes.  Two leaf pairs of ``canonize``'s search may give the same
-    generator; it is kept once, as every orbit closure pays for each
-    generator."""
+    the least label of its Aut-orbit, generators of Aut in canonical labels,
+    its block list (``None``: its own single block) and the mask of its cut
+    vertices, those in two or more blocks.  Equal roots, vertex orders,
+    permutations and generator lists are shared between classes.  Two leaf
+    pairs of ``canonize``'s search may give the same generator; it is kept
+    once, as every orbit closure pays for each generator."""
 
-    __slots__ = ("key", "graph", "roots", "gens", "blocks")
+    __slots__ = ("key", "graph", "roots", "gens", "blocks", "cut")
 
     def __init__(
         self,
@@ -231,6 +236,12 @@ class _Class:
             own = bytes(range(len(roots)))  # its canonical labels
             blocks = ((self, _shared.setdefault(own, own)),)
         self.blocks = blocks
+        seen = cut = 0
+        for _, verts in blocks:
+            for v in verts:
+                cut |= seen & 1 << v
+                seen |= 1 << v
+        self.cut = cut
 
     def least(self, colours: list[bytes]) -> bytes:
         """The least image under Aut of ``colours``, one per canonical label."""
@@ -264,7 +275,7 @@ class _Gluings(Sequence[Graph]):
 
 
 # the class store (see above): (n, "records") -> a read level; (n, "gluings")
-# -> a level's part pairs; (n, "children") -> an unread level's accepted children
+# -> a level's part pairs; (n, "children") -> its classes without a cut vertex
 _store: dict[
     tuple[int, str],
     tuple[_Class, ...] | tuple[tuple[Graph, ...], dict[int, _Class]] | _Gluings,
@@ -272,13 +283,11 @@ _store: dict[
 
 
 def _augmented(n: int) -> Sequence[Graph]:
-    """Level n's classes without a cut vertex: its accepted children,
-    unlabeled or labeled for their verdict, until the level is read (see
-    above); key-ordered once labeled."""
+    """Level n's classes without a cut vertex in augmentation order: its
+    accepted children, unlabeled or labeled for their verdict, until the
+    level is read (see above), and their canonical copies once it is."""
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"classes are generated for n in 1..{GENERATION_CAP}")
-    if (n, "records") in _store:
-        return block_classes(n)
     if (n, "children") not in _store:
         if n <= 2:  # K1 and K2
             _store[n, "children"] = (Graph(n, (0,) if n == 1 else (0b10, 0b01)),), {}
@@ -289,11 +298,11 @@ def _augmented(n: int) -> Sequence[Graph]:
 
 def _records(n: int) -> tuple[_Class, ...]:
     """Level n's records, both strata, in key order.  The first call labels
-    the level's unlabeled children, drops the children, then labels its
-    gluings, and files them all by key."""
+    the level's unlabeled children, puts their canonical copies in their
+    place, then labels its gluings, and files them all by key."""
     if (n, "records") not in _store:
         children = _augmented(n)
-        _, labeled = _store.pop((n, "children"))
+        labeled = _store[n, "children"][1]
         records = []
         for i, g in enumerate(children):
             cls = labeled.get(i)
@@ -301,7 +310,8 @@ def _records(n: int) -> tuple[_Class, ...]:
                 key, g, _, roots, auts = canonize(g)
                 cls = _Class(key, g, roots, auts)
             records.append(cls)
-        # freed before the first gluing is labeled, so the two are never held at once
+        # the children go before the first gluing is labeled, never held with it
+        _store[n, "children"] = tuple(cls.graph for cls in records), {}
         del children, labeled
         level = _composed(n)
         for pair, g in zip(level.pairs, level):
@@ -342,7 +352,7 @@ def _two_connected(n: int) -> tuple[tuple[Graph, ...], dict[int, _Class]]:
     labeled: dict[int, _Class] = {}
     for record in _records(n - 1):
         parent = record.graph
-        for subset in _subset_orbit_reps(parent, record.gens):
+        for subset in _subset_orbit_reps(record):
             # the new vertex n - 1 joined to every vertex of the subset
             adj = [a | 1 << new if subset >> v & 1 else a for v, a in enumerate(parent.adj)]
             adj.append(subset)
@@ -385,13 +395,14 @@ def _deletion_candidates(adj: list[int], size: int) -> list[int] | None:
     return best
 
 
-def _subset_orbit_reps(p: Graph, gens: tuple[tuple[int, ...], ...]) -> list[int]:
-    """One subset S of p's vertices per Aut(p)-orbit such that p plus a
-    vertex joined to S is 2-connected with minimum degree |S|; ``gens``
-    generate Aut(p) in p's labels."""
+def _subset_orbit_reps(record: _Class) -> list[int]:
+    """One subset S of the record's vertices per orbit of its generators
+    such that its graph p plus a vertex joined to S is 2-connected with
+    minimum degree |S|."""
+    p = record.graph
     full = (1 << p.n) - 1
     # S must meet every component of p - c, for every cut vertex c
-    sides = [side for c in cut_vertices(p) for side in components(p.adj, full & ~(1 << c))]
+    sides = [side for c in bits(record.cut) for side in components(p.adj, full & ~(1 << c))]
     deg = [a.bit_count() for a in p.adj]
     # below[s]: vertices that reach degree s only if joined to the new vertex
     below = [sum(1 << v for v in range(p.n) if deg[v] < s) for s in range(p.n + 1)]
@@ -403,7 +414,7 @@ def _subset_orbit_reps(p: Graph, gens: tuple[tuple[int, ...], ...]) -> list[int]
         and s & below[size] == below[size]
         and all(s & side for side in sides)
     ]
-    getters = [itemgetter(*a) for a in gens]
+    getters = [itemgetter(*a) for a in record.gens]
     seen: set[tuple[int, ...]] = set()
     reps = []
     for s in kept:
@@ -415,38 +426,24 @@ def _subset_orbit_reps(p: Graph, gens: tuple[tuple[int, ...], ...]) -> list[int]
     return reps
 
 
-def rooted_classes(n: int) -> list[tuple[Graph, int]]:
-    """(graph, root) pairs: each connected class on n vertices with one root
-    per vertex orbit, the orbit's smallest vertex.  Kept for
-    n < ``GENERATION_CAP``, the sizes composition glues."""
-    return [(cls.graph, root) for cls, root, _ in _rooted_parts(n)]
-
-
-def _rooted_parts(n: int) -> Iterator[_Part]:
-    """(record, root, bouquet) in the order of ``rooted_classes(n)``, made
-    as they are read.  The bouquet (see above) is None unless the class's
-    cut vertices lie within the root."""
+def rooted_classes(n: int) -> Iterator[_Part]:
+    """(record, root, bouquet) for each class on n vertices in key order and
+    each of its vertex orbits, rooted at the orbit's least vertex, made as
+    they are read from level n's records, which the call reads.  The bouquet
+    (see above) is None unless the class's cut vertices lie within the root.
+    Kept for n < ``GENERATION_CAP``, the sizes composition glues."""
     if not 1 <= n < GENERATION_CAP:
         raise ValueError(f"rooted classes are kept for n in 1..{GENERATION_CAP - 1}")
-    return _parts_of(_records(n))
+    return (
+        (cls, r, None if cls.cut & ~(1 << r) else _bouquet(cls, r))
+        for cls in _records(n)
+        for r in sorted(set(cls.roots))
+    )
 
 
-def _parts_of(classes: tuple[_Class, ...]) -> Iterator[_Part]:
-    """A part for each orbit root of each class of one read level."""
-    for cls in classes:
-        # the cut vertices: the vertices in two or more blocks
-        seen = cut = 0
-        for _, verts in cls.blocks:
-            for v in verts:
-                cut |= seen & 1 << v
-                seen |= 1 << v
-        for r in sorted(set(cls.roots)):
-            bouquet = None
-            if not cut & ~(1 << r):
-                bouquet = tuple(
-                    sorted(b.key + bytes([b.roots[verts.index(r)]]) for b, verts in cls.blocks)
-                )
-            yield cls, r, bouquet
+def _bouquet(cls: _Class, r: int) -> tuple[bytes, ...]:
+    """The sorted leaf codes of a class whose cut vertices lie within r."""
+    return tuple(sorted(b.key + bytes([b.roots[verts.index(r)]]) for b, verts in cls.blocks))
 
 
 def _labels(n1: int, r1: int, n2: int, r2: int) -> list[int]:
@@ -493,7 +490,7 @@ class _Pieces:
                 self.at[v].append(i)
         # per block, (position, vertex) of each of its cut vertices
         self.cuts = [
-            [(k, v) for k, v in enumerate(verts) if len(self.at[v]) > 1] for _, verts in self.blocks
+            [(k, v) for k, v in enumerate(verts) if cls.cut >> v & 1] for _, verts in self.blocks
         ]
         self.heights: dict[tuple[int, int], int] = {}
         self.codes: dict[tuple[int, int], bytes] = {}
@@ -610,13 +607,13 @@ def _gluings(n: int) -> Iterator[tuple[_Part, _Part, bytes]]:
     pieces: dict[_Class, _Pieces] = {}
     for n1 in range(2, (n + 1) // 2 + 1):
         n2 = n + 1 - n1
-        left = [(p, _arms(p, pieces)) for p in _rooted_parts(n1)]
+        left = [(p, _arms(p, pieces)) for p in rooted_classes(n1)]
         if n2 == n1:
             right = left
         elif n1 == 2:  # the rooted K2 alone on the left
-            right = _one_class_at_a_time(_rooted_parts(n2))
+            right = _one_class_at_a_time(rooted_classes(n2))
         else:
-            right = [(p, _arms(p, pieces)) for p in _rooted_parts(n2)]
+            right = [(p, _arms(p, pieces)) for p in rooted_classes(n2)]
         for i, (p1, arms1) in enumerate(left):
             b1 = p1[2]
             for p2, arms2 in right[i:] if n2 == n1 else right:

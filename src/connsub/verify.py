@@ -282,7 +282,7 @@ def _branch_move_decrease() -> Iterator[CheckItem]:
     rng = random.Random(_BRANCH_MOVE_SEED)
     pool = []
     for n in (2, 3, 4):
-        pool.extend(rooted_classes(n))
+        pool.extend((cls.graph, r) for cls, r, _ in rooted_classes(n))
     tested = 0
     bad = None
     while tested < _BRANCH_MOVE_PAIRS and bad is None:

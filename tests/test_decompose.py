@@ -98,7 +98,7 @@ class TestMerge:
         # every gluing of two rooted classes into n <= 6 vertices, both
         # orders: the merge rule gives F and the vertex rule every f(x),
         # each from census values of the parts alone
-        pool = [pair for n in range(1, 6) for pair in rooted_classes(n)]
+        pool = [(cls.graph, r) for n in range(1, 6) for cls, r, _ in rooted_classes(n)]
         glued = 0
         for g1, r1 in pool:
             for g2, r2 in pool:

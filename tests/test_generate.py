@@ -157,7 +157,7 @@ def test_unlabeled_verdicts_match_the_labeled_verdict():
         accepted, singletons = [], 0
         for cls in generate._records(n - 1):
             parent = cls.graph
-            for s in generate._subset_orbit_reps(parent, cls.gens):
+            for s in generate._subset_orbit_reps(cls):
                 adj = [a | 1 << new if s >> v & 1 else a for v, a in enumerate(parent.adj)]
                 adj.append(s)
                 best = generate._deletion_candidates(adj, s.bit_count())
@@ -226,7 +226,26 @@ def test_subset_orbit_reps_are_the_least_of_each_orbit():
                 min(sum(1 << perm[v] for v in range(n) if s >> v & 1) for perm in group)
                 for s in _screened(g)
             }
-            assert generate._subset_orbit_reps(g, cls.gens) == sorted(want)
+            assert generate._subset_orbit_reps(cls) == sorted(want)
+
+
+def test_each_record_holds_its_cut_vertex_mask():
+    # the vertices in two or more of a record's blocks, against the block DFS
+    for n in range(1, 9):
+        for cls in generate._records(n):
+            assert cls.cut == sum(1 << v for v in cut_vertices(cls.graph))
+
+
+def test_augmentation_runs_no_block_dfs(monkeypatch):
+    # each parent is split at its record's cut mask, so level 8's
+    # 2-connected classes are built from an empty store with the DFS refused
+    monkeypatch.setattr(generate, "_store", {})
+
+    def refused(g):
+        raise AssertionError("augmentation ran the block DFS")
+
+    monkeypatch.setattr("connsub.graph._blocks", refused)
+    assert len(generate._augmented(8)) == TWO_CONNECTED_COUNTS[8]
 
 
 def test_least_image_is_the_least_over_the_group(monkeypatch):
@@ -406,11 +425,12 @@ def test_block_class_search_labels_only_undecided_children(monkeypatch):
 
 def test_block_reports_do_not_depend_on_when_the_level_is_labeled(monkeypatch):
     # the catalog reads level 8's accepted children in augmentation's order
-    # if the level is not labeled yet, and in key order if it is; both
+    # whether or not the level is labeled, as the children or as their
+    # canonical copies, so its counted columns agree row for row; both
     # objectives report the same either way
     rooted_classes(7)
     below = {level: entry for level, entry in generate._store.items() if level[0] < 8}
-    reports = {}
+    reports, columns = {}, []
     for read_first in (True, False):
         monkeypatch.setattr(generate, "_store", dict(below))
         monkeypatch.setattr(extremal, "_catalog_cache", {})
@@ -421,8 +441,9 @@ def test_block_reports_do_not_depend_on_when_the_level_is_labeled(monkeypatch):
                 report = replace(search(ClassSpec(8, 0)), wall_time_ms=0)
                 reports.setdefault(search, set()).add(report)
             generate.block_classes(8)
-        rows = extremal.catalog(8, "block").graphs
-        assert (rows == generate.block_classes(8)) == read_first
+        cat = extremal.catalog(8, "block")
+        columns.append([getattr(cat, name).tolist() for name in ("k", "total", "f_min", "girth")])
+    assert columns[0] == columns[1]
     assert [len(found) for found in reports.values()] == [1, 1]
 
 
@@ -589,7 +610,7 @@ def test_children_are_freed_before_the_gluings_are_labeled(monkeypatch):
 
 
 def test_rooted_classes_orbits():
-    pairs = rooted_classes(3)
+    pairs = [(cls.graph, root) for cls, root, _ in rooted_classes(3)]
     # P_3 has two vertex orbits, the triangle one
     assert len(pairs) == 3
     for g, root in pairs:
@@ -599,16 +620,33 @@ def test_rooted_classes_orbits():
 def test_rooted_classes_one_root_per_orbit():
     # pairs = sum over classes of the orbit count, n = 2..8
     for n, want in {2: 1, 3: 3, 4: 11, 5: 58, 6: 407, 7: 4306, 8: 72489}.items():
-        assert len(rooted_classes(n)) == want
+        assert len(list(rooted_classes(n))) == want
     for n in range(2, 8):
         want = [(g, orbit[0]) for g in connected_classes(n) for orbit in vertex_orbits(g)]
-        assert rooted_classes(n) == want
+        assert [(cls.graph, root) for cls, root, _ in rooted_classes(n)] == want
 
 
 def test_rooted_classes_refuses_the_cap():
     # orbit roots are kept only for the sizes composition glues
     with pytest.raises(ValueError):
         rooted_classes(GENERATION_CAP)
+
+
+def test_composition_reads_its_parts_through_rooted_classes(monkeypatch):
+    # wrapped at its module attribute, as the benchmark's tracer wraps it,
+    # rooted_classes is read for every part order n1 in 2..7 when level 8
+    # is composed from an empty store
+    monkeypatch.setattr(generate, "_store", {})
+    read = []
+    rooted = generate.rooted_classes
+
+    def counted(n):
+        read.append(n)
+        return rooted(n)
+
+    monkeypatch.setattr(generate, "rooted_classes", counted)
+    generate._composed(8)
+    assert set(read) == set(range(2, 8))
 
 
 def test_glue_labels_g2_after_g1_in_order():
@@ -637,7 +675,7 @@ def test_glue_matches_edge_list_reference():
     # every connected class with n <= 7 and a seeded relabelling of each,
     # glued on both sides of a seeded rooted class
     rng = random.Random(9)
-    pool = [pair for n in range(1, 5) for pair in rooted_classes(n)]
+    pool = [(cls.graph, r) for n in range(1, 5) for cls, r, _ in rooted_classes(n)]
     for n in range(1, 8):
         for cls in connected_classes(n):
             for g in (cls, cls.relabel(rng.sample(range(n), n))):
